@@ -21,7 +21,6 @@ from .bounds import (
     erm_risk_bound,
     fixed_model_risk_bound,
     linear_modulus,
-    monte_carlo_risk,
     probe_risk_and_gap,
     rademacher_bound,
     sandwich_error_bound,
@@ -50,15 +49,8 @@ from .errors import (
 )
 from .jets import (
     RnnParams,
-    TruncatedSeries,
-    jet_to_series,
     output_jet,
     predicted_output_jet,
-    series_add,
-    series_mul,
-    series_scale,
-    series_tanh,
-    series_to_jet,
 )
 from .rnn import (
     GROUND_TRUTHS,

@@ -10,7 +10,6 @@ exposed as c_abs (default 1.0), printed in every report.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -22,11 +21,9 @@ from .errors import DomainError, PreconditionError
 from .jets import RnnParams, predicted_output_jet
 from .rnn import SimConfig, System, simulate
 from .signals import (
-    EnsembleConfig,
     InputSpec,
     SampledSignal,
     estimate_modulus,
-    sample_ensemble,
     sample_on_grid,
     sup_distance,
 )
@@ -232,60 +229,29 @@ def probe_risk_and_gap(
     T: float,
     sim: SimConfig = SimConfig(),
     dense_grid_size: int = 257,
-    jobs: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-probe sup-norm risks and polynomial-reconstruction gaps.
 
     The risk compares the simulated model and ground-truth outputs on a
     dense grid; the gap compares the model's predicted degree-k output
     polynomial with the degree-k lift of the true output on the same
-    grid.  Probes are independent; jobs > 1 runs them in a bounded
-    worker pool with order-preserving aggregation.
+    grid.
     """
     per_node = max(1, round((dense_grid_size - 1) / k))
     g = k * per_node + 1
     dense = replace(sim, grid_size=g)
     ts = np.linspace(0.0, T, g)
 
-    def probe(spec: InputSpec) -> tuple[float, float]:
+    risks = np.empty(len(specs))
+    gaps = np.empty(len(specs))
+    for i, spec in enumerate(specs):
         y_true = simulate(ground_truth, spec, T, dense)
         y_model = simulate(params, spec, T, dense)
         pred = predicted_output_jet(params, sample_on_grid(spec, k - 1, T), k)
         y_nodes = SampledSignal(y_true.values[::per_node], T)
-        gap = float(np.abs(jet_poly_eval(pred, ts) - bernstein_eval(y_nodes, ts)).max())
-        return sup_distance(y_model, y_true), gap
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(probe, specs))
-    else:
-        results = [probe(spec) for spec in specs]
-    risks = np.array([r for r, _ in results])
-    gaps = np.array([g_ for _, g_ in results])
+        risks[i] = sup_distance(y_model, y_true)
+        gaps[i] = np.abs(jet_poly_eval(pred, ts) - bernstein_eval(y_nodes, ts)).max()
     return risks, gaps
-
-
-def monte_carlo_risk(
-    params: RnnParams,
-    ground_truth: System,
-    ensemble: EnsembleConfig,
-    probe_count: int,
-    dense_grid_size: int,
-    rng_seed: int,
-    sim: SimConfig = SimConfig(),
-) -> float:
-    """Mean sup-norm distance between model and ground truth over fresh
-    random inputs; the desk-scale estimate of the expected risk."""
-    if probe_count < 1:
-        raise PreconditionError("probe_count must be >= 1")
-    specs = sample_ensemble(ensemble.reseeded(rng_seed), probe_count)
-    dense = replace(sim, grid_size=dense_grid_size)
-    total = 0.0
-    for spec in specs:
-        y_true = simulate(ground_truth, spec, ensemble.horizon_T, dense)
-        y_model = simulate(params, spec, ensemble.horizon_T, dense)
-        total += sup_distance(y_model, y_true)
-    return total / probe_count
 
 
 @dataclass(frozen=True)

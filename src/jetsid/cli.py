@@ -18,9 +18,9 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .errors import (
     ConfigError,
     DivergenceError,
     DomainError,
+    JetsidError,
     PreconditionError,
     ShapeError,
 )
@@ -51,7 +52,7 @@ from .rnn import (
     simulate,
     system_from_config,
 )
-from .signals import EnsembleConfig, sample_ensemble
+from .signals import EnsembleConfig, InputSpec, sample_ensemble
 
 # Seed streams derived from the master seed; only absent seeds are filled.
 _STREAM_ENSEMBLE = 1
@@ -136,28 +137,35 @@ def config_from_dict(doc: dict, seed_override: int | None = None,
     if missing:
         raise ConfigError(f"missing config fields: {sorted(missing)}")
 
-    master = int(seed_override if seed_override is not None else doc.get("rng_seed", 0))
-    ens_doc = dict(doc["ensemble"])
-    ens_doc.setdefault("horizon_T", doc["T"])
-    ens_doc.setdefault("rng_seed", derive_seed(master, _STREAM_ENSEMBLE))
-    train_doc = dict(doc["train"])
-    train_doc.setdefault("rng_seed", derive_seed(master, _STREAM_TRAINER))
+    try:
+        master = int(seed_override if seed_override is not None else doc.get("rng_seed", 0))
+        ens_doc = dict(doc["ensemble"])
+        ens_doc.setdefault("horizon_T", doc["T"])
+        ens_doc.setdefault("rng_seed", derive_seed(master, _STREAM_ENSEMBLE))
+        train_doc = dict(doc["train"])
+        train_doc.setdefault("rng_seed", derive_seed(master, _STREAM_TRAINER))
 
-    return ExperimentConfig(
-        ensemble=EnsembleConfig.from_json_dict(ens_doc),
-        ground_truth=doc["ground_truth"],
-        k=int(doc["k"]),
-        T=float(doc["T"]),
-        N=int(doc["N"]),
-        train=TrainConfig.from_json_dict(train_doc),
-        sim=SimConfig.from_json_dict(doc.get("sim", {})),
-        delta=float(doc["delta"]),
-        probe_count=int(doc.get("probe_count", 32)),
-        rng_seed=master,
-        out_dir=out_override if out_override is not None else doc.get("out_dir"),
-        c_abs=float(doc.get("c_abs", 1.0)),
-        sweep=doc.get("sweep"),
-    )
+        return ExperimentConfig(
+            ensemble=EnsembleConfig.from_json_dict(ens_doc),
+            ground_truth=doc["ground_truth"],
+            k=int(doc["k"]),
+            T=float(doc["T"]),
+            N=int(doc["N"]),
+            train=TrainConfig.from_json_dict(train_doc),
+            sim=SimConfig.from_json_dict(doc.get("sim", {})),
+            delta=float(doc["delta"]),
+            probe_count=int(doc.get("probe_count", 32)),
+            rng_seed=master,
+            out_dir=out_override if out_override is not None else doc.get("out_dir"),
+            c_abs=float(doc.get("c_abs", 1.0)),
+            sweep=doc.get("sweep"),
+        )
+    except JetsidError:
+        raise
+    except KeyError as exc:
+        raise ConfigError(f"config lacks field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed config value: {exc}") from exc
 
 
 def load_config(path, seed_override: int | None = None,
@@ -169,7 +177,10 @@ def load_config(path, seed_override: int | None = None,
         raise ConfigError(f"config parse error in {path}: line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"config root must be a JSON object, got {type(doc).__name__}")
-    return config_from_dict(doc, seed_override, out_override)
+    try:
+        return config_from_dict(doc, seed_override, out_override)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _write_json(path: Path, doc) -> None:
@@ -268,6 +279,61 @@ def _bound_report(
     )
 
 
+class _Score(NamedTuple):
+    eval_seed: int
+    eval_specs: list[InputSpec]
+    risk: float
+    risk_se: float
+    gap_mean: float
+    bounds: bounds_mod.BoundReport
+    timings: dict[str, float]
+
+
+def _score(config: ExperimentConfig, system: System, model: RnnParams,
+           dataset: JetDataset) -> _Score:
+    """Held-out risk and the bound report of a model trained on `dataset`.
+
+    The one scoring path of `evaluate` and of `sweep` points.  Probes
+    come from the eval seed stream; the output modulus is the declared
+    one, else the envelope of the first 8 probe outputs.  `timings`
+    holds the wall time of each stage, keyed as in timings.json.
+    """
+    t0 = time.perf_counter()
+    Lbar_star = empirical_risk(model, dataset)
+    t1 = time.perf_counter()
+    eval_seed = derive_seed(config.rng_seed, _STREAM_EVAL)
+    eval_specs = sample_ensemble(config.ensemble.reseeded(eval_seed), config.probe_count)
+    risks, gaps = bounds_mod.probe_risk_and_gap(
+        model, system, eval_specs, config.k, config.T, config.sim, config.sim.grid_size
+    )
+    risk_se = float(risks.std(ddof=1) / math.sqrt(risks.size)) if risks.size > 1 else 0.0
+    t2 = time.perf_counter()
+    omega_Y = _declared_output_modulus(config, system)
+    moduli_source = "analytic"
+    if omega_Y is None:
+        outputs = [simulate(system, s, config.T, config.sim) for s in eval_specs[:8]]
+        omega_Y = bounds_mod.empirical_modulus(outputs)
+        moduli_source = "empirical"
+    gap_mean = float(gaps.mean())
+    report = _bound_report(config, model.n, gap_mean, Lbar_star, model, omega_Y, moduli_source)
+    timings = {
+        "dataset_and_risk": t1 - t0,
+        "held_out_probes": t2 - t1,
+        "bounds": time.perf_counter() - t2,
+    }
+    return _Score(eval_seed, eval_specs, float(risks.mean()), risk_se, gap_mean, report, timings)
+
+
+def _load_model(path) -> RnnParams:
+    with open(path) as fh:
+        try:
+            return RnnParams.from_json_dict(json.load(fh))
+        except KeyError as exc:
+            raise ConfigError(f"model file {path} lacks field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"model file {path} is malformed: {exc}") from exc
+
+
 def cmd_generate(config: ExperimentConfig) -> Path:
     """Sample the training inputs, simulate the ground truth, and write
     dataset.json plus the input spec list."""
@@ -290,10 +356,7 @@ def cmd_train(config: ExperimentConfig, dataset_path=None, init_path=None) -> Pa
     out = _out_dir(config)
     path = Path(dataset_path) if dataset_path else out / "dataset.json"
     dataset = JetDataset.load(path)
-    init = None
-    if init_path is not None:
-        with open(init_path) as fh:
-            init = RnnParams.from_json_dict(json.load(fh))
+    init = None if init_path is None else _load_model(init_path)
     result = train(dataset, config.train, init=init)
     _write_json(out / "model.json", result.params.to_json_dict())
     _write_csv(
@@ -307,7 +370,7 @@ def cmd_train(config: ExperimentConfig, dataset_path=None, init_path=None) -> Pa
     return out / "model.json"
 
 
-def cmd_evaluate(config: ExperimentConfig, model_path=None, jobs: int = 1) -> Path:
+def cmd_evaluate(config: ExperimentConfig, model_path=None) -> Path:
     """Held-out Monte-Carlo risk plus the full bound report.
 
     Held-out inputs come from a seed stream distinct from the training
@@ -316,46 +379,20 @@ def cmd_evaluate(config: ExperimentConfig, model_path=None, jobs: int = 1) -> Pa
     stays byte-identical across reruns.
     """
     out = _out_dir(config)
-    timings: dict[str, float] = {}
     t0 = time.perf_counter()
-
     path = Path(model_path) if model_path else out / "model.json"
-    with open(path) as fh:
-        model = RnnParams.from_json_dict(json.load(fh))
+    model = _load_model(path)
     if not is_feasible(model, config.train.M):
         raise ConfigError(
             f"model at {path} violates the norm budget M={config.train.M}: {model.norms()}"
         )
-
     system = config.system()
     train_specs = sample_ensemble(config.ensemble, config.N)
     dataset = build_dataset(train_specs, system, config.k, config.T, config.sim)
-    Lbar_star = empirical_risk(model, dataset)
-    timings["dataset_and_risk"] = time.perf_counter() - t0
+    setup_s = time.perf_counter() - t0
 
-    t1 = time.perf_counter()
-    eval_seed = derive_seed(config.rng_seed, _STREAM_EVAL)
-    eval_specs = sample_ensemble(config.ensemble.reseeded(eval_seed), config.probe_count)
-    risks, gaps = bounds_mod.probe_risk_and_gap(
-        model, system, eval_specs, config.k, config.T, config.sim, config.sim.grid_size,
-        jobs=jobs,
-    )
-    mc_risk = float(risks.mean())
-    risk_se = float(risks.std(ddof=1) / math.sqrt(risks.size)) if risks.size > 1 else 0.0
-    timings["held_out_probes"] = time.perf_counter() - t1
-
-    t2 = time.perf_counter()
-    omega_Y = _declared_output_modulus(config, system)
-    moduli_source = "analytic"
-    if omega_Y is None:
-        n_env = min(8, len(eval_specs))
-        outputs = [simulate(system, s, config.T, config.sim) for s in eval_specs[:n_env]]
-        omega_Y = bounds_mod.empirical_modulus(outputs)
-        moduli_source = "empirical"
-    report_bounds = _bound_report(
-        config, model.n, float(gaps.mean()), Lbar_star, model, omega_Y, moduli_source
-    )
-    timings["bounds"] = time.perf_counter() - t2
+    score = _score(config, system, model, dataset)
+    score.timings["dataset_and_risk"] += setup_s
 
     log_path = out / "training_log.csv"
     trajectory: list[float] = []
@@ -367,27 +404,27 @@ def cmd_evaluate(config: ExperimentConfig, model_path=None, jobs: int = 1) -> Pa
         "config": config.to_json_dict(),
         "model": model.to_json_dict(),
         "loss_trajectory": trajectory,
-        "empirical_risk": mc_risk,
-        "risk_standard_error": risk_se,
-        "bernstein_gap_mean": float(gaps.mean()),
-        "approximation_error_upper_estimate": Lbar_star,
-        "bounds": report_bounds.to_json_dict(),
+        "empirical_risk": score.risk,
+        "risk_standard_error": score.risk_se,
+        "bernstein_gap_mean": score.gap_mean,
+        "approximation_error_upper_estimate": score.bounds.erm.approximation_error,
+        "bounds": score.bounds.to_json_dict(),
         "train_inputs": [s.to_json_dict() for s in train_specs],
-        "eval_inputs": [s.to_json_dict() for s in eval_specs],
+        "eval_inputs": [s.to_json_dict() for s in score.eval_specs],
         "seeds": {
             "master": config.rng_seed,
             "ensemble": config.ensemble.rng_seed,
             "trainer": config.train.rng_seed,
-            "eval": eval_seed,
+            "eval": score.eval_seed,
         },
     }
     _write_json(out / "report.json", report)
-    row = {"k": config.k, "N": config.N, "risk": mc_risk, "risk_se": risk_se}
-    row.update(report_bounds.to_flat_dict())
+    row = {"k": config.k, "N": config.N, "risk": score.risk, "risk_se": score.risk_se}
+    row.update(score.bounds.to_flat_dict())
     _write_csv(out / "report_row.csv", list(row), [row])
-    _write_json(out / "timings.json", timings)
-    print(f"wrote {out / 'report.json'} risk={mc_risk:.6g} "
-          f"fixed-model bound={report_bounds.fixed_model.total:.6g}")
+    _write_json(out / "timings.json", score.timings)
+    print(f"wrote {out / 'report.json'} risk={score.risk:.6g} "
+          f"fixed-model bound={score.bounds.fixed_model.total:.6g}")
     return out / "report.json"
 
 
@@ -433,7 +470,7 @@ def _sweep_point(config: ExperimentConfig, param: str, value, mode: str, index: 
     try:
         point_seed = derive_seed(config.rng_seed, _STREAM_SWEEP + index)
         base = config.to_json_dict()
-        base[param] = int(value)
+        base[param] = value
         base["rng_seed"] = point_seed
         base["sweep"] = None
         base["ensemble"] = {k: v for k, v in base["ensemble"].items() if k != "rng_seed"}
@@ -447,37 +484,20 @@ def _sweep_point(config: ExperimentConfig, param: str, value, mode: str, index: 
             specs = sample_ensemble(point.ensemble, point.N)
             system = point.system()
             dataset = build_dataset(specs, system, point.k, point.T, point.sim)
-            result = train(dataset, point.train)
-            eval_seed = derive_seed(point.rng_seed, _STREAM_EVAL)
-            eval_specs = sample_ensemble(point.ensemble.reseeded(eval_seed), point.probe_count)
-            risks, gaps = bounds_mod.probe_risk_and_gap(
-                result.params, system, eval_specs, point.k, point.T, point.sim,
-                point.sim.grid_size,
-            )
-            omega_Y = _declared_output_modulus(point, system)
-            source = "analytic"
-            if omega_Y is None:
-                outputs = [simulate(system, s, point.T, point.sim) for s in eval_specs[:8]]
-                omega_Y = bounds_mod.empirical_modulus(outputs)
-                source = "empirical"
-            report = _bound_report(
-                point, result.params.n, float(gaps.mean()),
-                empirical_risk(result.params, dataset), result.params, omega_Y, source,
-            )
-            row["risk"] = float(risks.mean())
-            row["risk_se"] = float(risks.std(ddof=1) / math.sqrt(risks.size)) if risks.size > 1 else 0.0
+            score = _score(point, system, train(dataset, point.train).params, dataset)
+            report = score.bounds
+            row["risk"], row["risk_se"] = score.risk, score.risk_se
         row.update(report.to_flat_dict())
     except (ConfigError, PreconditionError, ShapeError, DomainError, DivergenceError) as exc:
         row["error"] = str(exc)
     return row
 
 
-def cmd_sweep(config: ExperimentConfig, jobs: int = 1) -> Path:
+def cmd_sweep(config: ExperimentConfig) -> Path:
     """Run the configured k- or N-sweep and write one CSV row per point.
 
     Per-point failures are recorded in the `error` column and the sweep
-    continues.  Points run in a bounded worker pool; aggregation is
-    ordered by point index.
+    continues.
     """
     out = _out_dir(config)
     if not config.sweep:
@@ -495,15 +515,7 @@ def cmd_sweep(config: ExperimentConfig, jobs: int = 1) -> Path:
     if mode not in ("full", "bounds_only"):
         raise ConfigError(f"sweep mode must be 'full' or 'bounds_only', got {mode!r}")
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_sweep_point, config, param, v, mode, i)
-                for i, v in enumerate(values)
-            ]
-            rows = [f.result() for f in futures]
-    else:
-        rows = [_sweep_point(config, param, v, mode, i) for i, v in enumerate(values)]
+    rows = [_sweep_point(config, param, v, mode, i) for i, v in enumerate(values)]
     _write_csv(out / "sweep.csv", _SWEEP_COLUMNS, rows)
     failures = sum(1 for r in rows if r["error"])
     print(f"wrote {out / 'sweep.csv'} ({len(rows)} points, {failures} failed)")
@@ -541,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         p.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
         p.add_argument("--jobs", type=int, default=1,
-                       help="worker pool size for sweep points / probe batches")
+                       help="accepted and ignored: every command runs serially")
         if name == "train":
             p.add_argument("--dataset", default=None, help="dataset file (default <out>/dataset.json)")
             p.add_argument("--init", default=None, help="model file to warm-start the first restart")
@@ -557,9 +569,9 @@ def _dispatch(args) -> int:
     elif args.command == "train":
         cmd_train(config, args.dataset, args.init)
     elif args.command == "evaluate":
-        cmd_evaluate(config, args.model, jobs=max(1, args.jobs))
+        cmd_evaluate(config, args.model)
     elif args.command == "sweep":
-        cmd_sweep(config, max(1, args.jobs))
+        cmd_sweep(config)
     elif args.command == "bounds":
         cmd_bounds(config)
     return 0

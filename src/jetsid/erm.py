@@ -75,7 +75,12 @@ class JetDataset:
     @staticmethod
     def load(path) -> "JetDataset":
         with open(path) as fh:
-            return JetDataset.from_json_dict(json.load(fh))
+            try:
+                return JetDataset.from_json_dict(json.load(fh))
+            except KeyError as exc:
+                raise ConfigError(f"dataset file {path} lacks field {exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"dataset file {path} is malformed: {exc}") from exc
 
 
 @dataclass(frozen=True)

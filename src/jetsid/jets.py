@@ -1,4 +1,4 @@
-"""Truncated power-series arithmetic at t=0 and output-jet propagation.
+"""Recurrent-model weights and the exact output-jet map at t=0.
 
 The recurrent model dx/dt = tanh(A x + b u), y = c^T x maps an input
 jet of order k-1 to an output jet of order k.  The map is evaluated
@@ -23,76 +23,6 @@ from .errors import DomainError, ShapeError
 
 if TYPE_CHECKING:
     from .signals import SampledSignal
-
-
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Taylor coefficients (c_0, ..., c_K) of a function at t=0."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
-        if c.ndim != 1 or c.size < 1:
-            raise ShapeError(f"series needs a 1-d coefficient vector, got {c.shape}")
-        if not np.isfinite(c).all():
-            raise DomainError("series contains nonfinite coefficients")
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def order(self) -> int:
-        return self.coeffs.size - 1
-
-
-def _check_orders(a: TruncatedSeries, b: TruncatedSeries):
-    if a.order != b.order:
-        raise ShapeError(f"truncation orders differ: {a.order} vs {b.order}")
-
-
-def series_add(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    _check_orders(a, b)
-    return TruncatedSeries(a.coeffs + b.coeffs)
-
-
-def series_scale(a: TruncatedSeries, s: float) -> TruncatedSeries:
-    return TruncatedSeries(a.coeffs * float(s))
-
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product truncated at the common order."""
-    _check_orders(a, b)
-    K = a.order
-    return TruncatedSeries(np.convolve(a.coeffs, b.coeffs)[: K + 1])
-
-
-def series_tanh(a: TruncatedSeries) -> TruncatedSeries:
-    """tanh of a truncated series.
-
-    Computed from s' = (1 - s^2) a' with s_0 = tanh(a_0), i.e.
-    s_j = (1/j) * sum_{i<j} w_i * (j-i) * a_{j-i} with w = 1 - s^2.
-    """
-    K = a.order
-    c = a.coeffs
-    s = np.zeros(K + 1)
-    w = np.zeros(K + 1)
-    s[0] = math.tanh(c[0])
-    w[0] = 1.0 - s[0] ** 2
-    for j in range(1, K + 1):
-        s[j] = np.dot(w[:j], np.arange(j, 0, -1) * c[j:0:-1]) / j
-        w[j] = -np.dot(s[: j + 1], s[j::-1])
-    return TruncatedSeries(s)
-
-
-def jet_to_series(jet: JetVector) -> TruncatedSeries:
-    """Derivative values to Taylor coefficients (divide by l!)."""
-    facts = np.array([math.factorial(ell) for ell in range(jet.order + 1)])
-    return TruncatedSeries(jet.derivs / facts)
-
-
-def series_to_jet(series: TruncatedSeries) -> JetVector:
-    """Taylor coefficients to derivative values (multiply by l!)."""
-    facts = np.array([math.factorial(ell) for ell in range(series.order + 1)])
-    return JetVector(series.coeffs * facts)
 
 
 @dataclass(frozen=True)
@@ -164,10 +94,11 @@ class RnnParams:
 def output_jet(params: RnnParams, input_jet: JetVector, k: int) -> JetVector:
     """Output jet (y(0), ..., y^(k)(0)) from an input jet of order k-1.
 
-    The state series X obeys X_{j+1} = S_j / (j+1) with
-    S = tanh(A X + b U) componentwise, X_0 = xi; the tanh series uses
-    the same derivative identity as series_tanh.  All jet entries are
-    exact in exact arithmetic.
+    The Taylor series X of the state obeys X_{j+1} = S_j / (j+1) with
+    S = tanh(A X + b U) componentwise, X_0 = xi.  S follows from the
+    identity s' = (1 - s^2) a' with a = A X + b U:
+    S_j = (1/j) sum_{i<j} W_i (j-i) a_{j-i}, where W = 1 - S^2 as a
+    series.  All jet entries are exact in exact arithmetic.
     """
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")

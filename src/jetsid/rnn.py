@@ -32,23 +32,20 @@ class SimConfig:
     """
 
     step: float | None = None
-    method: str = "rk4"
     grid_size: int = 257
 
     def __post_init__(self):
-        if self.method != "rk4":
-            raise ConfigError(f"unsupported method {self.method!r}")
         if self.step is not None and not self.step > 0:
             raise ConfigError(f"step must be positive, got {self.step}")
         if self.grid_size < 2:
             raise ConfigError(f"grid_size must be >= 2, got {self.grid_size}")
 
     def to_json_dict(self) -> dict:
-        return {"step": self.step, "method": self.method, "grid_size": self.grid_size}
+        return {"step": self.step, "grid_size": self.grid_size}
 
     @staticmethod
     def from_json_dict(doc: dict) -> "SimConfig":
-        unknown = set(doc) - {"step", "method", "grid_size"}
+        unknown = set(doc) - {"step", "grid_size"}
         if unknown:
             raise ConfigError(f"unknown sim fields: {sorted(unknown)}")
         return SimConfig(**doc)

@@ -11,7 +11,6 @@ from jetsid import (
     erm_risk_bound,
     fixed_model_risk_bound,
     linear_modulus,
-    monte_carlo_risk,
     probe_risk_and_gap,
     rademacher_bound,
     sample_size_check,
@@ -208,37 +207,28 @@ class TestMonteCarloRisk:
     def setup_method(self):
         self.ens = EnsembleConfig("fourier", 2, 0.8, 2.0, 1.0, rng_seed=77)
 
+    def mean_risk(self, model, truth, count, seed):
+        specs = sample_ensemble(self.ens.reseeded(seed), count)
+        risks, _ = probe_risk_and_gap(model, truth, specs, 4, 1.0, FAST, 65)
+        return float(risks.mean())
+
     def test_self_risk_is_integrator_noise(self):
         params = scalar_params(A=0.4, b=0.7, c=0.6, xi=0.1)
-        risk = monte_carlo_risk(params, params, self.ens, 4, 65, rng_seed=5, sim=FAST)
-        assert risk <= 1e-6
+        assert self.mean_risk(params, params, 4, 5) <= 1e-6
 
     def test_zero_against_zero(self):
         model = scalar_params(c=0.0)
         truth = scalar_params(b=0.3, c=0.0)
-        risk = monte_carlo_risk(model, truth, self.ens, 4, 65, rng_seed=6, sim=FAST)
-        assert risk == pytest.approx(0.0, abs=1e-12)
+        assert self.mean_risk(model, truth, 4, 6) == pytest.approx(0.0, abs=1e-12)
 
     def test_reproducible_to_three_decimals(self):
         rng = np.random.default_rng(14)
         model = random_feasible(rng, 1)
         truth = GROUND_TRUTHS["linear"]()
-        r1 = monte_carlo_risk(model, truth, self.ens, 6, 65, rng_seed=9, sim=FAST)
-        r2 = monte_carlo_risk(model, truth, self.ens, 6, 65, rng_seed=9, sim=FAST)
+        r1 = self.mean_risk(model, truth, 6, 9)
+        r2 = self.mean_risk(model, truth, 6, 9)
         assert round(r1, 3) == round(r2, 3)
         assert r1 == r2  # fixed seeds are exactly reproducible
-
-    def test_probe_pool_preserves_results(self):
-        rng = np.random.default_rng(15)
-        model = random_feasible(rng, 2)
-        truth = GROUND_TRUTHS["linear"]()
-        from jetsid import sample_ensemble as draw
-
-        specs = draw(self.ens.reseeded(41), 6)
-        serial = probe_risk_and_gap(model, truth, specs, 4, 1.0, FAST, 65)
-        pooled = probe_risk_and_gap(model, truth, specs, 4, 1.0, FAST, 65, jobs=3)
-        assert np.array_equal(serial[0], pooled[0])
-        assert np.array_equal(serial[1], pooled[1])
 
 
 class TestRiskBoundEmpiricalValidity:

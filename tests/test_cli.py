@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from jetsid import RnnParams, build_dataset, sample_ensemble
-from jetsid.cli import cmd_generate, load_config, main
+from jetsid.cli import cmd_generate, derive_seed, load_config, main
 from jetsid.errors import ConfigError
 
 
@@ -84,6 +84,37 @@ class TestConfigLoading:
         doc = base_doc(tmp_path / "run")
         doc["N"] = 0
         assert main(["generate", "--config", write_config(tmp_path, doc)]) == 2
+
+    @pytest.mark.parametrize("case", ["corrupt_dataset", "model_without_n",
+                                      "init_without_n", "non_integer_k"])
+    def test_bad_input_file_exits_2(self, tmp_path, capsys, case):
+        run = tmp_path / "run"
+        run.mkdir()
+        doc = base_doc(run)
+        model = RnnParams([[0.3]], [0.8], [0.5], [0.1])
+        without_n = {key: v for key, v in model.to_json_dict().items() if key != "n"}
+        extra = []
+        if case == "corrupt_dataset":
+            bad, command = run / "dataset.json", "train"
+            bad.write_text('{"k": 3, "pairs": [')
+        elif case == "model_without_n":
+            bad, command = run / "model.json", "evaluate"
+            bad.write_text(json.dumps(without_n))
+        elif case == "init_without_n":
+            from jetsid import EnsembleConfig, build_teacher_dataset
+
+            ens = EnsembleConfig("fourier", 2, 0.8, 2.0, 1.0, rng_seed=5)
+            build_teacher_dataset(sample_ensemble(ens, 2), model, 3, 1.0).save(run / "dataset.json")
+            bad, command = run / "init.json", "train"
+            bad.write_text(json.dumps(without_n))
+            extra = ["--init", str(bad)]
+        else:
+            doc["k"] = "abc"
+            bad, command = tmp_path / "config.json", "bounds"
+        path = write_config(tmp_path, doc)
+        assert main([command, "--config", path, *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and bad.name in err
 
 
 class TestGenerate:
@@ -255,6 +286,27 @@ class TestSweep:
         assert "k must be >= 2" in rows[1]["error"]
         assert float(rows[0]["risk"]) >= 0.0
         assert rows[0]["mode"] == "full"
+
+    @pytest.mark.parametrize("system", ["linear", "duffing"])
+    def test_full_point_matches_cli_chain(self, tmp_path, system):
+        # one sweep point and generate -> train -> evaluate share one path:
+        # linear declares its output modulus, duffing takes the empirical one
+        doc = base_doc(tmp_path / "chain")
+        doc["ground_truth"] = {"kind": "named", "name": system, "params": {}}
+        doc["N"], doc["probe_count"] = 4, 3
+        doc["sim"]["grid_size"] = 33
+        doc["sweep"] = {"param": "k", "values": [doc["k"]], "mode": "full"}
+        path = write_config(tmp_path, doc)
+        seed = str(derive_seed(doc["rng_seed"], 1000))
+        for command in ("generate", "train", "evaluate"):
+            assert main([command, "--config", path, "--seed", seed]) == 0
+        assert main(["sweep", "--config", path, "--out", str(tmp_path / "sweep")]) == 0
+        (chain,) = read_rows(tmp_path / "chain" / "report_row.csv")
+        (point,) = read_rows(tmp_path / "sweep" / "sweep.csv")
+        assert point["error"] == ""
+        shared = sorted(set(chain) & set(point))
+        assert len(shared) == 24
+        assert [chain[c] for c in shared] == [point[c] for c in shared]
 
     def test_missing_sweep_block(self, tmp_path):
         path = write_config(tmp_path, base_doc(tmp_path / "run"))

@@ -9,15 +9,8 @@ from jetsid import (
     RnnParams,
     SampledSignal,
     ShapeError,
-    TruncatedSeries,
-    jet_to_series,
     output_jet,
     predicted_output_jet,
-    series_add,
-    series_mul,
-    series_scale,
-    series_tanh,
-    series_to_jet,
 )
 from jetsid.erm import project_feasible
 from jetsid.signals import InputSpec, sample_on_grid
@@ -38,85 +31,6 @@ def random_feasible(rng, n, M=1.0):
         rng.uniform(-scale, scale, n),
     )
     return project_feasible(raw, M)
-
-
-class TestSeriesAlgebra:
-    def test_product_of_linear_factors(self):
-        a = TruncatedSeries([1.0, 1.0, 0.0])
-        b = TruncatedSeries([1.0, -1.0, 0.0])
-        assert series_mul(a, b).coeffs == pytest.approx([1.0, 0.0, -1.0])
-
-    def test_multiplicative_identity(self):
-        rng = np.random.default_rng(0)
-        a = TruncatedSeries(rng.uniform(-1, 1, 5))
-        one = TruncatedSeries([1.0, 0.0, 0.0, 0.0, 0.0])
-        assert series_mul(a, one).coeffs == pytest.approx(a.coeffs)
-
-    def test_square_of_exp_prefix(self):
-        # (1 + t + t^2/2)^2 truncated at order 2 is 1 + 2t + 2t^2
-        a = TruncatedSeries([1.0, 1.0, 0.5])
-        assert series_mul(a, a).coeffs == pytest.approx([1.0, 2.0, 2.0])
-
-    def test_add_scale(self):
-        a = TruncatedSeries([1.0, 2.0])
-        b = TruncatedSeries([0.5, -1.0])
-        assert series_add(a, b).coeffs == pytest.approx([1.5, 1.0])
-        assert series_scale(a, -2.0).coeffs == pytest.approx([-2.0, -4.0])
-
-    def test_order_mismatch(self):
-        with pytest.raises(ShapeError):
-            series_add(TruncatedSeries([1.0]), TruncatedSeries([1.0, 2.0]))
-        with pytest.raises(ShapeError):
-            series_mul(TruncatedSeries([1.0]), TruncatedSeries([1.0, 2.0]))
-
-    def test_commutative_associative(self):
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            a = TruncatedSeries(rng.uniform(-1, 1, 6))
-            b = TruncatedSeries(rng.uniform(-1, 1, 6))
-            c = TruncatedSeries(rng.uniform(-1, 1, 6))
-            ab = series_mul(a, b)
-            ba = series_mul(b, a)
-            assert ab.coeffs == pytest.approx(ba.coeffs, abs=1e-12)
-            left = series_mul(ab, c)
-            right = series_mul(a, series_mul(b, c))
-            assert left.coeffs == pytest.approx(right.coeffs, abs=1e-12)
-
-
-class TestSeriesTanh:
-    def test_zero(self):
-        out = series_tanh(TruncatedSeries([0.0, 0.0, 0.0]))
-        assert out.coeffs == pytest.approx([0.0, 0.0, 0.0])
-
-    def test_maclaurin_of_tanh_t(self):
-        out = series_tanh(TruncatedSeries([0.0, 1.0, 0.0, 0.0]))
-        assert out.coeffs == pytest.approx([0.0, 1.0, 0.0, -1.0 / 3.0], abs=1e-14)
-
-    def test_constant_argument(self):
-        out = series_tanh(TruncatedSeries([0.7, 0.0, 0.0]))
-        assert out.coeffs == pytest.approx([math.tanh(0.7), 0.0, 0.0], abs=1e-15)
-
-    def test_derivative_identity(self):
-        # coefficients of s' match those of (1 - s^2) * a'
-        rng = np.random.default_rng(2)
-        for _ in range(10):
-            a = TruncatedSeries(rng.uniform(-1, 1, 8))
-            s = series_tanh(a)
-            K = a.order
-            ds = np.arange(1, K + 1) * s.coeffs[1:]
-            da = np.arange(1, K + 1) * a.coeffs[1:]
-            one_minus_sq = -np.convolve(s.coeffs, s.coeffs)[: K + 1]
-            one_minus_sq[0] += 1.0
-            rhs = np.convolve(one_minus_sq, da)[:K]
-            assert ds == pytest.approx(rhs, abs=1e-12)
-
-
-class TestJetSeriesConversion:
-    def test_round_trip(self):
-        jet = JetVector([1.0, 2.0, 6.0, 12.0])
-        series = jet_to_series(jet)
-        assert series.coeffs == pytest.approx([1.0, 2.0, 3.0, 2.0])
-        assert series_to_jet(series).derivs == pytest.approx(jet.derivs)
 
 
 class TestOutputJet:

@@ -121,7 +121,7 @@ class TestSimulate:
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
-            SimConfig(method="euler")
+            SimConfig.from_json_dict({"method": "euler"})
         with pytest.raises(ConfigError):
             SimConfig(step=-0.1)
         with pytest.raises(ConfigError):
