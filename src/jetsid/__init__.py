@@ -35,7 +35,6 @@ from .erm import (
     empirical_risk,
     is_feasible,
     project_feasible,
-    sample_loss,
     sample_size_check,
     train,
 )
@@ -50,7 +49,6 @@ from .errors import (
 from .jets import (
     RnnParams,
     output_jet,
-    predicted_output_jet,
 )
 from .rnn import (
     GROUND_TRUTHS,

@@ -107,15 +107,18 @@ def bernstein_jet(signal: "SampledSignal", k: int) -> JetVector:
     return JetVector(derivs)
 
 
-def jet_poly_eval(jet: JetVector, t):
+def jet_poly_eval(jet, t):
     """Evaluate sum_l derivs[l] * t^l / l!, the jet's Taylor polynomial.
 
-    Accepts a scalar or an array of times.
+    `jet` is one JetVector, or an (N, m+1) array holding one jet per
+    row, which gives one row of values per jet.  Accepts a scalar or an
+    array of times.
     """
-    factorials = np.array([math.factorial(ell) for ell in range(jet.order + 1)])
-    coeffs = jet.derivs / factorials
+    derivs = jet.derivs if isinstance(jet, JetVector) else np.asarray(jet, dtype=float)
+    factorials = np.array([math.factorial(ell) for ell in range(derivs.shape[-1])])
+    coeffs = (derivs / factorials).T
     out = np.polynomial.polynomial.polyval(np.asarray(t, dtype=float), coeffs)
-    return float(out) if np.isscalar(t) or np.asarray(t).ndim == 0 else out
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def bernstein_error_bound(omega: Callable[[float], float], k: int, T: float) -> float:

@@ -15,10 +15,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bernstein import bernstein_eval, jet_poly_eval
+from .bernstein import bernstein_eval, bernstein_jet, jet_poly_eval
 from .erm import sample_size_check
 from .errors import DomainError, PreconditionError
-from .jets import RnnParams, predicted_output_jet
+from .jets import RnnParams, output_jet
 from .rnn import SimConfig, System, simulate
 from .signals import (
     InputSpec,
@@ -242,15 +242,16 @@ def probe_risk_and_gap(
     dense = replace(sim, grid_size=g)
     ts = np.linspace(0.0, T, g)
 
+    v = np.array([bernstein_jet(sample_on_grid(spec, k - 1, T), k).derivs for spec in specs])
+    predicted = jet_poly_eval(output_jet(params, v.reshape(len(specs), k), k), ts)
     risks = np.empty(len(specs))
     gaps = np.empty(len(specs))
     for i, spec in enumerate(specs):
         y_true = simulate(ground_truth, spec, T, dense)
         y_model = simulate(params, spec, T, dense)
-        pred = predicted_output_jet(params, sample_on_grid(spec, k - 1, T), k)
         y_nodes = SampledSignal(y_true.values[::per_node], T)
         risks[i] = sup_distance(y_model, y_true)
-        gaps[i] = np.abs(jet_poly_eval(pred, ts) - bernstein_eval(y_nodes, ts)).max()
+        gaps[i] = np.abs(predicted[i] - bernstein_eval(y_nodes, ts)).max()
     return risks, gaps
 
 

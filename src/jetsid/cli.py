@@ -40,6 +40,7 @@ from .errors import (
     JetsidError,
     PreconditionError,
     ShapeError,
+    whole_number,
 )
 from .jets import RnnParams
 from .rnn import (
@@ -138,7 +139,8 @@ def config_from_dict(doc: dict, seed_override: int | None = None,
         raise ConfigError(f"missing config fields: {sorted(missing)}")
 
     try:
-        master = int(seed_override if seed_override is not None else doc.get("rng_seed", 0))
+        master = whole_number("rng_seed", seed_override if seed_override is not None
+                              else doc.get("rng_seed", 0))
         ens_doc = dict(doc["ensemble"])
         ens_doc.setdefault("horizon_T", doc["T"])
         ens_doc.setdefault("rng_seed", derive_seed(master, _STREAM_ENSEMBLE))
@@ -148,13 +150,13 @@ def config_from_dict(doc: dict, seed_override: int | None = None,
         return ExperimentConfig(
             ensemble=EnsembleConfig.from_json_dict(ens_doc),
             ground_truth=doc["ground_truth"],
-            k=int(doc["k"]),
+            k=whole_number("k", doc["k"]),
             T=float(doc["T"]),
-            N=int(doc["N"]),
+            N=whole_number("N", doc["N"]),
             train=TrainConfig.from_json_dict(train_doc),
             sim=SimConfig.from_json_dict(doc.get("sim", {})),
             delta=float(doc["delta"]),
-            probe_count=int(doc.get("probe_count", 32)),
+            probe_count=whole_number("probe_count", doc.get("probe_count", 32)),
             rng_seed=master,
             out_dir=out_override if out_override is not None else doc.get("out_dir"),
             c_abs=float(doc.get("c_abs", 1.0)),
@@ -386,6 +388,16 @@ def cmd_evaluate(config: ExperimentConfig, model_path=None) -> Path:
         raise ConfigError(
             f"model at {path} violates the norm budget M={config.train.M}: {model.norms()}"
         )
+    log_path = out / "training_log.csv"
+    trajectory: list[float] = []
+    if log_path.exists():
+        try:
+            rows = [line.split(",") for line in log_path.read_text().splitlines()[1:]]
+            trajectory = [float(row[1]) for row in rows]
+        except (ValueError, IndexError) as exc:
+            raise ConfigError(f"training log {log_path} is malformed: {exc}") from exc
+        if not trajectory:
+            raise ConfigError(f"training log {log_path} has no rows")
     system = config.system()
     train_specs = sample_ensemble(config.ensemble, config.N)
     dataset = build_dataset(train_specs, system, config.k, config.T, config.sim)
@@ -393,12 +405,6 @@ def cmd_evaluate(config: ExperimentConfig, model_path=None) -> Path:
 
     score = _score(config, system, model, dataset)
     score.timings["dataset_and_risk"] += setup_s
-
-    log_path = out / "training_log.csv"
-    trajectory: list[float] = []
-    if log_path.exists():
-        rows = np.loadtxt(log_path, delimiter=",", skiprows=1, ndmin=2)
-        trajectory = [float(r) for r in rows[:, 1]]
 
     report = {
         "config": config.to_json_dict(),

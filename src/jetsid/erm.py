@@ -17,8 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bernstein import JetVector, bernstein_jet, jet_poly_eval
-from .errors import ConfigError, DivergenceError, ShapeError
+from .bernstein import bernstein_jet, jet_poly_eval
+from .errors import ConfigError, DivergenceError, DomainError, ShapeError, whole_number
 from .jets import RnnParams, output_jet
 from .rnn import SimConfig, System, simulate
 from .signals import InputSpec, SampledSignal, sample_on_grid
@@ -26,44 +26,47 @@ from .signals import InputSpec, SampledSignal, sample_on_grid
 
 @dataclass(frozen=True)
 class JetDataset:
-    """Pairs (v, z): input jets of order k-1 and output jets of order k."""
+    """N jet pairs, one per row: input jets v of order k-1, shape (N, k),
+    and output jets z of order k, shape (N, k+1)."""
 
-    pairs: tuple[tuple[JetVector, JetVector], ...]
+    v: np.ndarray
+    z: np.ndarray
     k: int
     T: float
 
     def __post_init__(self):
-        if len(self.pairs) < 1:
-            raise ConfigError("dataset needs at least one pair")
+        v = np.asarray(self.v, dtype=float)
+        z = np.asarray(self.z, dtype=float)
         if self.k < 2:
             raise ConfigError(f"k must be >= 2, got {self.k}")
-        for i, (v, z) in enumerate(self.pairs):
-            if v.order != self.k - 1 or z.order != self.k:
-                raise ShapeError(
-                    f"pair {i}: orders ({v.order}, {z.order}) != ({self.k - 1}, {self.k})"
-                )
-        object.__setattr__(self, "pairs", tuple(self.pairs))
+        N = v.shape[0] if v.ndim else 0
+        if N < 1:
+            raise ConfigError("dataset needs at least one pair")
+        if v.shape != (N, self.k) or z.shape != (N, self.k + 1):
+            raise ShapeError(f"jet arrays of shapes {v.shape}, {z.shape}, expected "
+                             f"({N}, {self.k}), ({N}, {self.k + 1})")
+        if not (np.isfinite(v).all() and np.isfinite(z).all()):
+            raise DomainError("dataset contains nonfinite jet entries")
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "z", z)
 
     @property
     def N(self) -> int:
-        return len(self.pairs)
+        return self.v.shape[0]
 
     def to_json_dict(self) -> dict:
         return {
             "k": self.k,
             "T": self.T,
             "N": self.N,
-            "pairs": [{"v": v.derivs.tolist(), "z": z.derivs.tolist()} for v, z in self.pairs],
+            "pairs": [{"v": v.tolist(), "z": z.tolist()} for v, z in zip(self.v, self.z)],
         }
 
     @staticmethod
     def from_json_dict(doc: dict) -> "JetDataset":
-        pairs = tuple(
-            (JetVector(np.asarray(p["v"], dtype=float)), JetVector(np.asarray(p["z"], dtype=float)))
-            for p in doc["pairs"]
-        )
-        ds = JetDataset(pairs, int(doc["k"]), float(doc["T"]))
-        if ds.N != int(doc["N"]):
+        v, z = (np.array([p[key] for p in doc["pairs"]], dtype=float) for key in ("v", "z"))
+        ds = JetDataset(v, z, whole_number("k", doc["k"]), float(doc["T"]))
+        if ds.N != whole_number("N", doc["N"]):
             raise ConfigError(f"N field {doc['N']} != {ds.N} pairs")
         return ds
 
@@ -97,6 +100,8 @@ class TrainConfig:
     tolerance: float = 1e-12
 
     def __post_init__(self):
+        for name in ("n", "restarts", "max_iters", "rng_seed"):
+            object.__setattr__(self, name, whole_number(f"train.{name}", getattr(self, name)))
         if not self.M > 0:
             raise ConfigError(f"M must be positive, got {self.M}")
         if self.n < 1:
@@ -143,18 +148,16 @@ def build_dataset(
     # snap the dense grid so the k+1 output nodes land on recorded points
     per_node = max(1, round((sim.grid_size - 1) / k))
     dense = replace(sim, grid_size=k * per_node + 1)
-    pairs = []
+    v, z = [], []
     for idx, spec in enumerate(inputs):
-        u_sig = sample_on_grid(spec, k - 1, T)
-        v = bernstein_jet(u_sig, k)
+        v.append(bernstein_jet(sample_on_grid(spec, k - 1, T), k).derivs)
         try:
             y_dense = simulate(ground_truth, spec, T, dense)
         except DivergenceError as exc:
             raise DivergenceError(exc.time, detail=f"sample {idx}") from exc
         y_nodes = SampledSignal(y_dense.values[::per_node], T)
-        z = bernstein_jet(y_nodes, k + 1)
-        pairs.append((v, z))
-    return JetDataset(tuple(pairs), k, T)
+        z.append(bernstein_jet(y_nodes, k + 1).derivs)
+    return JetDataset(np.array(v), np.array(z), k, T)
 
 
 def build_teacher_dataset(
@@ -167,30 +170,19 @@ def build_teacher_dataset(
     """
     if k < 2:
         raise ConfigError(f"k must be >= 2, got {k}")
-    pairs = []
-    for spec in inputs:
-        v = bernstein_jet(sample_on_grid(spec, k - 1, T), k)
-        z = output_jet(teacher, v, k)
-        pairs.append((v, z))
-    return JetDataset(tuple(pairs), k, T)
-
-
-def sample_loss(params: RnnParams, v: JetVector, z: JetVector, k: int, T: float) -> float:
-    """Max over t_j = j*T/k, j=1..k, of the predicted-vs-target
-    polynomial mismatch |poly(output_jet(params, v))(t_j) - poly(z)(t_j)|."""
-    if v.order != k - 1 or z.order != k:
-        raise ShapeError(f"jet orders ({v.order}, {z.order}) != ({k - 1}, {k})")
-    pred = output_jet(params, v, k)
-    t = np.arange(1, k + 1) * (T / k)
-    return float(np.abs(jet_poly_eval(pred, t) - jet_poly_eval(z, t)).max())
+    v = np.array([bernstein_jet(sample_on_grid(spec, k - 1, T), k).derivs for spec in inputs])
+    v = v.reshape(len(inputs), k)
+    return JetDataset(v, output_jet(teacher, v, k), k, T)
 
 
 def empirical_risk(params: RnnParams, dataset: JetDataset) -> float:
-    """Mean sample loss over the dataset."""
-    total = 0.0
-    for v, z in dataset.pairs:
-        total += sample_loss(params, v, z, dataset.k, dataset.T)
-    return total / dataset.N
+    """Mean over the pairs of the sample loss: the largest mismatch
+    |poly(output_jet(params, v) - z)(t_j)| between the predicted and the
+    target output polynomial over the grid t_j = j*T/k, j=1..k."""
+    k = dataset.k
+    t = np.arange(1, k + 1) * (dataset.T / k)
+    mismatch = jet_poly_eval(output_jet(params, dataset.v, k) - dataset.z, t)
+    return float(np.abs(mismatch).max(axis=1).mean())
 
 
 _FEASIBLE_SLACK = 1.0 + 1e-12

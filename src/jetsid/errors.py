@@ -1,8 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the whole-number check
+that integer config fields go through.
 
 The CLI maps these onto exit codes: configuration/validation problems
 exit 2, numerical divergence exits 3, file I/O problems exit 4.
 """
+
+import numbers
 
 
 class JetsidError(Exception):
@@ -37,3 +40,12 @@ class DivergenceError(JetsidError, RuntimeError):
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)
+
+
+
+def whole_number(field: str, value) -> int:
+    """`value` as an int; ConfigError naming `field` unless it is a whole number."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
+                                       or isinstance(value, float) and value.is_integer()):
+        raise ConfigError(f"{field} must be a whole number, got {value!r}")
+    return int(value)

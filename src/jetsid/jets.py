@@ -14,15 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .bernstein import JetVector, bernstein_jet
+from .bernstein import JetVector
 from .errors import DomainError, ShapeError
-
-if TYPE_CHECKING:
-    from .signals import SampledSignal
 
 
 @dataclass(frozen=True)
@@ -91,35 +87,39 @@ class RnnParams:
         )
 
 
-def output_jet(params: RnnParams, input_jet: JetVector, k: int) -> JetVector:
-    """Output jet (y(0), ..., y^(k)(0)) from an input jet of order k-1.
+def output_jet(params: RnnParams, input_jet, k: int):
+    """Output jets (y(0), ..., y^(k)(0)) from input jets of order k-1:
+    one JetVector gives one JetVector, and an (N, k) array of input jets,
+    one per row, gives the (N, k+1) array of their output jets.
 
     The Taylor series X of the state obeys X_{j+1} = S_j / (j+1) with
     S = tanh(A X + b U) componentwise, X_0 = xi.  S follows from the
     identity s' = (1 - s^2) a' with a = A X + b U:
     S_j = (1/j) sum_{i<j} W_i (j-i) a_{j-i}, where W = 1 - S^2 as a
-    series.  All jet entries are exact in exact arithmetic.
+    series.  Each series has shape (k+1, N, n).  All jet entries are
+    exact in exact arithmetic.
     """
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    if input_jet.order != k - 1:
-        raise ShapeError(f"input jet has order {input_jet.order}, expected {k - 1}")
-    n = params.n
+    single = isinstance(input_jet, JetVector)
+    V = input_jet.derivs[None, :] if single else np.asarray(input_jet, dtype=float)
+    if V.ndim != 2 or V.shape[1] != k:
+        raise ShapeError(f"input jets have shape {V.shape}, expected (N, {k}) (order {k - 1})")
+    N, n = V.shape[0], params.n
     facts = np.array([math.factorial(ell) for ell in range(k + 1)])
-    u = np.zeros(k + 1)
-    u[:k] = input_jet.derivs / facts[:k]
+    u = V.T / facts[:k, None]
 
-    X = np.zeros((k + 1, n))
-    S = np.zeros((k, n))
-    W = np.zeros((k, n))
-    ARG = np.zeros((k, n))
+    X = np.zeros((k + 1, N, n))
+    S = np.zeros((k, N, n))
+    W = np.zeros((k, N, n))
+    ARG = np.zeros((k, N, n))
     X[0] = params.xi
     for j in range(k):
-        ARG[j] = params.A @ X[j] + params.b * u[j]
+        ARG[j] = X[j] @ params.A.T + u[j][:, None] * params.b
         if j == 0:
             S[0] = np.tanh(ARG[0])
         else:
-            weights = np.arange(j, 0, -1)[:, None]
+            weights = np.arange(j, 0, -1)[:, None, None]
             S[j] = (W[:j] * (weights * ARG[j:0:-1])).sum(axis=0) / j
         W[j] = -(S[: j + 1] * S[j::-1]).sum(axis=0)
         if j == 0:
@@ -128,13 +128,5 @@ def output_jet(params: RnnParams, input_jet: JetVector, k: int) -> JetVector:
     y_coeffs = X @ params.c
     # entry 0 is c.xi by definition; the direct dot keeps it bit-exact
     y_coeffs[0] = params.c @ params.xi
-    return JetVector(y_coeffs * facts)
-
-
-def predicted_output_jet(params: RnnParams, input_signal: "SampledSignal", k: int) -> JetVector:
-    """Output jet of the model fed the Bernstein lift of a sampled input.
-
-    Evaluating the result with jet_poly_eval gives the model's predicted
-    degree-k output polynomial for that input.
-    """
-    return output_jet(params, bernstein_jet(input_signal, k), k)
+    jets = (y_coeffs * facts[:, None]).T
+    return JetVector(jets[0]) if single else jets

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .errors import ConfigError, DivergenceError, DomainError
+from .errors import ConfigError, DivergenceError, DomainError, whole_number
 from .jets import RnnParams
 from .signals import FOURIER, InputSpec, SampledSignal, _eval_array
 
@@ -35,6 +35,7 @@ class SimConfig:
     grid_size: int = 257
 
     def __post_init__(self):
+        object.__setattr__(self, "grid_size", whole_number("sim.grid_size", self.grid_size))
         if self.step is not None and not self.step > 0:
             raise ConfigError(f"step must be positive, got {self.step}")
         if self.grid_size < 2:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bernstein import JetVector
-from .errors import ConfigError, DomainError, ShapeError
+from .errors import ConfigError, DomainError, ShapeError, whole_number
 
 FOURIER = "fourier"
 POLYNOMIAL = "polynomial"
@@ -137,6 +137,8 @@ class EnsembleConfig:
     phase_range: tuple[float, float] = (0.0, _TWO_PI)
 
     def __post_init__(self):
+        for name in ("m_terms", "rng_seed"):
+            object.__setattr__(self, name, whole_number(f"ensemble.{name}", getattr(self, name)))
         if self.kind not in (FOURIER, POLYNOMIAL):
             raise ConfigError(f"unknown ensemble kind {self.kind!r}")
         if self.m_terms < 1:

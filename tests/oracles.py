@@ -154,3 +154,51 @@ def sympy_input_derivatives(spec, order):
     else:
         expr = sum(sp.Float(ci, 30) * t**i for i, ci in enumerate(c))
     return np.array([float(sp.diff(expr, t, ell).subs(t, 0)) for ell in range(order + 1)])
+
+
+def scalar_output_jet(params, v, k):
+    """Output jet of order k from one input jet `v` of order k-1: the
+    per-sample Taylor-series recurrence of the tanh model, one state
+    series of shape (k+1, n), kept as the reference of the batched map."""
+    n = params.n
+    facts = np.array([math.factorial(ell) for ell in range(k + 1)])
+    u = np.zeros(k + 1)
+    u[:k] = np.asarray(v, dtype=float) / facts[:k]
+
+    X = np.zeros((k + 1, n))
+    S = np.zeros((k, n))
+    W = np.zeros((k, n))
+    ARG = np.zeros((k, n))
+    X[0] = params.xi
+    for j in range(k):
+        ARG[j] = params.A @ X[j] + params.b * u[j]
+        if j == 0:
+            S[0] = np.tanh(ARG[0])
+        else:
+            weights = np.arange(j, 0, -1)[:, None]
+            S[j] = (W[:j] * (weights * ARG[j:0:-1])).sum(axis=0) / j
+        W[j] = -(S[: j + 1] * S[j::-1]).sum(axis=0)
+        if j == 0:
+            W[0] += 1.0
+        X[j + 1] = S[j] / (j + 1)
+    y_coeffs = X @ params.c
+    y_coeffs[0] = params.c @ params.xi
+    return y_coeffs * facts
+
+
+def taylor_value(derivs, t):
+    """sum_l derivs[l] * t^l / l! by direct summation."""
+    return sum(float(d) * t**ell / math.factorial(ell) for ell, d in enumerate(derivs))
+
+
+def scalar_empirical_risk(params, V, Z, k, T):
+    """Mean over the pairs (V[i], Z[i]) of the largest mismatch between
+    the predicted and target Taylor polynomials on t_j = j*T/k, j=1..k,
+    one pair at a time."""
+    total = 0.0
+    for v, z in zip(V, Z):
+        pred = scalar_output_jet(params, v, k)
+        total += max(
+            abs(taylor_value(pred, j * T / k) - taylor_value(z, j * T / k)) for j in range(1, k + 1)
+        )
+    return total / len(V)

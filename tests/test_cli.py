@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetsid import RnnParams, build_dataset, sample_ensemble
-from jetsid.cli import cmd_generate, derive_seed, load_config, main
+from jetsid.cli import cmd_generate, config_from_dict, derive_seed, load_config, main
 from jetsid.errors import ConfigError
 
 
@@ -85,36 +87,93 @@ class TestConfigLoading:
         doc["N"] = 0
         assert main(["generate", "--config", write_config(tmp_path, doc)]) == 2
 
-    @pytest.mark.parametrize("case", ["corrupt_dataset", "model_without_n",
-                                      "init_without_n", "non_integer_k"])
+    # config edits that must be rejected, with the command that reads them
+    BAD_CONFIG = {
+        "non_integer_k": ("bounds", lambda doc: doc.update(k="abc")),
+        "fractional_k": ("bounds", lambda doc: doc.update(k=4.5)),
+        "fractional_train_n": ("train", lambda doc: doc["train"].update(n=2.5)),
+        "fractional_m_terms": ("generate", lambda doc: doc["ensemble"].update(m_terms=2.5)),
+    }
+    # edits of a valid dataset.json document
+    BAD_DATASET = {
+        "nan_in_dataset": lambda ds: ds["pairs"][1]["z"].__setitem__(2, math.nan),
+        "short_z_row": lambda ds: ds["pairs"][1]["z"].pop(),
+        "missing_z": lambda ds: ds["pairs"][0].pop("z"),
+        "empty_pairs": lambda ds: ds.update(pairs=[], N=0),
+        "fractional_dataset_k": lambda ds: ds.update(k=3.5),
+    }
+    BAD_LOG = {
+        "log_not_numeric": "iter,risk\n0,abc\n",
+        "log_header_only": "iter,risk\n",
+        "log_one_column": "iter\n0\n",
+    }
+
+    @pytest.mark.parametrize("case", ["corrupt_dataset", "model_without_n", "init_without_n",
+                                      *BAD_CONFIG, *BAD_DATASET, *BAD_LOG])
     def test_bad_input_file_exits_2(self, tmp_path, capsys, case):
+        from jetsid import EnsembleConfig, build_teacher_dataset
+
         run = tmp_path / "run"
         run.mkdir()
         doc = base_doc(run)
         model = RnnParams([[0.3]], [0.8], [0.5], [0.1])
         without_n = {key: v for key, v in model.to_json_dict().items() if key != "n"}
+        ens = EnsembleConfig("fourier", 2, 0.8, 2.0, 1.0, rng_seed=5)
+        dataset = build_teacher_dataset(sample_ensemble(ens, 2), model, 3, 1.0).to_json_dict()
         extra = []
         if case == "corrupt_dataset":
             bad, command = run / "dataset.json", "train"
             bad.write_text('{"k": 3, "pairs": [')
+        elif case in self.BAD_DATASET:
+            self.BAD_DATASET[case](dataset)
+            bad, command = run / "dataset.json", "train"
+            bad.write_text(json.dumps(dataset))
         elif case == "model_without_n":
             bad, command = run / "model.json", "evaluate"
             bad.write_text(json.dumps(without_n))
         elif case == "init_without_n":
-            from jetsid import EnsembleConfig, build_teacher_dataset
-
-            ens = EnsembleConfig("fourier", 2, 0.8, 2.0, 1.0, rng_seed=5)
-            build_teacher_dataset(sample_ensemble(ens, 2), model, 3, 1.0).save(run / "dataset.json")
+            (run / "dataset.json").write_text(json.dumps(dataset))
             bad, command = run / "init.json", "train"
             bad.write_text(json.dumps(without_n))
             extra = ["--init", str(bad)]
+        elif case in self.BAD_LOG:
+            (run / "model.json").write_text(json.dumps(model.to_json_dict()))
+            bad, command = run / "training_log.csv", "evaluate"
+            bad.write_text(self.BAD_LOG[case])
         else:
-            doc["k"] = "abc"
-            bad, command = tmp_path / "config.json", "bounds"
+            command, edit = self.BAD_CONFIG[case]
+            edit(doc)
+            bad = tmp_path / "config.json"
         path = write_config(tmp_path, doc)
         assert main([command, "--config", path, *extra]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and bad.name in err
+
+    @settings(database=None, derandomize=True)
+    @given(
+        k=st.integers(2, 12),
+        N=st.integers(1, 10**4),
+        T=st.floats(0.1, 10.0),
+        m_terms=st.integers(1, 5),
+        kind=st.sampled_from(["fourier", "polynomial"]),
+        R=st.floats(0.01, 10.0),
+        n=st.integers(1, 4),
+        grid_size=st.integers(2, 1025),
+        delta=st.floats(0.001, 0.999),
+        probe_count=st.integers(1, 64),
+        seed=st.integers(0, 2**63),
+        truth=st.sampled_from(["linear", "tanh_affine", "duffing"]),
+    )
+    def test_config_round_trip(self, k, N, T, m_terms, kind, R, n, grid_size, delta,
+                               probe_count, seed, truth):
+        doc = base_doc("out")
+        doc["ensemble"].update(kind=kind, m_terms=m_terms, R=R)
+        doc["train"]["n"] = n
+        doc["sim"]["grid_size"] = grid_size
+        doc["ground_truth"]["name"] = truth
+        doc.update(k=k, N=N, T=T, delta=delta, probe_count=probe_count, rng_seed=seed)
+        c = config_from_dict(doc)
+        assert config_from_dict(c.to_json_dict()) == c
 
 
 class TestGenerate:
@@ -135,9 +194,9 @@ class TestGenerate:
             sample_ensemble(cfg.ensemble, 8), cfg.system(), 4, 1.0, cfg.sim
         )
         assert saved["k"] == 4 and saved["N"] == 8
-        for pair, (v, z) in zip(saved["pairs"], direct.pairs):
-            assert pair["v"] == pytest.approx(v.derivs)
-            assert pair["z"] == pytest.approx(z.derivs)
+        for pair, v, z in zip(saved["pairs"], direct.v, direct.z):
+            assert pair["v"] == pytest.approx(v)
+            assert pair["z"] == pytest.approx(z)
 
     def test_writes_input_specs(self, tmp_path):
         path = write_config(tmp_path, base_doc(tmp_path / "run"))

@@ -1,10 +1,14 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetsid import (
     ConfigError,
+    DomainError,
     GROUND_TRUTHS,
     JetDataset,
     JetVector,
@@ -19,11 +23,14 @@ from jetsid import (
     output_jet,
     project_feasible,
     sample_ensemble,
-    sample_loss,
     sample_size_check,
     train,
 )
 from jetsid.signals import EnsembleConfig, InputSpec
+
+from oracles import scalar_empirical_risk
+
+EPS = np.finfo(float).eps
 
 
 def scalar_params(A=0.0, b=1.0, c=1.0, xi=0.0):
@@ -42,28 +49,26 @@ class TestBuildDataset:
     def test_zero_everything(self):
         zero_truth = scalar_params(c=0.0)
         ds = build_dataset([const_input(0.0)] * 3, zero_truth, 3, 1.0, FAST)
-        for v, z in ds.pairs:
-            assert np.abs(v.derivs).max() == 0.0
-            assert np.abs(z.derivs).max() == 0.0
+        assert np.abs(ds.v).max() == 0.0
+        assert np.abs(ds.z).max() == 0.0
 
     def test_order_preserving(self):
         inputs = [const_input(i) for i in range(5)]
         ds = build_dataset(inputs, GROUND_TRUTHS["linear"](), 2, 1.0, FAST)
         assert ds.N == 5
-        for i, (v, _) in enumerate(ds.pairs):
-            assert v.derivs[0] == pytest.approx(float(i))
+        assert ds.v[:, 0] == pytest.approx(np.arange(5.0))
 
     def test_linear_truth_step_response_jets(self):
         # y(t) = 1 - exp(-t); its 3-node lift jet has entries
         # (0, 2(1-e^-0.5), 2(2e^-0.5 - 1 - e^-1)), frozen from the formula
         ds = build_dataset([const_input(1.0)], GROUND_TRUTHS["linear"](), 2, 1.0, SimConfig())
-        v, z = ds.pairs[0]
-        assert v.derivs == pytest.approx([1.0, 0.0], abs=1e-12)
+        v, z = ds.v[0], ds.z[0]
+        assert v == pytest.approx([1.0, 0.0], abs=1e-12)
         e_half, e_one = math.exp(-0.5), math.exp(-1.0)
         expected = [0.0, 2.0 * (1.0 - e_half), 2.0 * (2.0 * e_half - 1.0 - e_one)]
         assert expected[1] == pytest.approx(0.7869386805747332, abs=1e-15)
         assert expected[2] == pytest.approx(-0.309636243492351, abs=1e-15)
-        assert z.derivs == pytest.approx(expected, abs=1e-9)
+        assert z == pytest.approx(expected, abs=1e-9)
 
     def test_k_validation(self):
         with pytest.raises(ConfigError):
@@ -77,61 +82,72 @@ class TestTeacherDataset:
         assert empirical_risk(TEACHER, ds) <= 1e-12
 
 
+def one_pair(v, z, k=2, T=1.0):
+    return JetDataset(np.array([v], dtype=float), np.array([z], dtype=float), k, T)
+
+
 class TestSampleLoss:
+    """The loss of one pair, as the risk of a one-row dataset."""
+
     def test_self_consistency(self):
         rng = np.random.default_rng(0)
         for _ in range(5):
             params = project_feasible(
                 RnnParams(rng.uniform(-1, 1, (2, 2)), rng.uniform(-1, 1, 2),
                           rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)), 1.0)
-            v = JetVector(rng.uniform(-1, 1, 4))
-            z = output_jet(params, v, 4)
-            assert sample_loss(params, v, z, 4, 1.0) == 0.0
+            v = rng.uniform(-1, 1, 4)
+            z = output_jet(params, JetVector(v), 4).derivs
+            assert empirical_risk(params, one_pair(v, z, 4)) == 0.0
 
     def test_hand_evaluated_ramp_target(self):
         # prediction is identically zero, target polynomial is t, so the
         # loss is max(|t_1|, |t_2|) = 1 on the grid (0.5, 1)
-        loss = sample_loss(scalar_params(), JetVector([0.0, 0.0]), JetVector([0.0, 1.0, 0.0]), 2, 1.0)
+        loss = empirical_risk(scalar_params(), one_pair([0.0, 0.0], [0.0, 1.0, 0.0]))
         assert loss == pytest.approx(1.0, abs=1e-15)
 
     def test_zero_params_zero_target(self):
-        loss = sample_loss(scalar_params(c=0.0), JetVector([0.0, 0.0]), JetVector([0.0, 0.0, 0.0]), 2, 1.0)
+        loss = empirical_risk(scalar_params(c=0.0), one_pair([0.0, 0.0], [0.0, 0.0, 0.0]))
         assert loss == 0.0
-
-    def test_order_mismatch(self):
-        with pytest.raises(ShapeError):
-            sample_loss(scalar_params(), JetVector([0.0]), JetVector([0.0, 1.0, 0.0]), 2, 1.0)
-        with pytest.raises(ShapeError):
-            sample_loss(scalar_params(), JetVector([0.0, 0.0]), JetVector([0.0, 1.0]), 2, 1.0)
 
 
 class TestEmpiricalRisk:
     def test_single_pair(self):
-        v, z = JetVector([0.0, 0.0]), JetVector([0.0, 1.0, 0.0])
-        ds = JetDataset(((v, z),), 2, 1.0)
-        assert empirical_risk(scalar_params(), ds) == sample_loss(scalar_params(), v, z, 2, 1.0)
+        params = scalar_params(A=0.4, xi=0.2)
+        v, z = [0.3, -0.7], [0.1, 1.0, -0.5]
+        expected = scalar_empirical_risk(params, [v], [z], 2, 1.0)
+        assert abs(empirical_risk(params, one_pair(v, z)) - expected) <= 64 * EPS * max(1.0, expected)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("k", [2, 4, 8, 12])
+    def test_matches_scalar_oracle(self, n, k):
+        # bound fixed from the dtype: the batched sums run in another order
+        rng = np.random.default_rng(2000 * n + k)
+        params = project_feasible(
+            RnnParams(rng.uniform(-1, 1, (n, n)), rng.uniform(-1, 1, n),
+                      rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)), 1.0)
+        V, Z = rng.uniform(-1, 1, (64, k)), rng.uniform(-1, 1, (64, k + 1))
+        ref = scalar_empirical_risk(params, V, Z, k, 1.0)
+        got = empirical_risk(params, JetDataset(V, Z, k, 1.0))
+        assert abs(got - ref) <= 64 * EPS * max(1.0, abs(ref))
 
     def test_mean_of_two(self):
         params = scalar_params(c=0.0)
-        pair1 = (JetVector([0.0, 0.0]), JetVector([0.0, 1.0, 0.0]))  # loss 1
-        pair3 = (JetVector([0.0, 0.0]), JetVector([0.0, 3.0, 0.0]))  # loss 3
-        ds = JetDataset((pair1, pair3), 2, 1.0)
+        ds = JetDataset(np.zeros((2, 2)), [[0.0, 1.0, 0.0], [0.0, 3.0, 0.0]], 2, 1.0)  # losses 1, 3
         assert empirical_risk(params, ds) == pytest.approx(2.0)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(1)
-        pairs = tuple(
-            (JetVector(rng.uniform(-1, 1, 2)), JetVector(rng.uniform(-1, 1, 3)))
-            for _ in range(6)
-        )
+        V, Z = rng.uniform(-1, 1, (6, 2)), rng.uniform(-1, 1, (6, 3))
         params = scalar_params(A=0.4)
-        fwd = empirical_risk(params, JetDataset(pairs, 2, 1.0))
-        rev = empirical_risk(params, JetDataset(pairs[::-1], 2, 1.0))
+        fwd = empirical_risk(params, JetDataset(V, Z, 2, 1.0))
+        rev = empirical_risk(params, JetDataset(V[::-1], Z[::-1], 2, 1.0))
         assert fwd == pytest.approx(rev, abs=1e-15)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ConfigError):
-            JetDataset((), 2, 1.0)
+            JetDataset(np.zeros((0, 2)), np.zeros((0, 3)), 2, 1.0)
+        with pytest.raises(ConfigError):
+            JetDataset.from_json_dict({"k": 2, "T": 1.0, "N": 0, "pairs": []})
 
 
 class TestProjectFeasible:
@@ -228,9 +244,27 @@ class TestDatasetSerialization:
         ds.save(path)
         back = JetDataset.load(path)
         assert back.k == 3 and back.T == 1.0 and back.N == 2
-        for (v1, z1), (v2, z2) in zip(ds.pairs, back.pairs):
-            assert np.array_equal(v1.derivs, v2.derivs)
-            assert np.array_equal(z1.derivs, z2.derivs)
+        assert np.array_equal(ds.v, back.v)
+        assert np.array_equal(ds.z, back.z)
+
+    @settings(database=None, derandomize=True)
+    @given(st.integers(2, 12).flatmap(lambda k: st.tuples(
+        st.just(k),
+        st.integers(1, 6).flatmap(lambda N: st.tuples(*(
+            st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                              min_size=size, max_size=size), min_size=N, max_size=N)
+            for size in (k, k + 1)
+        ))),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )))
+    def test_json_round_trip_is_bitwise(self, case):
+        k, (V, Z), T = case
+        ds = JetDataset(np.array(V), np.array(Z), k, T)
+        back = JetDataset.from_json_dict(json.loads(json.dumps(ds.to_json_dict())))
+        assert (back.k, back.N) == (k, len(V))
+        assert np.float64(back.T).tobytes() == np.float64(T).tobytes()
+        assert back.v.tobytes() == ds.v.tobytes()
+        assert back.z.tobytes() == ds.z.tobytes()
 
     def test_n_mismatch_rejected(self):
         doc = {"k": 2, "T": 1.0, "N": 2, "pairs": [{"v": [0.0, 0.0], "z": [0.0, 0.0, 0.0]}]}
@@ -239,4 +273,10 @@ class TestDatasetSerialization:
 
     def test_order_mismatch_rejected(self):
         with pytest.raises(ShapeError):
-            JetDataset(((JetVector([0.0]), JetVector([0.0, 0.0, 0.0])),), 2, 1.0)
+            JetDataset([[0.0]], [[0.0, 0.0, 0.0]], 2, 1.0)
+        with pytest.raises(ShapeError):
+            JetDataset([[0.0, 0.0]], [[0.0, 1.0]], 2, 1.0)  # short z row
+
+    def test_nonfinite_entry_rejected(self):
+        with pytest.raises(DomainError):
+            JetDataset([[0.0, np.nan]], [[0.0, 0.0, 0.0]], 2, 1.0)

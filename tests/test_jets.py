@@ -1,7 +1,11 @@
 import math
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jetsid import (
     DomainError,
@@ -9,13 +13,15 @@ from jetsid import (
     RnnParams,
     SampledSignal,
     ShapeError,
+    bernstein_jet,
     output_jet,
-    predicted_output_jet,
 )
 from jetsid.erm import project_feasible
 from jetsid.signals import InputSpec, sample_on_grid
 
-from oracles import eval_closed_form, fd_output_derivatives
+from oracles import eval_closed_form, fd_output_derivatives, scalar_output_jet
+
+EPS = np.finfo(float).eps
 
 
 def scalar_params(A=0.0, b=1.0, c=1.0, xi=0.0):
@@ -55,6 +61,9 @@ class TestOutputJet:
             output_jet(scalar_params(), JetVector([0.0, 1.0]), 3)
         with pytest.raises(DomainError):
             output_jet(scalar_params(), JetVector([0.0]), 0)
+        for batch in (np.zeros((4, 2)), np.zeros(3), np.zeros((2, 3, 1))):
+            with pytest.raises(ShapeError):
+                output_jet(scalar_params(), batch, 3)
 
     @pytest.mark.parametrize("seed", range(25))
     def test_matches_finite_differences(self, seed):
@@ -102,17 +111,51 @@ class TestOutputJet:
         assert same == pytest.approx(output_jet(params, v, 4).derivs, abs=1e-14)
 
 
+class TestBatchedOutputJet:
+    """The batched map against the per-sample recurrence in the oracles.
+
+    The bound 64*eps*max(1, max|ref|) allows for the batched matrix
+    products summing in another order than the per-sample ones."""
+
+    @staticmethod
+    def bound(ref):
+        return 64 * EPS * max(1.0, float(np.abs(ref).max()))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("k", [2, 4, 8, 12])
+    def test_matches_scalar_oracle(self, n, k):
+        rng = np.random.default_rng(1000 * n + k)
+        params = random_feasible(rng, n)
+        V = rng.uniform(-1, 1, (64, k))
+        ref = np.array([scalar_output_jet(params, v, k) for v in V])
+        got = output_jet(params, V, k)
+        assert got.shape == (64, k + 1)
+        assert np.abs(got - ref).max() <= self.bound(ref)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_row_equals_batch_of_one(self, n):
+        rng = np.random.default_rng(40 + n)
+        params = random_feasible(rng, n)
+        k = 6
+        V = rng.uniform(-1, 1, (64, k))
+        batched = output_jet(params, V, k)
+        for i in range(V.shape[0]):
+            one = output_jet(params, V[i : i + 1], k)
+            assert np.abs(batched[i] - one[0]).max() <= self.bound(one)
+            assert np.array_equal(output_jet(params, JetVector(V[i]), k).derivs, one[0])
+
+
 class TestPredictedOutputJet:
     def test_zero_input_zero_state(self):
         sig = SampledSignal(np.zeros(3), 1.0)
-        jet = predicted_output_jet(scalar_params(), sig, 3)
+        jet = output_jet(scalar_params(), bernstein_jet(sig, 3), 3)
         assert jet.derivs[:2] == pytest.approx([0.0, 0.0])
 
     def test_constant_input(self):
         # constant input: state velocity is constant, so y'' = 0
         a = 0.8
         sig = sample_on_grid(InputSpec("polynomial", np.array([a])), 1, 1.0)
-        jet = predicted_output_jet(scalar_params(), sig, 2)
+        jet = output_jet(scalar_params(), bernstein_jet(sig, 2), 2)
         assert jet.derivs == pytest.approx([0.0, math.tanh(a), 0.0], abs=1e-14)
         fd = fd_output_derivatives(scalar_params(), lambda t: a)
         assert jet.derivs[2] == pytest.approx(fd[2], abs=1e-4)
@@ -122,8 +165,8 @@ class TestPredictedOutputJet:
         params = random_feasible(rng, 2)
         doubled = RnnParams(params.A, params.b, 2.0 * params.c, params.xi)
         sig = SampledSignal(rng.uniform(-1, 1, 4), 1.0)
-        one = predicted_output_jet(params, sig, 4).derivs
-        two = predicted_output_jet(doubled, sig, 4).derivs
+        one = output_jet(params, bernstein_jet(sig, 4), 4).derivs
+        two = output_jet(doubled, bernstein_jet(sig, 4), 4).derivs
         assert two == pytest.approx(2.0 * one, abs=1e-12)
 
 
@@ -149,3 +192,15 @@ class TestRnnParams:
         nrm = params.norms()
         assert nrm["A"] == pytest.approx(2.0)
         assert nrm["b"] == pytest.approx(5.0)
+
+    @settings(database=None, derandomize=True)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(*(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=size, max_size=size)
+        for size in (n * n, n, n, n)
+    ))))
+    def test_json_round_trip_is_bitwise(self, entries):
+        A, b, c, xi = (np.array(e) for e in entries)
+        params = RnnParams(A.reshape(b.size, b.size), b, c, xi)
+        back = RnnParams.from_json_dict(json.loads(json.dumps(params.to_json_dict())))
+        for name in ("A", "b", "c", "xi"):
+            assert getattr(back, name).tobytes() == getattr(params, name).tobytes()
