@@ -109,6 +109,13 @@ class TestSampleLoss:
         loss = empirical_risk(scalar_params(c=0.0), one_pair([0.0, 0.0], [0.0, 0.0, 0.0]))
         assert loss == 0.0
 
+    def test_order_mismatch(self):
+        # a pair whose v or z row does not match the order k has no loss
+        with pytest.raises(ShapeError):
+            empirical_risk(scalar_params(), one_pair([0.0], [0.0, 1.0, 0.0]))
+        with pytest.raises(ShapeError):
+            empirical_risk(scalar_params(), one_pair([0.0, 0.0], [0.0, 1.0]))
+
 
 class TestEmpiricalRisk:
     def test_single_pair(self):
