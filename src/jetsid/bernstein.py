@@ -77,19 +77,33 @@ def bernstein_eval(signal: "SampledSignal", t):
     return float(out[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else out
 
 
-def bernstein_jet(signal: "SampledSignal", k: int) -> JetVector:
+def bernstein_jet(signal: "SampledSignal | np.ndarray", k: int, T: float | None = None):
     """Jet of order k-1 at t=0 of the degree-(k-1) Bernstein polynomial.
 
-    The signal must hold exactly k samples at the nodes i*T/(k-1).  Entry
-    l is (k-1)!/(k-1-l)! * T^(-l) times the l-th forward difference of
-    the samples, which equals the l-th derivative of the Bernstein
-    polynomial at 0; the map is linear in the samples.
+    `signal` is one SampledSignal holding exactly k samples at the nodes
+    i*T/(k-1), which gives a JetVector, or an (N, k) array of such
+    samples, one signal per row, on the horizon `T`, which gives the
+    (N, k) array of their jets.  Entry l is (k-1)!/(k-1-l)! * T^(-l)
+    times the l-th forward difference of the samples, which equals the
+    l-th derivative of the Bernstein polynomial at 0; the map is linear
+    in the samples.
     """
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
-    vals = signal.values
-    if vals.size != k:
-        raise ShapeError(f"expected {k} samples, got {vals.size}")
+    batched = isinstance(signal, np.ndarray)
+    if batched:
+        vals = np.asarray(signal, dtype=float)
+        if vals.ndim != 2 or vals.shape[1] != k:
+            raise ShapeError(f"expected an (N, {k}) array of samples, got shape {vals.shape}")
+        if T is None or not (np.isfinite(T) and T > 0):
+            raise DomainError(f"horizon must be positive, got {T}")
+        if not np.isfinite(vals).all():
+            raise DomainError("samples contain nonfinite values")
+    else:
+        vals = signal.values
+        if vals.size != k:
+            raise ShapeError(f"expected {k} samples, got {vals.size}")
+        T = signal.horizon_T
     if k > MAX_WELL_CONDITIONED_K:
         warnings.warn(
             f"jet extraction from {k} samples amplifies noise by ~2^{k-1}; "
@@ -98,13 +112,12 @@ def bernstein_jet(signal: "SampledSignal", k: int) -> JetVector:
             stacklevel=2,
         )
     m = k - 1
-    T = signal.horizon_T
-    derivs = np.empty(k)
+    derivs = np.empty(vals.shape)
     diff = vals
     for ell in range(k):
-        derivs[ell] = math.perm(m, ell) * diff[0] / T**ell
-        diff = np.diff(diff)
-    return JetVector(derivs)
+        derivs[..., ell] = math.perm(m, ell) * diff[..., 0] / T**ell
+        diff = np.diff(diff, axis=-1)
+    return derivs if batched else JetVector(derivs)
 
 
 def jet_poly_eval(jet, t):

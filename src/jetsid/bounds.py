@@ -15,18 +15,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .bernstein import bernstein_eval, bernstein_jet, jet_poly_eval
-from .erm import sample_size_check
+from .bernstein import bernstein_eval, jet_poly_eval
+from .erm import input_jets, sample_size_check
 from .errors import DomainError, PreconditionError
 from .jets import RnnParams, output_jet
 from .rnn import SimConfig, System, simulate
-from .signals import (
-    InputSpec,
-    SampledSignal,
-    estimate_modulus,
-    sample_on_grid,
-    sup_distance,
-)
+from .signals import InputSpec, SampledSignal, estimate_modulus
 
 Modulus = Callable[[float], float]
 
@@ -242,16 +236,13 @@ def probe_risk_and_gap(
     dense = replace(sim, grid_size=g)
     ts = np.linspace(0.0, T, g)
 
-    v = np.array([bernstein_jet(sample_on_grid(spec, k - 1, T), k).derivs for spec in specs])
-    predicted = jet_poly_eval(output_jet(params, v.reshape(len(specs), k), k), ts)
-    risks = np.empty(len(specs))
-    gaps = np.empty(len(specs))
-    for i, spec in enumerate(specs):
-        y_true = simulate(ground_truth, spec, T, dense)
-        y_model = simulate(params, spec, T, dense)
-        y_nodes = SampledSignal(y_true.values[::per_node], T)
-        risks[i] = sup_distance(y_model, y_true)
-        gaps[i] = np.abs(predicted[i] - bernstein_eval(y_nodes, ts)).max()
+    specs = list(specs)
+    predicted = jet_poly_eval(output_jet(params, input_jets(specs, k, T), k), ts)
+    y_true = simulate(ground_truth, specs, T, dense)
+    y_model = simulate(params, specs, T, dense)
+    risks = np.abs(y_model - y_true).max(axis=1)
+    gaps = np.array([np.abs(pred - bernstein_eval(SampledSignal(y[::per_node], T), ts)).max()
+                     for pred, y in zip(predicted, y_true)])
     return risks, gaps
 
 

@@ -53,7 +53,7 @@ from .rnn import (
     simulate,
     system_from_config,
 )
-from .signals import EnsembleConfig, InputSpec, sample_ensemble
+from .signals import EnsembleConfig, InputSpec, SampledSignal, sample_ensemble
 
 # Seed streams derived from the master seed; only absent seeds are filled.
 _STREAM_ENSEMBLE = 1
@@ -313,8 +313,8 @@ def _score(config: ExperimentConfig, system: System, model: RnnParams,
     omega_Y = _declared_output_modulus(config, system)
     moduli_source = "analytic"
     if omega_Y is None:
-        outputs = [simulate(system, s, config.T, config.sim) for s in eval_specs[:8]]
-        omega_Y = bounds_mod.empirical_modulus(outputs)
+        outputs = simulate(system, eval_specs[:8], config.T, config.sim)
+        omega_Y = bounds_mod.empirical_modulus([SampledSignal(y, config.T) for y in outputs])
         moduli_source = "empirical"
     gap_mean = float(gaps.mean())
     report = _bound_report(config, model.n, gap_mean, Lbar_star, model, omega_Y, moduli_source)

@@ -18,10 +18,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .bernstein import bernstein_jet, jet_poly_eval
-from .errors import ConfigError, DivergenceError, DomainError, ShapeError, whole_number
+from .errors import ConfigError, DomainError, ShapeError, whole_number
 from .jets import RnnParams, output_jet
 from .rnn import SimConfig, System, simulate
-from .signals import InputSpec, SampledSignal, sample_on_grid
+from .signals import InputSpec, _eval_array
 
 
 @dataclass(frozen=True)
@@ -130,6 +130,13 @@ class TrainConfig:
         return TrainConfig(**doc)
 
 
+def input_jets(inputs: list[InputSpec], k: int, T: float) -> np.ndarray:
+    """(N, k) input jets of order k-1, one row per input: the jet of the
+    degree-(k-1) lift of its samples at i*T/(k-1)."""
+    ts = np.linspace(0.0, T, k)
+    return bernstein_jet(np.array([_eval_array(spec, ts) for spec in inputs]).reshape(-1, k), k, T)
+
+
 def build_dataset(
     inputs: list[InputSpec],
     ground_truth: System,
@@ -142,22 +149,17 @@ def build_dataset(
 
     The input is sampled at i*T/(k-1) (nodes of its degree-(k-1) lift)
     and the simulated output at i*T/k (nodes of the degree-k lift).
+    All inputs are simulated in one batch; a DivergenceError names the
+    first diverging `sample <idx>`.
     """
     if k < 2:
         raise ConfigError(f"k must be >= 2, got {k}")
     # snap the dense grid so the k+1 output nodes land on recorded points
     per_node = max(1, round((sim.grid_size - 1) / k))
     dense = replace(sim, grid_size=k * per_node + 1)
-    v, z = [], []
-    for idx, spec in enumerate(inputs):
-        v.append(bernstein_jet(sample_on_grid(spec, k - 1, T), k).derivs)
-        try:
-            y_dense = simulate(ground_truth, spec, T, dense)
-        except DivergenceError as exc:
-            raise DivergenceError(exc.time, detail=f"sample {idx}") from exc
-        y_nodes = SampledSignal(y_dense.values[::per_node], T)
-        z.append(bernstein_jet(y_nodes, k + 1).derivs)
-    return JetDataset(np.array(v), np.array(z), k, T)
+    v = input_jets(inputs, k, T)
+    y_dense = simulate(ground_truth, list(inputs), T, dense)
+    return JetDataset(v, bernstein_jet(y_dense[:, ::per_node], k + 1, T), k, T)
 
 
 def build_teacher_dataset(
@@ -170,8 +172,7 @@ def build_teacher_dataset(
     """
     if k < 2:
         raise ConfigError(f"k must be >= 2, got {k}")
-    v = np.array([bernstein_jet(sample_on_grid(spec, k - 1, T), k).derivs for spec in inputs])
-    v = v.reshape(len(inputs), k)
+    v = input_jets(inputs, k, T)
     return JetDataset(v, output_jet(teacher, v, k), k, T)
 
 

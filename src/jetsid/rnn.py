@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 from scipy.interpolate import PchipInterpolator
 
-from .errors import ConfigError, DivergenceError, DomainError, whole_number
+from .errors import ConfigError, DivergenceError, DomainError, ShapeError, whole_number
 from .jets import RnnParams
 from .signals import FOURIER, InputSpec, SampledSignal, _eval_array
 
@@ -56,6 +56,10 @@ class SimConfig:
 class ControlAffineSystem:
     """Ground truth dx/dt = f(x) + g(x) u, y = h^T x, x(0) = xi0.
 
+    `drift` and `input_gain` take the states of a batch of inputs as an
+    (n, B) array, one column per input, and return 2-d arrays that
+    broadcast to (n, B), such as an (n, 1) column for a constant gain.
+
     Shipped instances declare Lipschitz constants of their right-hand
     side, and, where available in closed form, a slope for the output
     modulus of continuity (as a function of the input amplitude R) and
@@ -80,12 +84,23 @@ class ControlAffineSystem:
 System = RnnParams | ControlAffineSystem
 
 
-def _rhs(system: System) -> Callable[[np.ndarray, float], np.ndarray]:
+def _rhs(system: System) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     if isinstance(system, RnnParams):
-        A, b = system.A, system.b
+        A, b = system.A, system.b[:, None]
         return lambda x, u: np.tanh(A @ x + b * u)
     f, g = system.drift, system.input_gain
     return lambda x, u: f(x) + g(x) * u
+
+
+def _check_batch_shapes(system: ControlAffineSystem, x: np.ndarray) -> None:
+    """ShapeError unless drift and input_gain map the (n, B) state to 2-d
+    arrays that broadcast to (n, B); a 1-d (n,) result would broadcast
+    against the batch axis when B == n and silently mix inputs."""
+    for name in ("drift", "input_gain"):
+        shape = np.shape(getattr(system, name)(x))
+        if len(shape) != 2 or any(d not in (1, s) for d, s in zip(shape, x.shape)):
+            raise ShapeError(f"system {system.name}: {name} returned shape {shape} for a "
+                             f"state of shape {x.shape}; it must broadcast to (n, B)")
 
 
 def _output_vector(system: System) -> np.ndarray:
@@ -96,14 +111,21 @@ def _initial_state(system: System) -> np.ndarray:
     return system.xi if isinstance(system, RnnParams) else np.atleast_1d(np.asarray(system.xi0, dtype=float))
 
 
-def simulate(system: System, input_u, T: float, config: SimConfig = SimConfig()) -> SampledSignal:
+def simulate(system: System, input_u, T: float, config: SimConfig = SimConfig()):
     """Output y on the dense grid of `config.grid_size` points over [0, T].
 
+    `input_u` is one input, which gives a SampledSignal, or a list of
+    inputs, which gives a (B, grid_size) array with one row per input;
+    all B inputs step together, the state held as an (n, B) array.
     Closed-form inputs are evaluated exactly at every RK4 stage time;
     sampled inputs are interpolated with a monotone piecewise cubic.
-    Raises DivergenceError naming the first bad time if the state
-    leaves the finite range.
+    Raises DivergenceError naming the first bad time and the index of
+    the first input whose state leaves the finite range.
     """
+    batched = isinstance(input_u, (list, tuple))
+    inputs = list(input_u) if batched else [input_u]
+    if not inputs:
+        raise ConfigError("simulate needs at least one input")
     if not T > 0:
         raise DomainError(f"horizon must be positive, got {T}")
     if config.step is not None and config.step > T:
@@ -116,19 +138,23 @@ def simulate(system: System, input_u, T: float, config: SimConfig = SimConfig())
     nsteps = (g - 1) * sub
 
     stage_times = np.arange(2 * nsteps + 1) * (h / 2.0)
-    if isinstance(input_u, InputSpec):
-        u_stage = _eval_array(input_u, stage_times)
-    elif isinstance(input_u, SampledSignal):
-        interp = PchipInterpolator(input_u.grid, input_u.values)
-        u_stage = interp(np.clip(stage_times, 0.0, input_u.horizon_T))
-    else:
-        raise ConfigError(f"unsupported input type {type(input_u).__name__}")
+    u_stage = np.empty((stage_times.size, len(inputs)))
+    for j, u in enumerate(inputs):
+        if isinstance(u, InputSpec):
+            u_stage[:, j] = _eval_array(u, stage_times)
+        elif isinstance(u, SampledSignal):
+            interp = PchipInterpolator(u.grid, u.values)
+            u_stage[:, j] = interp(np.clip(stage_times, 0.0, u.horizon_T))
+        else:
+            raise ConfigError(f"unsupported input type {type(u).__name__}")
 
     rhs = _rhs(system)
     hvec = _output_vector(system)
-    x = _initial_state(system).copy()
-    outputs = np.empty(g)
-    outputs[0] = hvec @ x
+    x = np.repeat(_initial_state(system)[:, None], len(inputs), axis=1)
+    if isinstance(system, ControlAffineSystem):
+        _check_batch_shapes(system, x)
+    outputs = np.empty((len(inputs), g))
+    outputs[:, 0] = hvec @ x
     half = 0.5 * h
     sixth = h / 6.0
     gi = 1
@@ -140,11 +166,13 @@ def simulate(system: System, input_u, T: float, config: SimConfig = SimConfig())
         k4 = rhs(x + h * k3, u1)
         x = x + sixth * (k1 + 2.0 * (k2 + k3) + k4)
         if not np.isfinite(x).all():
-            raise DivergenceError((i + 1) * h, detail=f"system {getattr(system, 'name', 'rnn')}")
+            bad = int(np.argmin(np.isfinite(x).all(axis=0)))
+            name = getattr(system, "name", "rnn")
+            raise DivergenceError((i + 1) * h, detail=f"system {name}, sample {bad}")
         if (i + 1) % sub == 0:
-            outputs[gi] = hvec @ x
+            outputs[:, gi] = hvec @ x
             gi += 1
-    return SampledSignal(outputs, T)
+    return outputs if batched else SampledSignal(outputs[0], T)
 
 
 def write_trajectory_csv(path, u: SampledSignal, y: SampledSignal) -> None:
@@ -211,11 +239,7 @@ def bibo_gain_estimate(
             w = rng.uniform(0.5, 3.0, 3) * (2.0 * math.pi / max(T, 1.0))
             a = rng.uniform(0.0, 2.0 * math.pi, 3)
             probes.append(InputSpec(FOURIER, c, w, a))
-    gamma = 0.0
-    for spec in probes:
-        y = simulate(system, spec, T, config)
-        gamma = max(gamma, float(np.abs(y.values).max()))
-    return gamma
+    return float(np.abs(simulate(system, probes, T, config)).max())
 
 
 def _make_linear(decay: float = 1.0, xi0: float = 0.0) -> ControlAffineSystem:
@@ -264,15 +288,14 @@ def _make_duffing(
     x0 = np.asarray(xi0, dtype=float)
 
     def drift(x):
-        return np.array([x[1], -d * x[1] - s * x[0] - b * math.tanh(x[0]) ** 3])
+        return np.array([x[1], -d * x[1] - s * x[0] - b * np.tanh(x[0]) ** 3])
 
-    def gain(x):
-        return np.array([0.0, 1.0])
+    gain_column = np.array([[0.0], [1.0]])
 
     return ControlAffineSystem(
         name="duffing",
         drift=drift,
-        input_gain=gain,
+        input_gain=lambda x: gain_column,
         h=np.array([1.0, 0.0]),
         xi0=x0,
         # tanh(x)^3 has slope at most 2/3

@@ -98,16 +98,35 @@ class TestBernsteinJet:
         expected = 2.0 * bernstein_jet(u, k).derivs - 3.0 * bernstein_jet(v, k).derivs
         assert bernstein_jet(combo, k).derivs == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 8, 12])
+    def test_batched_matches_rows(self, k):
+        # same forward differences on each row: equal bit for bit
+        rng = np.random.default_rng(50 + k)
+        for T in (1.0, 2.5):
+            samples = rng.uniform(-2, 2, (16, k))
+            rows = np.array([bernstein_jet(SampledSignal(r, T), k).derivs for r in samples])
+            assert np.array_equal(bernstein_jet(samples, k, T), rows)
+
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
             bernstein_jet(SampledSignal([0.0, 1.0, 2.0], 1.0), 4)
         with pytest.raises(DomainError):
             bernstein_jet(SampledSignal([0.0, 1.0], 1.0), 1)
+        for bad in (np.zeros((2, 3)), np.zeros(4), np.zeros((2, 4, 1))):
+            with pytest.raises(ShapeError):
+                bernstein_jet(bad, 4, 1.0)
+        for T in (None, 0.0, -1.0, np.inf):
+            with pytest.raises(DomainError):
+                bernstein_jet(np.zeros((2, 4)), 4, T)
+        with pytest.raises(DomainError):
+            bernstein_jet(np.array([[0.0, np.nan, 1.0]]), 3, 1.0)
 
     def test_conditioning_warning(self):
         sig = SampledSignal(np.zeros(25), 1.0)
         with pytest.warns(RuntimeWarning, match="ill-conditioned"):
             bernstein_jet(sig, 25)
+        with pytest.warns(RuntimeWarning, match="ill-conditioned"):
+            bernstein_jet(np.zeros((3, 25)), 25, 1.0)
 
 
 class TestJetPolyEval:

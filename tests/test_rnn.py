@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 from jetsid import (
     ConfigError,
@@ -11,6 +12,7 @@ from jetsid import (
     GROUND_TRUTHS,
     RnnParams,
     SampledSignal,
+    ShapeError,
     SimConfig,
     bibo_gain_estimate,
     estimate_modulus,
@@ -21,7 +23,7 @@ from jetsid import (
     sup_distance,
     system_from_config,
 )
-from jetsid.erm import project_feasible
+from jetsid.erm import build_dataset, project_feasible
 from jetsid.rnn import system_to_config
 from jetsid.signals import EnsembleConfig, InputSpec, sample_ensemble
 
@@ -37,6 +39,7 @@ def const_input(a):
 
 
 FAST = SimConfig(step=1.0 / 512, grid_size=129)
+EPS = np.finfo(float).eps
 
 
 class TestSimulate:
@@ -130,6 +133,131 @@ class TestSimulate:
             simulate(scalar_params(), const_input(0.0), 1.0, SimConfig(step=2.0))
         with pytest.raises(DomainError):
             simulate(scalar_params(), const_input(0.0), -1.0, FAST)
+
+
+def random_rnn(n, seed):
+    rng = np.random.default_rng(seed)
+    return project_feasible(
+        RnnParams(rng.uniform(-1, 1, (n, n)), rng.uniform(-1, 1, n),
+                  rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)), 1.0)
+
+
+# Right-hand sides written out from the definitions, one state at a time,
+# so the oracle shares no code with the systems' batched drift and gain.
+ORACLE_RHS = {
+    "linear": lambda x, u: -x + u,
+    "tanh_affine": lambda x, u: -np.tanh(x) + u / (1.0 + x**2),
+    "duffing": lambda x, u: np.array([x[1], -0.5 * x[1] - x[0] - math.tanh(x[0]) ** 3 + u]),
+}
+
+
+def batch_case(name):
+    if name in GROUND_TRUTHS:
+        system = GROUND_TRUTHS[name]()
+        return system, ORACLE_RHS[name], np.asarray(system.xi0, float), system.h
+    params = random_rnn(int(name[-1]), seed=int(name[-1]))
+
+    def rhs(x, u):
+        return np.tanh(params.A @ x + params.b * u)
+
+    return params, rhs, params.xi, params.c
+
+
+def input_function(u):
+    if isinstance(u, SampledSignal):
+        interp = PchipInterpolator(u.grid, u.values)
+        return lambda t: float(interp(min(max(t, 0.0), u.horizon_T)))
+    return lambda t: float(eval_closed_form(u, t))
+
+
+BATCH_SYSTEMS = ["linear", "tanh_affine", "duffing", "rnn1", "rnn2", "rnn3"]
+GRID = SimConfig(step=1.0 / 256, grid_size=9)
+
+
+class TestBatchedSimulate:
+    """Row i of a batched run against a batch-of-one run of input i and
+    against the independent RK4 in the oracles.
+
+    Tolerances, fixed before measuring: the shipped control-affine systems
+    act on each column elementwise, so their rows are bit-identical; the
+    RNN's A @ x is a BLAS product whose summation order may depend on the
+    batch width, so its rows agree within 64*eps*max(1, max|row|).  The
+    oracle takes the same steps with its own arithmetic order, 1e-12."""
+
+    @staticmethod
+    def check_rows(name, inputs):
+        system, rhs, xi, hvec = batch_case(name)
+        batched = simulate(system, inputs, 1.0, GRID)
+        assert batched.shape == (len(inputs), GRID.grid_size)
+        for i, u in enumerate(inputs):
+            single = simulate(system, u, 1.0, GRID).values
+            if isinstance(system, RnnParams):
+                tol = 64 * EPS * max(1.0, np.abs(single).max())
+                assert np.abs(batched[i] - single).max() <= tol
+            else:
+                assert np.array_equal(batched[i], single)
+            f = input_function(u)
+            traj = rk4(lambda t, x: rhs(x, f(t)), xi, 0.0, 1.0 / 256, 256)
+            assert np.abs(batched[i] - traj[::32] @ hvec).max() <= 1e-12
+
+    @pytest.mark.parametrize("name", BATCH_SYSTEMS)
+    def test_rows_match_single_runs_and_oracle(self, name):
+        for B in sorted({1, batch_case(name)[0].n, 5}):
+            ens = EnsembleConfig("fourier", 2, 0.8, 2.0, 1.0, rng_seed=40 + B)
+            self.check_rows(name, sample_ensemble(ens, B))
+
+    @pytest.mark.parametrize("name", BATCH_SYSTEMS)
+    def test_mixed_input_kinds(self, name):
+        sampled = InputSpec("fourier", [0.6], [2.5], [0.2])
+        inputs = [
+            InputSpec("fourier", [0.5, -0.2], [2.0, 1.1], [0.3, 1.0]),
+            InputSpec("polynomial", [0.2, -0.4, 0.3]),
+            SampledSignal(eval_closed_form(sampled, np.linspace(0.0, 1.0, 65)), 1.0),
+            const_input(-0.7),
+        ]
+        self.check_rows(name, inputs)
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ConfigError):
+            simulate(scalar_params(), [], 1.0, FAST)
+
+    def test_one_dim_gain_rejected(self):
+        # a (n,) gain broadcasts against the batch axis when B == n, so
+        # the rows would silently mix inputs instead of failing
+        system = ControlAffineSystem(
+            name="flat_gain",
+            drift=lambda x: -x,
+            input_gain=lambda x: np.array([0.0, 1.0]),
+            h=np.array([1.0, 0.0]),
+            xi0=np.array([0.0, 0.0]),
+        )
+        with pytest.raises(ShapeError, match="flat_gain"):
+            simulate(system, [const_input(0.5), const_input(-0.5)], 1.0, FAST)
+        with pytest.raises(ShapeError, match="input_gain"):
+            simulate(system, const_input(0.5), 1.0, FAST)
+
+    def test_divergence_names_input_in_batch(self):
+        # dx/dt = x^2 + u blows up before t=1 only for the large input
+        blowup = ControlAffineSystem(
+            name="square",
+            drift=lambda x: x**2,
+            input_gain=lambda x: np.ones_like(x),
+            h=np.array([1.0]),
+            xi0=np.array([0.0]),
+        )
+        inputs = [const_input(a) for a in (0.1, -0.5, 100.0, 0.3)]
+        cfg = SimConfig(step=1.0 / 256, grid_size=33)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as alone:
+                simulate(blowup, inputs[2], 1.0, cfg)
+            with pytest.raises(DivergenceError) as batch:
+                simulate(blowup, inputs, 1.0, cfg)
+            with pytest.raises(DivergenceError) as dataset:
+                build_dataset(inputs, blowup, 4, 1.0, cfg)
+        assert 0.0 < batch.value.time < 1.0
+        assert batch.value.time == alone.value.time
+        assert "sample 2" in str(batch.value)
+        assert "sample 2" in str(dataset.value)
 
 
 class TestCertificates:
