@@ -56,25 +56,48 @@ class JetVector:
 
 
 def _decasteljau(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Evaluate the Bernstein form with coefficients `coeffs` at x in [0,1]."""
-    b = np.repeat(coeffs[:, None], x.size, axis=1)
+    """Evaluate the Bernstein form with coefficients `coeffs` at x in [0,1].
+
+    `coeffs` is one coefficient vector, or an (N, m+1) array with one
+    polynomial per row, which gives an (N, x.size) array; each entry
+    takes the same operations as a row evaluated alone.
+    """
+    b = np.repeat(np.moveaxis(coeffs, -1, 0)[..., None], x.size, axis=-1)
     one_minus = 1.0 - x
-    for _ in range(coeffs.size - 1):
+    for _ in range(coeffs.shape[-1] - 1):
         b = b[:-1] * one_minus + b[1:] * x
     return b[0]
 
 
-def bernstein_eval(signal: "SampledSignal", t):
+def _sample_rows(signal: "SampledSignal | np.ndarray", T: float | None):
+    """Samples and horizon of one SampledSignal, or of an (N, m+1) array
+    of sample rows, checked for shape and finiteness, on the horizon T."""
+    if not isinstance(signal, np.ndarray):
+        return signal.values, signal.horizon_T
+    vals = np.asarray(signal, dtype=float)
+    if vals.ndim != 2 or vals.shape[1] < 2:
+        raise ShapeError(f"expected an (N, m+1) array of samples, got shape {vals.shape}")
+    if T is None or not (np.isfinite(T) and T > 0):
+        raise DomainError(f"horizon must be positive, got {T}")
+    if not np.isfinite(vals).all():
+        raise DomainError("samples contain nonfinite values")
+    return vals, T
+
+
+def bernstein_eval(signal: "SampledSignal | np.ndarray", t, T: float | None = None):
     """Degree-m Bernstein polynomial of the signal, evaluated at t.
 
-    Accepts a scalar or an array of times, all required in [0, T].
+    `signal` is one SampledSignal, or an (N, m+1) array of samples at
+    the nodes i*T/m, one signal per row, on the horizon `T`, which gives
+    an (N, len(t)) array equal bit for bit to the rows evaluated one at
+    a time.  Accepts a scalar or an array of times, all in [0, T].
     """
+    vals, T = _sample_rows(signal, T)
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    T = signal.horizon_T
     if ts.size and (ts.min() < 0.0 or ts.max() > T):
         raise DomainError(f"evaluation times outside [0, {T}]")
-    out = _decasteljau(signal.values, ts / T)
-    return float(out[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else out
+    out = _decasteljau(vals, ts / T)
+    return float(out[0]) if vals.ndim == 1 and np.ndim(t) == 0 else out
 
 
 def bernstein_jet(signal: "SampledSignal | np.ndarray", k: int, T: float | None = None):
@@ -90,20 +113,9 @@ def bernstein_jet(signal: "SampledSignal | np.ndarray", k: int, T: float | None 
     """
     if k < 2:
         raise DomainError(f"k must be >= 2, got {k}")
-    batched = isinstance(signal, np.ndarray)
-    if batched:
-        vals = np.asarray(signal, dtype=float)
-        if vals.ndim != 2 or vals.shape[1] != k:
-            raise ShapeError(f"expected an (N, {k}) array of samples, got shape {vals.shape}")
-        if T is None or not (np.isfinite(T) and T > 0):
-            raise DomainError(f"horizon must be positive, got {T}")
-        if not np.isfinite(vals).all():
-            raise DomainError("samples contain nonfinite values")
-    else:
-        vals = signal.values
-        if vals.size != k:
-            raise ShapeError(f"expected {k} samples, got {vals.size}")
-        T = signal.horizon_T
+    vals, T = _sample_rows(signal, T)
+    if vals.shape[-1] != k:
+        raise ShapeError(f"expected {k} samples per signal, got shape {vals.shape}")
     if k > MAX_WELL_CONDITIONED_K:
         warnings.warn(
             f"jet extraction from {k} samples amplifies noise by ~2^{k-1}; "
@@ -117,7 +129,7 @@ def bernstein_jet(signal: "SampledSignal | np.ndarray", k: int, T: float | None 
     for ell in range(k):
         derivs[..., ell] = math.perm(m, ell) * diff[..., 0] / T**ell
         diff = np.diff(diff, axis=-1)
-    return derivs if batched else JetVector(derivs)
+    return derivs if vals.ndim == 2 else JetVector(derivs)
 
 
 def jet_poly_eval(jet, t):

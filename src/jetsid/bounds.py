@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -215,6 +215,16 @@ def sandwich_error_bound(
     return 2.0 * lip * omega_u(2.0 * T / sk) + 2.0 * omega_gu(T / sk)
 
 
+class ProbeRuns(NamedTuple):
+    """Per-probe risks and gaps, and the ground-truth outputs on the dense
+    grid: a (P + G, grid) array, the P probes' rows, then the G gain
+    probes'."""
+
+    risks: np.ndarray
+    gaps: np.ndarray
+    truth: np.ndarray
+
+
 def probe_risk_and_gap(
     params: RnnParams,
     ground_truth: System,
@@ -223,13 +233,17 @@ def probe_risk_and_gap(
     T: float,
     sim: SimConfig = SimConfig(),
     dense_grid_size: int = 257,
-) -> tuple[np.ndarray, np.ndarray]:
+    gain_probes: Sequence[InputSpec] = (),
+) -> ProbeRuns:
     """Per-probe sup-norm risks and polynomial-reconstruction gaps.
 
     The risk compares the simulated model and ground-truth outputs on a
     dense grid; the gap compares the model's predicted degree-k output
     polynomial with the degree-k lift of the true output on the same
-    grid.
+    grid.  The dense grid is snapped to k*round((dense_grid_size-1)/k)+1
+    points so the lift's nodes are grid points.  `gain_probes` ride in
+    the ground-truth batch only; their outputs follow the probes' in
+    `truth`, which makes one ground-truth and one model simulation.
     """
     per_node = max(1, round((dense_grid_size - 1) / k))
     g = k * per_node + 1
@@ -237,13 +251,13 @@ def probe_risk_and_gap(
     ts = np.linspace(0.0, T, g)
 
     specs = list(specs)
+    P = len(specs)
     predicted = jet_poly_eval(output_jet(params, input_jets(specs, k, T), k), ts)
-    y_true = simulate(ground_truth, specs, T, dense)
+    y_true = simulate(ground_truth, specs + list(gain_probes), T, dense)
     y_model = simulate(params, specs, T, dense)
-    risks = np.abs(y_model - y_true).max(axis=1)
-    gaps = np.array([np.abs(pred - bernstein_eval(SampledSignal(y[::per_node], T), ts)).max()
-                     for pred, y in zip(predicted, y_true)])
-    return risks, gaps
+    risks = np.abs(y_model - y_true[:P]).max(axis=1)
+    gaps = np.abs(predicted - bernstein_eval(y_true[:P, ::per_node], ts, T)).max(axis=1)
+    return ProbeRuns(risks, gaps, y_true)
 
 
 @dataclass(frozen=True)

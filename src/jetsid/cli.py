@@ -44,13 +44,11 @@ from .errors import (
 )
 from .jets import RnnParams
 from .rnn import (
-    ControlAffineSystem,
     SimConfig,
     System,
-    bibo_gain_estimate,
+    bibo_probes,
     output_modulus_bound,
     output_sup_bound,
-    simulate,
     system_from_config,
 )
 from .signals import EnsembleConfig, InputSpec, SampledSignal, sample_ensemble
@@ -226,17 +224,13 @@ def _declared_output_modulus(config: ExperimentConfig, system: System):
     return None
 
 
-def _gamma(config: ExperimentConfig, system: System) -> tuple[float, bool, int | None]:
-    """Output sup bound: declared when available, else a probe estimate."""
-    R = config.ensemble.R
+def _declared_gamma(config: ExperimentConfig, system: System) -> float | None:
+    """Declared output sup bound gamma(R), or None when not declared."""
     if isinstance(system, RnnParams):
-        return output_sup_bound(system, config.T), False, None
+        return output_sup_bound(system, config.T)
     if system.gamma_bound is not None:
-        return system.gamma_bound(R, config.T), False, None
-    count = config.probe_count
-    est = bibo_gain_estimate(system, R, count, config.T,
-                             derive_seed(config.rng_seed, _STREAM_PROBES), config.sim)
-    return est, True, count
+        return system.gamma_bound(config.ensemble.R, config.T)
+    return None
 
 
 def _bound_report(
@@ -247,10 +241,12 @@ def _bound_report(
     fixed_params: RnnParams | None,
     omega_Y,
     moduli_source: str,
+    gamma: float,
+    gamma_probes: int | None,
 ) -> bounds_mod.BoundReport:
-    system = config.system()
+    """`gamma_probes` is None for a declared gamma, else the number of
+    probes behind its estimate."""
     omega_U = bounds_mod.linear_modulus(config.ensemble.L)
-    gamma, gamma_est, gamma_probes = _gamma(config, system)
     fixed = None
     if fixed_params is not None:
         fixed = bounds_mod.fixed_model_risk_bound(
@@ -275,7 +271,7 @@ def _bound_report(
         rademacher=rademacher,
         c_abs=config.c_abs,
         gamma=gamma,
-        gamma_is_estimate=gamma_est,
+        gamma_is_estimate=gamma_probes is not None,
         gamma_probe_count=gamma_probes,
         moduli_source=moduli_source,
     )
@@ -295,29 +291,43 @@ def _score(config: ExperimentConfig, system: System, model: RnnParams,
            dataset: JetDataset) -> _Score:
     """Held-out risk and the bound report of a model trained on `dataset`.
 
-    The one scoring path of `evaluate` and of `sweep` points.  Probes
-    come from the eval seed stream; the output modulus is the declared
-    one, else the envelope of the first 8 probe outputs.  `timings`
-    holds the wall time of each stage, keyed as in timings.json.
+    The one scoring path of `evaluate` and of `sweep` points, in two
+    simulations: one ground-truth batch and one model batch.  Probes
+    come from the eval seed stream.  The output modulus is the declared
+    one, else the envelope of the first 8 probe outputs; gamma is the
+    declared one, else the largest |y| over `bibo_probes` run in the
+    same ground-truth batch.  `timings` holds the wall time of each
+    stage, keyed as in timings.json.
     """
     t0 = time.perf_counter()
     Lbar_star = empirical_risk(model, dataset)
     t1 = time.perf_counter()
     eval_seed = derive_seed(config.rng_seed, _STREAM_EVAL)
     eval_specs = sample_ensemble(config.ensemble.reseeded(eval_seed), config.probe_count)
-    risks, gaps = bounds_mod.probe_risk_and_gap(
-        model, system, eval_specs, config.k, config.T, config.sim, config.sim.grid_size
+    gamma = _declared_gamma(config, system)
+    gain_probes = []
+    if gamma is None:
+        gain_probes = bibo_probes(config.ensemble.R, config.probe_count, config.T,
+                                  derive_seed(config.rng_seed, _STREAM_PROBES))
+    risks, gaps, truth = bounds_mod.probe_risk_and_gap(
+        model, system, eval_specs, config.k, config.T, config.sim, config.sim.grid_size,
+        gain_probes=gain_probes,
     )
     risk_se = float(risks.std(ddof=1) / math.sqrt(risks.size)) if risks.size > 1 else 0.0
     t2 = time.perf_counter()
+    P = len(eval_specs)
+    gamma_probes = None
+    if gamma is None:
+        gamma, gamma_probes = float(np.abs(truth[P:]).max()), len(gain_probes)
     omega_Y = _declared_output_modulus(config, system)
     moduli_source = "analytic"
     if omega_Y is None:
-        outputs = simulate(system, eval_specs[:8], config.T, config.sim)
-        omega_Y = bounds_mod.empirical_modulus([SampledSignal(y, config.T) for y in outputs])
+        omega_Y = bounds_mod.empirical_modulus(
+            [SampledSignal(y, config.T) for y in truth[:min(8, P)]])
         moduli_source = "empirical"
     gap_mean = float(gaps.mean())
-    report = _bound_report(config, model.n, gap_mean, Lbar_star, model, omega_Y, moduli_source)
+    report = _bound_report(config, model.n, gap_mean, Lbar_star, model, omega_Y,
+                           moduli_source, gamma, gamma_probes)
     timings = {
         "dataset_and_risk": t1 - t0,
         "held_out_probes": t2 - t1,
@@ -375,10 +385,15 @@ def cmd_train(config: ExperimentConfig, dataset_path=None, init_path=None) -> Pa
 def cmd_evaluate(config: ExperimentConfig, model_path=None) -> Path:
     """Held-out Monte-Carlo risk plus the full bound report.
 
+    Scores the model on <out>/dataset.json, the dataset `generate` wrote
+    (an I/O error when absent), whose k, T and N must match the config.
     Held-out inputs come from a seed stream distinct from the training
     ensemble seed; both input lists are recorded so the separation can
-    be audited.  Wall-clock timings go to a sidecar file so report.json
-    stays byte-identical across reruns.
+    be audited.  Makes two simulations (see `_score`).  Wall-clock
+    timings go to timings.json so report.json stays byte-identical
+    across reruns: `dataset_and_risk` covers reading the model, log and
+    dataset plus the training risk, `held_out_probes` the two
+    simulations, and `bounds` the moduli and the bound calculators.
     """
     out = _out_dir(config)
     t0 = time.perf_counter()
@@ -398,9 +413,14 @@ def cmd_evaluate(config: ExperimentConfig, model_path=None) -> Path:
             raise ConfigError(f"training log {log_path} is malformed: {exc}") from exc
         if not trajectory:
             raise ConfigError(f"training log {log_path} has no rows")
+    dataset_path = out / "dataset.json"
+    dataset = JetDataset.load(dataset_path)
+    for field in ("k", "T", "N"):
+        if getattr(dataset, field) != getattr(config, field):
+            raise ConfigError(f"dataset file {dataset_path} has {field}={getattr(dataset, field)}"
+                              f", the config has {field}={getattr(config, field)}")
     system = config.system()
     train_specs = sample_ensemble(config.ensemble, config.N)
-    dataset = build_dataset(train_specs, system, config.k, config.T, config.sim)
     setup_s = time.perf_counter() - t0
 
     score = _score(config, system, model, dataset)
@@ -462,13 +482,14 @@ def _closed_form_report(config: ExperimentConfig) -> bounds_mod.BoundReport:
             f"ground truth {config.ground_truth.get('name')!r} declares no output "
             "modulus handle; calculator mode needs one (use linear, tanh_affine, or rnn)"
         )
-    if isinstance(system, ControlAffineSystem) and system.gamma_bound is None:
+    gamma = _declared_gamma(config, system)
+    if gamma is None:
         raise ConfigError("calculator mode needs a declared output sup bound")
     n, M = config.train.n, config.train.M
     unit = np.zeros(n)
     unit[0] = M
     boundary = RnnParams(A=M * np.eye(n), b=unit, c=unit, xi=unit)
-    return _bound_report(config, n, 0.0, 0.0, boundary, omega_Y, "analytic")
+    return _bound_report(config, n, 0.0, 0.0, boundary, omega_Y, "analytic", gamma, None)
 
 
 def _sweep_point(config: ExperimentConfig, param: str, value, mode: str, index: int) -> dict:

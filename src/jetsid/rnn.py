@@ -208,26 +208,14 @@ def output_sup_bound(params: RnnParams, T: float) -> float:
     return nrm["c"] * (nrm["xi"] + math.sqrt(params.n) * T)
 
 
-def bibo_gain_estimate(
-    system: System,
-    R: float,
-    probe_count: int,
-    T: float,
-    rng_seed: int,
-    config: SimConfig = SimConfig(),
-) -> float:
-    """Monte-Carlo lower estimate of the worst output sup norm over ||u|| <= R.
-
-    Probes the two constant inputs +-R first, then random Fourier inputs
-    with amplitude budget exactly R.  A lower bound by construction;
-    report it together with probe_count.
-    """
-    if probe_count < 1:
+def bibo_probes(R: float, count: int, T: float, rng_seed: int) -> list[InputSpec]:
+    """The `count` probe inputs of the BIBO gain estimate, all with
+    ||u|| <= R: the two constant inputs +-R first, then random Fourier
+    inputs with amplitude budget exactly R."""
+    if count < 1:
         raise ConfigError("probe_count must be >= 1")
-    probes: list[InputSpec] = []
-    consts = [R, -R][: min(2, probe_count)]
-    probes.extend(InputSpec("polynomial", np.array([v])) for v in consts)
-    n_random = probe_count - len(probes)
+    probes = [InputSpec("polynomial", np.array([v])) for v in [R, -R][: min(2, count)]]
+    n_random = count - len(probes)
     if n_random > 0:
         children = np.random.SeedSequence([int(rng_seed), 0xB1B0]).spawn(n_random)
         for child in children:
@@ -239,6 +227,23 @@ def bibo_gain_estimate(
             w = rng.uniform(0.5, 3.0, 3) * (2.0 * math.pi / max(T, 1.0))
             a = rng.uniform(0.0, 2.0 * math.pi, 3)
             probes.append(InputSpec(FOURIER, c, w, a))
+    return probes
+
+
+def bibo_gain_estimate(
+    system: System,
+    R: float,
+    probe_count: int,
+    T: float,
+    rng_seed: int,
+    config: SimConfig = SimConfig(),
+) -> float:
+    """Monte-Carlo lower estimate of the worst output sup norm over ||u|| <= R.
+
+    The largest |y| over the outputs of `bibo_probes`.  A lower bound by
+    construction; report it together with probe_count.
+    """
+    probes = bibo_probes(R, probe_count, T, rng_seed)
     return float(np.abs(simulate(system, probes, T, config)).max())
 
 
@@ -338,10 +343,3 @@ def system_from_config(doc: dict) -> System:
             raise ConfigError("rnn ground truth needs a params block")
         return RnnParams.from_json_dict(doc["params"])
     raise ConfigError(f"ground_truth kind must be 'named' or 'rnn', got {kind!r}")
-
-
-def system_to_config(system: System) -> dict:
-    """Inverse of system_from_config for report echoing."""
-    if isinstance(system, RnnParams):
-        return {"kind": "rnn", "params": system.to_json_dict()}
-    return {"kind": "named", "name": system.name, "params": dict(system.params)}

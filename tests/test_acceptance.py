@@ -269,7 +269,7 @@ def test_a5_risk_bound_empirical_validity():
         n = int(rng.integers(1, 4))
         params = random_feasible(rng, n)
         specs = sample_ensemble(ENSEMBLE.reseeded(51_000 + trial), 32)
-        risks, gaps = probe_risk_and_gap(params, truth, specs, k, T, FAST, 97)
+        risks, gaps, _ = probe_risk_and_gap(params, truth, specs, k, T, FAST, 97)
         bound = fixed_model_risk_bound(omega_Y, omega_U, params, k, T, float(gaps.mean()))
         diffs = risks - gaps
         se = float(diffs.std(ddof=1) / math.sqrt(diffs.size))

@@ -62,6 +62,30 @@ class TestBernsteinEval:
         with pytest.raises(DomainError):
             bernstein_eval(sig, np.array([0.5, -0.1]))
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 8, 12])
+    def test_batched_matches_rows(self, k):
+        # the k+1 node values of P degree-k lifts, as the probe gaps use
+        # them: one de Casteljau pass over the rows equals each row alone
+        rng = np.random.default_rng(70 + k)
+        for T in (1.0, 2.5):
+            nodes = rng.uniform(-2, 2, (16, k + 1))
+            ts = np.linspace(0.0, T, 8 * k + 1)
+            rows = np.array([bernstein_eval(SampledSignal(r, T), ts) for r in nodes])
+            assert np.array_equal(bernstein_eval(nodes, ts, T), rows)
+            assert bernstein_eval(nodes, T / 3, T).shape == (16, 1)
+
+    def test_batched_errors(self):
+        for bad in (np.zeros(4), np.zeros((2, 1)), np.zeros((2, 4, 1))):
+            with pytest.raises(ShapeError):
+                bernstein_eval(bad, 0.5, 1.0)
+        for T in (None, 0.0, -1.0, np.inf):
+            with pytest.raises(DomainError):
+                bernstein_eval(np.zeros((2, 4)), 0.0, T)
+        with pytest.raises(DomainError):
+            bernstein_eval(np.array([[0.0, np.nan, 1.0]]), 0.5, 1.0)
+        with pytest.raises(DomainError):
+            bernstein_eval(np.zeros((2, 4)), 1.5, 1.0)
+
 
 class TestBernsteinJet:
     def test_constant(self):

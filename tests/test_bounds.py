@@ -209,7 +209,7 @@ class TestMonteCarloRisk:
 
     def mean_risk(self, model, truth, count, seed):
         specs = sample_ensemble(self.ens.reseeded(seed), count)
-        risks, _ = probe_risk_and_gap(model, truth, specs, 4, 1.0, FAST, 65)
+        risks, _, _ = probe_risk_and_gap(model, truth, specs, 4, 1.0, FAST, 65)
         return float(risks.mean())
 
     def test_self_risk_is_integrator_noise(self):
@@ -220,6 +220,24 @@ class TestMonteCarloRisk:
         model = scalar_params(c=0.0)
         truth = scalar_params(b=0.3, c=0.0)
         assert self.mean_risk(model, truth, 4, 6) == pytest.approx(0.0, abs=1e-12)
+
+    def test_gain_probes_ride_in_truth_batch(self):
+        # extra ground-truth rows leave risks and gaps bit for bit as they
+        # were and come back after the probe rows
+        from jetsid import simulate
+
+        model = scalar_params(A=0.4, b=0.7, c=0.6, xi=0.1)
+        truth = GROUND_TRUTHS["linear"]()
+        specs = sample_ensemble(self.ens.reseeded(3), 5)
+        extra = sample_ensemble(self.ens.reseeded(4), 3)
+        plain = probe_risk_and_gap(model, truth, specs, 4, 1.0, FAST, 65)
+        fused = probe_risk_and_gap(model, truth, specs, 4, 1.0, FAST, 65, gain_probes=extra)
+        assert np.array_equal(fused.risks, plain.risks)
+        assert np.array_equal(fused.gaps, plain.gaps)
+        assert fused.truth.shape == (8, 65)
+        assert np.array_equal(fused.truth[:5], plain.truth)
+        dense = SimConfig(step=FAST.step, grid_size=65)
+        assert np.array_equal(fused.truth[5:], simulate(truth, extra, 1.0, dense))
 
     def test_reproducible_to_three_decimals(self):
         rng = np.random.default_rng(14)
@@ -247,7 +265,7 @@ class TestRiskBoundEmpiricalValidity:
             n = int(rng.integers(1, 4))
             params = random_feasible(rng, n)
             specs = sample_ensemble(ens.reseeded(500 + trial), 8)
-            risks, gaps = probe_risk_and_gap(params, truth, specs, 6, 1.0, FAST, 97)
+            risks, gaps, _ = probe_risk_and_gap(params, truth, specs, 6, 1.0, FAST, 97)
             bound = fixed_model_risk_bound(omega_Y, omega_U, params, 6, 1.0, float(gaps.mean()))
             diffs = risks - gaps
             se = float(diffs.std(ddof=1) / math.sqrt(diffs.size))

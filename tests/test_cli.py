@@ -108,7 +108,15 @@ class TestConfigLoading:
         "log_one_column": "iter\n0\n",
     }
 
+    # config values that a dataset.json of k=3, T=1, N=2 does not match
+    DATASET_MISMATCH = {
+        "dataset_k_mismatch": ("k", 4),
+        "dataset_T_mismatch": ("T", 2.0),
+        "dataset_N_mismatch": ("N", 5),
+    }
+
     @pytest.mark.parametrize("case", ["corrupt_dataset", "model_without_n", "init_without_n",
+                                      "evaluate_without_dataset", *DATASET_MISMATCH,
                                       *BAD_CONFIG, *BAD_DATASET, *BAD_LOG])
     def test_bad_input_file_exits_2(self, tmp_path, capsys, case):
         from jetsid import EnsembleConfig, build_teacher_dataset
@@ -136,6 +144,15 @@ class TestConfigLoading:
             bad, command = run / "init.json", "train"
             bad.write_text(json.dumps(without_n))
             extra = ["--init", str(bad)]
+        elif case == "evaluate_without_dataset" or case in self.DATASET_MISMATCH:
+            # a missing dataset is an I/O error (exit 4), a mismatched one exits 2
+            (run / "model.json").write_text(json.dumps(model.to_json_dict()))
+            bad, command = run / "dataset.json", "evaluate"
+            if case in self.DATASET_MISMATCH:
+                bad.write_text(json.dumps(dataset))
+                field, value = self.DATASET_MISMATCH[case]
+                doc["N"] = 2
+                doc[field] = value
         elif case in self.BAD_LOG:
             (run / "model.json").write_text(json.dumps(model.to_json_dict()))
             bad, command = run / "training_log.csv", "evaluate"
@@ -145,9 +162,12 @@ class TestConfigLoading:
             edit(doc)
             bad = tmp_path / "config.json"
         path = write_config(tmp_path, doc)
-        assert main([command, "--config", path, *extra]) == 2
+        code, prefix = (4, "i/o error:") if case == "evaluate_without_dataset" else (2, "error:")
+        assert main([command, "--config", path, *extra]) == code
         err = capsys.readouterr().err
-        assert err.startswith("error:") and bad.name in err
+        assert err.startswith(prefix) and bad.name in err
+        if case in self.DATASET_MISMATCH:
+            assert f"{self.DATASET_MISMATCH[case][0]}=" in err
 
     @settings(database=None, derandomize=True)
     @given(
@@ -293,7 +313,7 @@ class TestEvaluate:
         doc["ground_truth"] = {"kind": "rnn", "params": zero.to_json_dict()}
         path = write_config(tmp_path, doc)
         run = tmp_path / "run"
-        run.mkdir()
+        assert main(["generate", "--config", path]) == 0
         (run / "model.json").write_text(json.dumps(zero.to_json_dict()))
         assert main(["evaluate", "--config", path]) == 0
         report = json.loads((run / "report.json").read_text())
@@ -307,6 +327,77 @@ class TestEvaluate:
         big = RnnParams(np.zeros((1, 1)), [5.0], [1.0], [0.0])
         (run / "model.json").write_text(json.dumps(big.to_json_dict()))
         assert main(["evaluate", "--config", path]) == 2
+
+    @pytest.mark.parametrize("probe_count", [3, 10])
+    def test_fused_estimates_match_separate_runs(self, tmp_path, monkeypatch, probe_count):
+        # k divides grid_size - 1, so the truth batch runs on the config's
+        # grid: gamma is bibo_gain_estimate's, and the modulus that of a
+        # separate run of the first min(8, probe_count) probes
+        import jetsid.cli as cli
+        from jetsid import bibo_gain_estimate, simulate
+        from jetsid.bounds import empirical_modulus
+        from jetsid.signals import SampledSignal
+
+        doc = base_doc(tmp_path / "run")
+        doc["ground_truth"] = {"kind": "named", "name": "duffing", "params": {}}
+        doc["k"], doc["probe_count"] = 4, probe_count
+        path = write_config(tmp_path, doc)
+        cfg = load_config(path)
+        assert main(["generate", "--config", path]) == 0
+        assert main(["train", "--config", path]) == 0
+        seen = []
+        real = cli._bound_report
+
+        def spy(config, model_n, gap_mean, Lbar_star, fixed, omega_Y, source, gamma, probes):
+            seen.append((omega_Y, source, gamma, probes))
+            return real(config, model_n, gap_mean, Lbar_star, fixed, omega_Y, source,
+                        gamma, probes)
+
+        monkeypatch.setattr(cli, "_bound_report", spy)
+        assert main(["evaluate", "--config", path]) == 0
+        ((omega_Y, source, gamma, probes),) = seen
+        system = cfg.system()
+        assert (source, probes) == ("empirical", probe_count)
+        assert gamma == bibo_gain_estimate(system, cfg.ensemble.R, probe_count, cfg.T,
+                                           derive_seed(cfg.rng_seed, 4), cfg.sim)
+        specs = sample_ensemble(cfg.ensemble.reseeded(derive_seed(cfg.rng_seed, 3)),
+                                probe_count)
+        outputs = simulate(system, specs[:8], cfg.T, cfg.sim)
+        separate = empirical_modulus([SampledSignal(y, cfg.T) for y in outputs])
+        for delta in (0.01, 0.05, 0.2, 0.5, 1.0):
+            assert omega_Y(delta) == separate(delta)
+
+    @pytest.mark.parametrize("system", ["linear", "duffing"])
+    def test_simulation_count(self, tmp_path, monkeypatch, system):
+        # evaluate makes one ground-truth and one model simulation; a full
+        # sweep point adds the dataset build
+        import jetsid.bounds
+        import jetsid.cli
+        import jetsid.erm
+        import jetsid.rnn
+
+        calls = []
+        real = jetsid.rnn.simulate
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        for mod in (jetsid.cli, jetsid.bounds, jetsid.erm, jetsid.rnn):
+            monkeypatch.setattr(mod, "simulate", counting, raising=False)
+        doc = base_doc(tmp_path / "run")
+        doc["ground_truth"] = {"kind": "named", "name": system, "params": {}}
+        doc["sweep"] = {"param": "k", "values": [4], "mode": "full"}
+        path = write_config(tmp_path, doc)
+        assert main(["generate", "--config", path]) == 0
+        assert main(["train", "--config", path]) == 0
+        calls.clear()
+        assert main(["evaluate", "--config", path]) == 0
+        assert len(calls) == 2
+        calls.clear()
+        assert main(["sweep", "--config", path]) == 0
+        assert read_rows(tmp_path / "run" / "sweep.csv")[0]["error"] == ""
+        assert len(calls) == 3
 
     def test_timings_in_sidecar_not_report(self, tmp_path):
         _, report = self.run_pipeline(tmp_path)

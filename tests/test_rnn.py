@@ -24,7 +24,6 @@ from jetsid import (
     system_from_config,
 )
 from jetsid.erm import build_dataset, project_feasible
-from jetsid.rnn import system_to_config
 from jetsid.signals import EnsembleConfig, InputSpec, sample_ensemble
 
 from oracles import eval_closed_form, rk4
@@ -380,11 +379,3 @@ class TestGroundTruthLibrary:
             system_from_config({"kind": "named", "name": "linear", "params": {"bogus": 1}})
         with pytest.raises(ConfigError):
             system_from_config({"kind": "mystery"})
-
-    def test_system_to_config_round_trip(self):
-        doc = {"kind": "named", "name": "tanh_affine", "params": {"xi0": 0.25}}
-        system = system_from_config(doc)
-        assert system_to_config(system) == doc
-        rnn_doc = system_to_config(scalar_params())
-        assert rnn_doc["kind"] == "rnn"
-        assert isinstance(system_from_config(rnn_doc), RnnParams)
