@@ -7,7 +7,6 @@ scheme."""
 __version__ = "0.1.0"
 
 from .bernstein import (
-    JetVector,
     bernstein_error_bound,
     bernstein_eval,
     bernstein_jet,

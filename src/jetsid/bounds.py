@@ -10,17 +10,17 @@ exposed as c_abs (default 1.0), printed in every report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .bernstein import bernstein_eval, jet_poly_eval
-from .erm import input_jets, sample_size_check
+from .erm import _snap_grid, input_jets, sample_size_check
 from .errors import DomainError, PreconditionError
 from .jets import RnnParams, output_jet
 from .rnn import SimConfig, System, simulate
-from .signals import InputSpec, SampledSignal, estimate_modulus
+from .signals import InputSpec, estimate_modulus
 
 Modulus = Callable[[float], float]
 
@@ -30,20 +30,14 @@ def linear_modulus(slope: float) -> Modulus:
     return lambda delta: slope * delta
 
 
-def empirical_modulus(signals: Sequence[SampledSignal]) -> Modulus:
-    """Envelope of grid-estimated moduli over a set of signals.
+def empirical_modulus(values: np.ndarray, T: float) -> Modulus:
+    """Envelope of grid-estimated moduli over a (B, m+1) array of signals
+    sampled on [0, T], one per row.
 
     A lower envelope of the true common modulus; reports must flag it
     as empirical.
     """
-    sigs = list(signals)
-
-    def omega(delta: float) -> float:
-        if delta <= 0:
-            return 0.0
-        return max(estimate_modulus(s, delta) for s in sigs)
-
-    return omega
+    return lambda delta: 0.0 if delta <= 0 else estimate_modulus(values, T, delta)
 
 
 @dataclass(frozen=True)
@@ -232,7 +226,6 @@ def probe_risk_and_gap(
     k: int,
     T: float,
     sim: SimConfig = SimConfig(),
-    dense_grid_size: int = 257,
     gain_probes: Sequence[InputSpec] = (),
 ) -> ProbeRuns:
     """Per-probe sup-norm risks and polynomial-reconstruction gaps.
@@ -240,15 +233,13 @@ def probe_risk_and_gap(
     The risk compares the simulated model and ground-truth outputs on a
     dense grid; the gap compares the model's predicted degree-k output
     polynomial with the degree-k lift of the true output on the same
-    grid.  The dense grid is snapped to k*round((dense_grid_size-1)/k)+1
-    points so the lift's nodes are grid points.  `gain_probes` ride in
+    grid, `sim`'s grid snapped to k*round((grid_size-1)/k)+1 points so
+    the lift's nodes are grid points.  `gain_probes` ride in
     the ground-truth batch only; their outputs follow the probes' in
     `truth`, which makes one ground-truth and one model simulation.
     """
-    per_node = max(1, round((dense_grid_size - 1) / k))
-    g = k * per_node + 1
-    dense = replace(sim, grid_size=g)
-    ts = np.linspace(0.0, T, g)
+    dense, per_node = _snap_grid(sim, k)
+    ts = np.linspace(0.0, T, dense.grid_size)
 
     specs = list(specs)
     P = len(specs)

@@ -51,7 +51,7 @@ from .rnn import (
     output_sup_bound,
     system_from_config,
 )
-from .signals import EnsembleConfig, InputSpec, SampledSignal, sample_ensemble
+from .signals import EnsembleConfig, InputSpec, sample_ensemble
 
 # Seed streams derived from the master seed; only absent seeds are filled.
 _STREAM_ENSEMBLE = 1
@@ -310,8 +310,7 @@ def _score(config: ExperimentConfig, system: System, model: RnnParams,
         gain_probes = bibo_probes(config.ensemble.R, config.probe_count, config.T,
                                   derive_seed(config.rng_seed, _STREAM_PROBES))
     risks, gaps, truth = bounds_mod.probe_risk_and_gap(
-        model, system, eval_specs, config.k, config.T, config.sim, config.sim.grid_size,
-        gain_probes=gain_probes,
+        model, system, eval_specs, config.k, config.T, config.sim, gain_probes=gain_probes,
     )
     risk_se = float(risks.std(ddof=1) / math.sqrt(risks.size)) if risks.size > 1 else 0.0
     t2 = time.perf_counter()
@@ -322,8 +321,7 @@ def _score(config: ExperimentConfig, system: System, model: RnnParams,
     omega_Y = _declared_output_modulus(config, system)
     moduli_source = "analytic"
     if omega_Y is None:
-        omega_Y = bounds_mod.empirical_modulus(
-            [SampledSignal(y, config.T) for y in truth[:min(8, P)]])
+        omega_Y = bounds_mod.empirical_modulus(truth[:min(8, P)], config.T)
         moduli_source = "empirical"
     gap_mean = float(gaps.mean())
     report = _bound_report(config, model.n, gap_mean, Lbar_star, model, omega_Y,
@@ -386,7 +384,9 @@ def cmd_evaluate(config: ExperimentConfig, model_path=None) -> Path:
     """Held-out Monte-Carlo risk plus the full bound report.
 
     Scores the model on <out>/dataset.json, the dataset `generate` wrote
-    (an I/O error when absent), whose k, T and N must match the config.
+    (an I/O error when absent), whose k, T and N must match the config;
+    <out>/train_inputs.json must hold the inputs the config draws, so a
+    changed seed is caught.
     Held-out inputs come from a seed stream distinct from the training
     ensemble seed; both input lists are recorded so the separation can
     be audited.  Makes two simulations (see `_score`).  Wall-clock
@@ -419,8 +419,17 @@ def cmd_evaluate(config: ExperimentConfig, model_path=None) -> Path:
         if getattr(dataset, field) != getattr(config, field):
             raise ConfigError(f"dataset file {dataset_path} has {field}={getattr(dataset, field)}"
                               f", the config has {field}={getattr(config, field)}")
+    train_inputs = [s.to_json_dict() for s in sample_ensemble(config.ensemble, config.N)]
+    inputs_path = out / "train_inputs.json"
+    with open(inputs_path) as fh:
+        try:
+            recorded = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"input list {inputs_path} is malformed: {exc}") from exc
+    if not isinstance(recorded, dict) or recorded.get("inputs") != train_inputs:
+        raise ConfigError(f"input list {inputs_path} differs from the {config.N} inputs the "
+                          f"config draws at seed {config.rng_seed}")
     system = config.system()
-    train_specs = sample_ensemble(config.ensemble, config.N)
     setup_s = time.perf_counter() - t0
 
     score = _score(config, system, model, dataset)
@@ -435,7 +444,7 @@ def cmd_evaluate(config: ExperimentConfig, model_path=None) -> Path:
         "bernstein_gap_mean": score.gap_mean,
         "approximation_error_upper_estimate": score.bounds.erm.approximation_error,
         "bounds": score.bounds.to_json_dict(),
-        "train_inputs": [s.to_json_dict() for s in train_specs],
+        "train_inputs": train_inputs,
         "eval_inputs": [s.to_json_dict() for s in score.eval_specs],
         "seeds": {
             "master": config.rng_seed,

@@ -137,6 +137,14 @@ def input_jets(inputs: list[InputSpec], k: int, T: float) -> np.ndarray:
     return bernstein_jet(np.array([_eval_array(spec, ts) for spec in inputs]).reshape(-1, k), k, T)
 
 
+def _snap_grid(sim: SimConfig, k: int) -> tuple[SimConfig, int]:
+    """`sim` with its dense grid snapped to k*round((grid_size-1)/k)+1
+    points, so the k+1 nodes i*T/k of a degree-k lift are grid points,
+    and the stride between those nodes."""
+    per_node = max(1, round((sim.grid_size - 1) / k))
+    return replace(sim, grid_size=k * per_node + 1), per_node
+
+
 def build_dataset(
     inputs: list[InputSpec],
     ground_truth: System,
@@ -154,9 +162,7 @@ def build_dataset(
     """
     if k < 2:
         raise ConfigError(f"k must be >= 2, got {k}")
-    # snap the dense grid so the k+1 output nodes land on recorded points
-    per_node = max(1, round((sim.grid_size - 1) / k))
-    dense = replace(sim, grid_size=k * per_node + 1)
+    dense, per_node = _snap_grid(sim, k)
     v = input_jets(inputs, k, T)
     y_dense = simulate(ground_truth, list(inputs), T, dense)
     return JetDataset(v, bernstein_jet(y_dense[:, ::per_node], k + 1, T), k, T)

@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bernstein import JetVector
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, whole_number
 
 
 @dataclass(frozen=True)
@@ -78,7 +77,7 @@ class RnnParams:
 
     @staticmethod
     def from_json_dict(doc: dict) -> "RnnParams":
-        n = int(doc["n"])
+        n = whole_number("n", doc["n"])
         return RnnParams(
             A=np.asarray(doc["A"], dtype=float).reshape(n, n),
             b=np.asarray(doc["b"], dtype=float),
@@ -87,10 +86,10 @@ class RnnParams:
         )
 
 
-def output_jet(params: RnnParams, input_jet, k: int):
+def output_jet(params: RnnParams, input_jet: np.ndarray, k: int) -> np.ndarray:
     """Output jets (y(0), ..., y^(k)(0)) from input jets of order k-1:
-    one JetVector gives one JetVector, and an (N, k) array of input jets,
-    one per row, gives the (N, k+1) array of their output jets.
+    an (N, k) array of input jets, one per row, gives the (N, k+1) array
+    of their output jets.
 
     The Taylor series X of the state obeys X_{j+1} = S_j / (j+1) with
     S = tanh(A X + b U) componentwise, X_0 = xi.  S follows from the
@@ -101,8 +100,7 @@ def output_jet(params: RnnParams, input_jet, k: int):
     """
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
-    single = isinstance(input_jet, JetVector)
-    V = input_jet.derivs[None, :] if single else np.asarray(input_jet, dtype=float)
+    V = np.asarray(input_jet, dtype=float)
     if V.ndim != 2 or V.shape[1] != k:
         raise ShapeError(f"input jets have shape {V.shape}, expected (N, {k}) (order {k - 1})")
     N, n = V.shape[0], params.n
@@ -128,5 +126,4 @@ def output_jet(params: RnnParams, input_jet, k: int):
     y_coeffs = X @ params.c
     # entry 0 is c.xi by definition; the direct dot keeps it bit-exact
     y_coeffs[0] = params.c @ params.xi
-    jets = (y_coeffs * facts[:, None]).T
-    return JetVector(jets[0]) if single else jets
+    return (y_coeffs * facts[:, None]).T

@@ -111,19 +111,21 @@ def _initial_state(system: System) -> np.ndarray:
     return system.xi if isinstance(system, RnnParams) else np.atleast_1d(np.asarray(system.xi0, dtype=float))
 
 
-def simulate(system: System, input_u, T: float, config: SimConfig = SimConfig()):
-    """Output y on the dense grid of `config.grid_size` points over [0, T].
+def simulate(system: System, input_u: list | tuple, T: float,
+             config: SimConfig = SimConfig()) -> np.ndarray:
+    """Outputs y on the dense grid of `config.grid_size` points over [0, T].
 
-    `input_u` is one input, which gives a SampledSignal, or a list of
-    inputs, which gives a (B, grid_size) array with one row per input;
-    all B inputs step together, the state held as an (n, B) array.
-    Closed-form inputs are evaluated exactly at every RK4 stage time;
-    sampled inputs are interpolated with a monotone piecewise cubic.
-    Raises DivergenceError naming the first bad time and the index of
-    the first input whose state leaves the finite range.
+    `input_u` is a nonempty list or tuple of B inputs; the result is a
+    (B, grid_size) array with one row per input.  All B inputs step
+    together, the state held as an (n, B) array.  Closed-form inputs are
+    evaluated exactly at every RK4 stage time; sampled inputs are
+    interpolated with a monotone piecewise cubic.  Raises DivergenceError
+    naming the first bad time and the index of the first input whose
+    state leaves the finite range.
     """
-    batched = isinstance(input_u, (list, tuple))
-    inputs = list(input_u) if batched else [input_u]
+    if not isinstance(input_u, (list, tuple)):
+        raise ConfigError(f"simulate takes a list of inputs, got {type(input_u).__name__}")
+    inputs = list(input_u)
     if not inputs:
         raise ConfigError("simulate needs at least one input")
     if not T > 0:
@@ -172,7 +174,7 @@ def simulate(system: System, input_u, T: float, config: SimConfig = SimConfig())
         if (i + 1) % sub == 0:
             outputs[:, gi] = hvec @ x
             gi += 1
-    return outputs if batched else SampledSignal(outputs[0], T)
+    return outputs
 
 
 def write_trajectory_csv(path, u: SampledSignal, y: SampledSignal) -> None:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, replace
 import numpy as np
 
-from .bernstein import JetVector
+from .bernstein import _sample_rows
 from .errors import ConfigError, DomainError, ShapeError, whole_number
 
 FOURIER = "fourier"
@@ -212,7 +212,7 @@ def eval_input(spec: InputSpec, t: float, horizon_T: float) -> float:
     return float(_eval_array(spec, np.asarray([t]))[0])
 
 
-def input_jet(spec: InputSpec, order: int) -> JetVector:
+def input_jet(spec: InputSpec, order: int) -> np.ndarray:
     """Exact derivatives (u(0), u'(0), ..., u^(order)(0)) of the input."""
     if order < 0:
         raise DomainError("order must be >= 0")
@@ -225,7 +225,7 @@ def input_jet(spec: InputSpec, order: int) -> JetVector:
         c = spec.coefficients
         for ell in range(min(order, c.size - 1) + 1):
             derivs[ell] = math.factorial(ell) * c[ell]
-    return JetVector(derivs)
+    return derivs
 
 
 def _draw_spec(config: EnsembleConfig, rng: np.random.Generator) -> InputSpec:
@@ -275,27 +275,25 @@ def sample_on_grid(spec: InputSpec, m: int, T: float) -> SampledSignal:
     return SampledSignal(_eval_array(spec, ts), T)
 
 
-def estimate_modulus(signal: SampledSignal, delta: float) -> float:
-    """Largest |u(t1)-u(t2)| over grid pairs with |t1-t2| <= delta.
+def estimate_modulus(values: np.ndarray, T: float, delta: float) -> float:
+    """Largest |u(t1)-u(t2)| over grid pairs with |t1-t2| <= delta, over
+    every row of a (B, m+1) array of signals sampled at i*T/m.
 
-    A lower bound on the true modulus of continuity; nondecreasing in
-    delta, exactly 0 at delta=0.  delta above the horizon clamps to it.
+    A lower bound on the true common modulus of continuity; nondecreasing
+    in delta, exactly 0 at delta=0.  delta above the horizon clamps to it.
     """
     if delta < 0:
         raise DomainError(f"delta must be >= 0, got {delta}")
+    vals = _sample_rows(values, T)
     if delta == 0:
         return 0.0
-    T = signal.horizon_T
     delta = min(delta, T)
-    vals = signal.values
-    m = vals.size - 1
+    m = vals.shape[1] - 1
     h = T / m
     max_lag = int(math.floor(delta / h * (1.0 + 1e-12) + 1e-12))
     best = 0.0
     for lag in range(1, max_lag + 1):
-        d = float(np.abs(vals[lag:] - vals[:-lag]).max())
-        if d > best:
-            best = d
+        best = max(best, float(np.abs(vals[:, lag:] - vals[:, :-lag]).max()))
     return best
 
 

@@ -5,14 +5,13 @@ pass/fail line each (run with `pytest tests/test_acceptance.py -v -s`).
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
 from jetsid import (
     GROUND_TRUTHS,
-    JetVector,
     RnnParams,
-    SampledSignal,
     SimConfig,
     TrainConfig,
     bernstein_error_bound,
@@ -37,7 +36,6 @@ from jetsid import (
     sample_on_grid,
     sample_size_check,
     simulate,
-    sup_distance,
     train,
     vc_dimension_bound,
 )
@@ -91,11 +89,11 @@ def test_a1_jet_derivative_oracle():
         n = int(rng.integers(1, 4))
         params = random_feasible(rng, n)
         spec = random_input(rng)
-        jet = output_jet(params, input_jet(spec, 3), 4)
-        worst_entry0 = max(worst_entry0, abs(jet.derivs[0] - float(params.c @ params.xi)))
+        jet = output_jet(params, input_jet(spec, 3)[None], 4)[0]
+        worst_entry0 = max(worst_entry0, abs(jet[0] - float(params.c @ params.xi)))
         fd = fd_output_derivatives(params, lambda t: float(eval_closed_form(spec, t)))
         for ell in range(1, 5):
-            rel = abs(fd[ell] - jet.derivs[ell]) / max(1.0, abs(jet.derivs[ell]))
+            rel = abs(fd[ell] - jet[ell]) / max(1.0, abs(jet[ell]))
             worst_rel = max(worst_rel, rel)
     elapsed = time.perf_counter() - t0
     ok = worst_rel <= 1e-3 and worst_entry0 <= 1e-12 and elapsed < 30.0
@@ -128,8 +126,8 @@ def test_a2a_jet_round_trip_identity():
         a = rng.uniform(-1.0, 1.0, k)
         samples = jet_to_bernstein(a, T)
         lift = brute_bernstein(samples, T, ts)
-        worst_lift = max(worst_lift, float(np.abs(lift - jet_poly_eval(JetVector(a), ts)).max()))
-        back = bernstein_jet(SampledSignal(samples, T), k).derivs
+        worst_lift = max(worst_lift, float(np.abs(lift - jet_poly_eval(a[None], ts)).max()))
+        back = bernstein_jet(samples[None], k, T)[0]
         scale = np.array([T**ell / math.perm(k - 1, ell) for ell in range(k)])
         dev = float(np.abs((back - a) * scale).max()) / float(np.abs(a * scale).max())
         worst = max(worst, dev)
@@ -162,8 +160,9 @@ def test_a2b_projection_identity_and_error_bound():
     worst_proj = 0.0
     for trial in range(100):
         k = 2 + trial % 11
-        sig = SampledSignal(rng.uniform(-1.0, 1.0, k), T)
-        dev = float(np.abs(bernstein_eval(sig, ts) - jet_poly_eval(bernstein_jet(sig, k), ts)).max())
+        sig = rng.uniform(-1.0, 1.0, (1, k))
+        rebuilt = jet_poly_eval(bernstein_jet(sig, k, T), ts)
+        dev = float(np.abs(bernstein_eval(sig, ts, T) - rebuilt).max())
         worst_proj = max(worst_proj, dev)
 
     worst_slack = -math.inf
@@ -173,7 +172,7 @@ def test_a2b_projection_identity_and_error_bound():
         L = float(np.abs(c * w).sum())
         k = (4, 9, 16, 25)[trial % 4]
         nodes = sample_on_grid(spec, k, T)
-        err = float(np.abs(eval_closed_form(spec, ts) - bernstein_eval(nodes, ts)).max())
+        err = float(np.abs(eval_closed_form(spec, ts) - bernstein_eval(nodes.values[None], ts, T)).max())
         margin = err - bernstein_error_bound(linear_modulus(L), k, T)
         worst_slack = max(worst_slack, margin)
     elapsed = time.perf_counter() - t0
@@ -196,19 +195,19 @@ def test_a3_flow_certificates():
         n = int(rng.integers(1, 4))
         params = random_feasible(rng, n)
         u1, u2 = random_input(rng), random_input(rng)
-        y1 = simulate(params, u1, T, FAST)
-        y2 = simulate(params, u2, T, FAST)
+        y1 = simulate(params, [u1], T, FAST)[0]
+        y2 = simulate(params, [u2], T, FAST)[0]
         du = float(np.abs(eval_closed_form(u1, fine) - eval_closed_form(u2, fine)).max())
         if du > 1e-6:
-            ratio = sup_distance(y1, y2) / du
+            ratio = float(np.abs(y1 - y2).max()) / du
             worst["lip"] = max(worst["lip"], ratio - io_lipschitz_bound(params, T))
         sup_bound = output_sup_bound(params, T)
         for y in (y1, y2):
-            worst["sup"] = max(worst["sup"], float(np.abs(y.values).max()) - sup_bound)
+            worst["sup"] = max(worst["sup"], float(np.abs(y).max()) - sup_bound)
             for delta in (0.05, 0.2, 0.5):
                 worst["mod"] = max(
                     worst["mod"],
-                    estimate_modulus(y, delta) - output_modulus_bound(params, T, delta),
+                    estimate_modulus(y[None], T, delta) - output_modulus_bound(params, T, delta),
                 )
     elapsed = time.perf_counter() - t0
     ok = all(v <= 1e-6 for v in worst.values()) and elapsed < 60.0
@@ -269,7 +268,7 @@ def test_a5_risk_bound_empirical_validity():
         n = int(rng.integers(1, 4))
         params = random_feasible(rng, n)
         specs = sample_ensemble(ENSEMBLE.reseeded(51_000 + trial), 32)
-        risks, gaps, _ = probe_risk_and_gap(params, truth, specs, k, T, FAST, 97)
+        risks, gaps, _ = probe_risk_and_gap(params, truth, specs, k, T, replace(FAST, grid_size=97))
         bound = fixed_model_risk_bound(omega_Y, omega_U, params, k, T, float(gaps.mean()))
         diffs = risks - gaps
         se = float(diffs.std(ddof=1) / math.sqrt(diffs.size))

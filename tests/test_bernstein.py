@@ -5,7 +5,6 @@ import pytest
 
 from jetsid import (
     DomainError,
-    JetVector,
     SampledSignal,
     ShapeError,
     bernstein_error_bound,
@@ -24,20 +23,30 @@ def grid_signal(func, m, T=1.0):
     return SampledSignal(np.array([func(t) for t in ts]), T)
 
 
+def lift_at(sig, t):
+    """The lift of one signal at one time: a batch of one at one time."""
+    return bernstein_eval(sig.values[None], t, sig.horizon_T)[0, 0]
+
+
+def jet_of(sig, k):
+    """The jet of one signal's lift: a batch of one."""
+    return bernstein_jet(sig.values[None], k, sig.horizon_T)[0]
+
+
 class TestBernsteinEval:
     def test_partition_of_unity(self):
         sig = SampledSignal(np.full(8, 5.0), 1.0)
         for t in (0.0, 0.123, 0.9, 1.0):
-            assert bernstein_eval(sig, t) == pytest.approx(5.0, abs=1e-13)
+            assert lift_at(sig, t) == pytest.approx(5.0, abs=1e-13)
 
     def test_reproduces_affine(self):
         sig = grid_signal(lambda t: t, 2)
-        assert bernstein_eval(sig, 0.5) == pytest.approx(0.5, abs=1e-15)
+        assert lift_at(sig, 0.5) == pytest.approx(0.5, abs=1e-15)
 
     def test_quadratic_shrinks(self):
         # B_2 of t^2 at 0.5 is 0.375 by direct summation
         sig = grid_signal(lambda t: t * t, 2)
-        assert bernstein_eval(sig, 0.5) == pytest.approx(0.375, abs=1e-15)
+        assert lift_at(sig, 0.5) == pytest.approx(0.375, abs=1e-15)
         assert brute_bernstein(sig.values, 1.0, 0.5) == pytest.approx(0.375, abs=1e-15)
 
     def test_matches_direct_summation(self):
@@ -45,22 +54,22 @@ class TestBernsteinEval:
         for m in (3, 7, 15):
             sig = SampledSignal(rng.uniform(-1, 1, m + 1), 2.0)
             for t in np.linspace(0.0, 2.0, 17):
-                assert bernstein_eval(sig, t) == pytest.approx(
+                assert lift_at(sig, t) == pytest.approx(
                     brute_bernstein(sig.values, 2.0, t), abs=1e-12
                 )
 
     def test_endpoint_interpolation(self):
         rng = np.random.default_rng(3)
         sig = SampledSignal(rng.uniform(-1, 1, 9), 1.5)
-        assert bernstein_eval(sig, 0.0) == sig.values[0]
-        assert bernstein_eval(sig, 1.5) == pytest.approx(sig.values[-1], abs=1e-15)
+        assert lift_at(sig, 0.0) == sig.values[0]
+        assert lift_at(sig, 1.5) == pytest.approx(sig.values[-1], abs=1e-15)
 
     def test_domain_error(self):
-        sig = SampledSignal([0.0, 1.0], 1.0)
+        nodes = np.array([[0.0, 1.0]])
         with pytest.raises(DomainError):
-            bernstein_eval(sig, 1.5)
+            bernstein_eval(nodes, 1.5, 1.0)
         with pytest.raises(DomainError):
-            bernstein_eval(sig, np.array([0.5, -0.1]))
+            bernstein_eval(nodes, np.array([0.5, -0.1]), 1.0)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 8, 12])
     def test_batched_matches_rows(self, k):
@@ -70,7 +79,7 @@ class TestBernsteinEval:
         for T in (1.0, 2.5):
             nodes = rng.uniform(-2, 2, (16, k + 1))
             ts = np.linspace(0.0, T, 8 * k + 1)
-            rows = np.array([bernstein_eval(SampledSignal(r, T), ts) for r in nodes])
+            rows = np.array([bernstein_eval(r[None], ts, T)[0] for r in nodes])
             assert np.array_equal(bernstein_eval(nodes, ts, T), rows)
             assert bernstein_eval(nodes, T / 3, T).shape == (16, 1)
 
@@ -81,6 +90,8 @@ class TestBernsteinEval:
         for T in (None, 0.0, -1.0, np.inf):
             with pytest.raises(DomainError):
                 bernstein_eval(np.zeros((2, 4)), 0.0, T)
+        with pytest.raises(TypeError):
+            bernstein_eval(np.zeros((2, 4)), 0.0)
         with pytest.raises(DomainError):
             bernstein_eval(np.array([[0.0, np.nan, 1.0]]), 0.5, 1.0)
         with pytest.raises(DomainError):
@@ -89,20 +100,20 @@ class TestBernsteinEval:
 
 class TestBernsteinJet:
     def test_constant(self):
-        jet = bernstein_jet(SampledSignal([2.5, 2.5, 2.5], 1.0), 3)
-        assert jet.derivs == pytest.approx([2.5, 0.0, 0.0], abs=1e-15)
+        jet = jet_of(SampledSignal([2.5, 2.5, 2.5], 1.0), 3)
+        assert jet == pytest.approx([2.5, 0.0, 0.0], abs=1e-15)
 
     def test_affine(self):
-        jet = bernstein_jet(SampledSignal([0.0, 1.0, 2.0], 1.0), 3)
-        assert jet.derivs == pytest.approx([0.0, 2.0, 0.0], abs=1e-14)
+        jet = jet_of(SampledSignal([0.0, 1.0, 2.0], 1.0), 3)
+        assert jet == pytest.approx([0.0, 2.0, 0.0], abs=1e-14)
 
     def test_quadratic(self):
         # derivatives of the degree-2 lift of t^2 are (0, 1/2, 1),
         # checked against symbolic differentiation
         sig = grid_signal(lambda t: t * t, 2)
-        jet = bernstein_jet(sig, 3)
-        assert jet.derivs == pytest.approx([0.0, 0.5, 1.0], abs=1e-14)
-        assert jet.derivs == pytest.approx(sympy_bernstein_jet(sig.values, 1.0), abs=1e-12)
+        jet = jet_of(sig, 3)
+        assert jet == pytest.approx([0.0, 0.5, 1.0], abs=1e-14)
+        assert jet == pytest.approx(sympy_bernstein_jet(sig.values, 1.0), abs=1e-12)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     def test_matches_symbolic_differentiation(self, k):
@@ -111,7 +122,7 @@ class TestBernsteinJet:
         for T in (1.0, 2.5):
             sig = SampledSignal(rng.uniform(-2, 2, k), T)
             expected = sympy_bernstein_jet(sig.values, T)
-            assert bernstein_jet(sig, k).derivs == pytest.approx(expected, rel=1e-9, abs=1e-9)
+            assert jet_of(sig, k) == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
     def test_linearity(self):
         rng = np.random.default_rng(8)
@@ -119,8 +130,8 @@ class TestBernsteinJet:
         u = SampledSignal(rng.uniform(-1, 1, k), 1.0)
         v = SampledSignal(rng.uniform(-1, 1, k), 1.0)
         combo = SampledSignal(2.0 * u.values - 3.0 * v.values, 1.0)
-        expected = 2.0 * bernstein_jet(u, k).derivs - 3.0 * bernstein_jet(v, k).derivs
-        assert bernstein_jet(combo, k).derivs == pytest.approx(expected, abs=1e-12)
+        expected = 2.0 * jet_of(u, k) - 3.0 * jet_of(v, k)
+        assert jet_of(combo, k) == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 8, 12])
     def test_batched_matches_rows(self, k):
@@ -128,45 +139,49 @@ class TestBernsteinJet:
         rng = np.random.default_rng(50 + k)
         for T in (1.0, 2.5):
             samples = rng.uniform(-2, 2, (16, k))
-            rows = np.array([bernstein_jet(SampledSignal(r, T), k).derivs for r in samples])
+            rows = np.array([bernstein_jet(r[None], k, T)[0] for r in samples])
             assert np.array_equal(bernstein_jet(samples, k, T), rows)
 
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
-            bernstein_jet(SampledSignal([0.0, 1.0, 2.0], 1.0), 4)
+            bernstein_jet(np.array([[0.0, 1.0, 2.0]]), 4, 1.0)
         with pytest.raises(DomainError):
-            bernstein_jet(SampledSignal([0.0, 1.0], 1.0), 1)
+            bernstein_jet(np.array([[0.0, 1.0]]), 1, 1.0)
         for bad in (np.zeros((2, 3)), np.zeros(4), np.zeros((2, 4, 1))):
             with pytest.raises(ShapeError):
                 bernstein_jet(bad, 4, 1.0)
         for T in (None, 0.0, -1.0, np.inf):
             with pytest.raises(DomainError):
                 bernstein_jet(np.zeros((2, 4)), 4, T)
+        with pytest.raises(TypeError):
+            bernstein_jet(np.zeros((2, 4)), 4)
         with pytest.raises(DomainError):
             bernstein_jet(np.array([[0.0, np.nan, 1.0]]), 3, 1.0)
 
     def test_conditioning_warning(self):
-        sig = SampledSignal(np.zeros(25), 1.0)
-        with pytest.warns(RuntimeWarning, match="ill-conditioned"):
-            bernstein_jet(sig, 25)
         with pytest.warns(RuntimeWarning, match="ill-conditioned"):
             bernstein_jet(np.zeros((3, 25)), 25, 1.0)
 
 
 class TestJetPolyEval:
     def test_constant(self):
-        assert jet_poly_eval(JetVector([3.0]), 0.7) == 3.0
+        assert jet_poly_eval(np.array([[3.0]]), 0.7)[0, 0] == 3.0
 
     def test_linear(self):
-        assert jet_poly_eval(JetVector([0.0, 1.0]), 0.7) == pytest.approx(0.7)
+        assert jet_poly_eval(np.array([[0.0, 1.0]]), 0.7)[0, 0] == pytest.approx(0.7)
 
     def test_factorial_weights(self):
         # 1 + 2t + 6 t^2/2 at t=0.5
-        assert jet_poly_eval(JetVector([1.0, 2.0, 6.0]), 0.5) == pytest.approx(2.75, abs=1e-15)
+        assert jet_poly_eval(np.array([[1.0, 2.0, 6.0]]), 0.5)[0, 0] == pytest.approx(2.75, abs=1e-15)
 
     def test_array_argument(self):
-        out = jet_poly_eval(JetVector([1.0, 1.0]), np.array([0.0, 1.0, 2.0]))
-        assert out == pytest.approx([1.0, 2.0, 3.0])
+        out = jet_poly_eval(np.array([[1.0, 1.0]]), np.array([0.0, 1.0, 2.0]))
+        assert out[0] == pytest.approx([1.0, 2.0, 3.0])
+
+    def test_one_dim_jet_rejected(self):
+        # one jet is a batch of one row, not a bare vector
+        with pytest.raises(ShapeError):
+            jet_poly_eval(np.array([1.0, 1.0]), 0.5)
 
 
 class TestIdentities:
@@ -176,17 +191,17 @@ class TestIdentities:
         ts = np.linspace(0.0, 1.0, 512)
         for k in range(2, 13):
             sig = SampledSignal(rng.uniform(-1, 1, k), 1.0)
-            lifted = bernstein_eval(sig, ts)
-            rebuilt = jet_poly_eval(bernstein_jet(sig, k), ts)
+            lifted = bernstein_eval(sig.values[None], ts, 1.0)
+            rebuilt = jet_poly_eval(bernstein_jet(sig.values[None], k, 1.0), ts)
             assert np.abs(lifted - rebuilt).max() < 1e-9
 
     def test_round_trip_is_identity_for_k2(self):
         rng = np.random.default_rng(12)
         for _ in range(20):
-            a = JetVector(rng.uniform(-1, 1, 2))
+            a = rng.uniform(-1, 1, 2)
             nodes = np.linspace(0.0, 1.0, 2)
-            sig = SampledSignal(jet_poly_eval(a, nodes), 1.0)
-            assert bernstein_jet(sig, 2).derivs == pytest.approx(a.derivs, abs=1e-12)
+            sig = SampledSignal(jet_poly_eval(a[None], nodes)[0], 1.0)
+            assert jet_of(sig, 2) == pytest.approx(a, abs=1e-12)
 
     @pytest.mark.parametrize("k", [3, 5, 8, 12])
     def test_round_trip_contracts_top_derivatives(self, k):
@@ -203,8 +218,8 @@ class TestIdentities:
         for ell in range(k):
             a = np.zeros(k)
             a[ell] = 1.0
-            sig = SampledSignal(jet_poly_eval(JetVector(a), nodes), 1.0)
-            back = bernstein_jet(sig, k).derivs
+            sig = SampledSignal(jet_poly_eval(a[None], nodes)[0], 1.0)
+            back = jet_of(sig, k)
             expected_diag = math.prod(1.0 - j / m for j in range(ell))
             assert back[ell] == pytest.approx(expected_diag, rel=1e-9, abs=1e-9)
             # strictly below 1 once ell >= 2: the point-sampling round trip cannot be id
@@ -234,7 +249,7 @@ class TestErrorBound:
             for k in (4, 9, 16):
                 nodes = sample_on_grid(spec, k, 1.0)
                 dense_u = np.array([np.sum(c * np.sin(w * t + a)) for t in ts])
-                err = np.abs(dense_u - bernstein_eval(nodes, ts)).max()
+                err = np.abs(dense_u - bernstein_eval(nodes.values[None], ts, 1.0)).max()
                 assert err <= bernstein_error_bound(lambda d: L * d, k, 1.0) + 1e-12
 
     def test_modulus_doubling(self):
@@ -251,27 +266,11 @@ class TestErrorBound:
             spec = InputSpec("fourier", c, w, a)
             k = 8
             nodes = sample_on_grid(spec, k, 1.0)
-            dense_u = SampledSignal(np.array([np.sum(c * np.sin(w * t + a)) for t in ts]), 1.0)
-            dense_lift = SampledSignal(bernstein_eval(nodes, ts), 1.0)
+            dense_u = np.array([[np.sum(c * np.sin(w * t + a)) for t in ts]])
+            dense_lift = bernstein_eval(nodes.values[None], ts, 1.0)
             slack = 2.0 * L / (ts.size - 1) + 1e-9
             for delta in (0.1, 0.25, 0.5):
-                assert estimate_modulus(dense_lift, delta) <= 2.0 * estimate_modulus(
-                    dense_u, delta
+                assert estimate_modulus(dense_lift, 1.0, delta) <= 2.0 * estimate_modulus(
+                    dense_u, 1.0, delta
                 ) + slack
 
-
-class TestJetVectorSerialization:
-    def test_round_trip(self):
-        jet = JetVector([1.0, -2.0, 0.5])
-        doc = jet.to_json_dict()
-        assert doc == {"order": 2, "derivs": [1.0, -2.0, 0.5]}
-        back = JetVector.from_json_dict(doc)
-        assert np.array_equal(back.derivs, jet.derivs)
-
-    def test_order_mismatch(self):
-        with pytest.raises(ShapeError):
-            JetVector.from_json_dict({"order": 3, "derivs": [1.0, 2.0]})
-
-    def test_invariants(self):
-        with pytest.raises(DomainError):
-            JetVector([np.nan])

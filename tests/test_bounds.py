@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -187,16 +188,16 @@ class TestSandwichErrorBound:
         dense = SimConfig(step=1.0 / 512, grid_size=k * 16 + 1)
         ts = np.linspace(0.0, T, dense.grid_size)
         # G u on the dense grid
-        gu = simulate(params, spec, T, dense)
+        gu = simulate(params, [spec], T, dense)
         # G B_{k-1} u: simulate on the lifted input
-        lift_vals = bernstein_eval(sample_on_grid(spec, k - 1, T), ts)
-        g_lift = simulate(params, SampledSignal(lift_vals, T), T, dense)
+        lift_vals = bernstein_eval(sample_on_grid(spec, k - 1, T).values[None], ts, T)[0]
+        g_lift = simulate(params, [SampledSignal(lift_vals, T)], T, dense)
         # degree-k lift of G B_{k-1} u
-        rebuilt = jet_poly_eval(bernstein_jet(SampledSignal(g_lift.values[::16], T), k + 1), ts)
-        measured = np.abs(gu.values - rebuilt).max()
-        omega_u = empirical_modulus([SampledSignal(np.asarray(
-            [float(np.sum(spec.coefficients * np.sin(spec.frequencies * t + spec.phases))) for t in ts]), T)])
-        omega_gu = empirical_modulus([g_lift])
+        rebuilt = jet_poly_eval(bernstein_jet(g_lift[:, ::16], k + 1, T), ts)
+        measured = np.abs(gu - rebuilt).max()
+        omega_u = empirical_modulus(np.asarray(
+            [[float(np.sum(spec.coefficients * np.sin(spec.frequencies * t + spec.phases))) for t in ts]]), T)
+        omega_gu = empirical_modulus(g_lift, T)
         cert = sandwich_error_bound(io_lipschitz_bound(params, T), lambda d: ens.L * d,
                                     omega_gu, k, T)
         # grid slack: moduli and sups are grid-restricted
@@ -209,7 +210,7 @@ class TestMonteCarloRisk:
 
     def mean_risk(self, model, truth, count, seed):
         specs = sample_ensemble(self.ens.reseeded(seed), count)
-        risks, _, _ = probe_risk_and_gap(model, truth, specs, 4, 1.0, FAST, 65)
+        risks, _, _ = probe_risk_and_gap(model, truth, specs, 4, 1.0, replace(FAST, grid_size=65))
         return float(risks.mean())
 
     def test_self_risk_is_integrator_noise(self):
@@ -230,13 +231,13 @@ class TestMonteCarloRisk:
         truth = GROUND_TRUTHS["linear"]()
         specs = sample_ensemble(self.ens.reseeded(3), 5)
         extra = sample_ensemble(self.ens.reseeded(4), 3)
-        plain = probe_risk_and_gap(model, truth, specs, 4, 1.0, FAST, 65)
-        fused = probe_risk_and_gap(model, truth, specs, 4, 1.0, FAST, 65, gain_probes=extra)
+        dense = replace(FAST, grid_size=65)
+        plain = probe_risk_and_gap(model, truth, specs, 4, 1.0, dense)
+        fused = probe_risk_and_gap(model, truth, specs, 4, 1.0, dense, gain_probes=extra)
         assert np.array_equal(fused.risks, plain.risks)
         assert np.array_equal(fused.gaps, plain.gaps)
         assert fused.truth.shape == (8, 65)
         assert np.array_equal(fused.truth[:5], plain.truth)
-        dense = SimConfig(step=FAST.step, grid_size=65)
         assert np.array_equal(fused.truth[5:], simulate(truth, extra, 1.0, dense))
 
     def test_reproducible_to_three_decimals(self):
@@ -265,7 +266,8 @@ class TestRiskBoundEmpiricalValidity:
             n = int(rng.integers(1, 4))
             params = random_feasible(rng, n)
             specs = sample_ensemble(ens.reseeded(500 + trial), 8)
-            risks, gaps, _ = probe_risk_and_gap(params, truth, specs, 6, 1.0, FAST, 97)
+            risks, gaps, _ = probe_risk_and_gap(params, truth, specs, 6, 1.0,
+                                                replace(FAST, grid_size=97))
             bound = fixed_model_risk_bound(omega_Y, omega_U, params, 6, 1.0, float(gaps.mean()))
             diffs = risks - gaps
             se = float(diffs.std(ddof=1) / math.sqrt(diffs.size))

@@ -102,6 +102,8 @@ class TestConfigLoading:
         "empty_pairs": lambda ds: ds.update(pairs=[], N=0),
         "fractional_dataset_k": lambda ds: ds.update(k=3.5),
     }
+    # model.json edits that `int()` would read as n=1
+    BAD_MODEL_N = {"fractional_model_n": 1.5, "string_model_n": "1"}
     BAD_LOG = {
         "log_not_numeric": "iter,risk\n0,abc\n",
         "log_header_only": "iter,risk\n",
@@ -115,9 +117,13 @@ class TestConfigLoading:
         "dataset_N_mismatch": ("N", 5),
     }
 
+    # a missing file evaluate reads is an I/O error (exit 4)
+    EXIT_4 = ("evaluate_without_dataset", "evaluate_without_inputs")
+
     @pytest.mark.parametrize("case", ["corrupt_dataset", "model_without_n", "init_without_n",
-                                      "evaluate_without_dataset", *DATASET_MISMATCH,
-                                      *BAD_CONFIG, *BAD_DATASET, *BAD_LOG])
+                                      "evaluate_without_dataset", "evaluate_without_inputs",
+                                      "evaluate_seed_mismatch", *DATASET_MISMATCH,
+                                      *BAD_CONFIG, *BAD_DATASET, *BAD_MODEL_N, *BAD_LOG])
     def test_bad_input_file_exits_2(self, tmp_path, capsys, case):
         from jetsid import EnsembleConfig, build_teacher_dataset
 
@@ -136,8 +142,10 @@ class TestConfigLoading:
             self.BAD_DATASET[case](dataset)
             bad, command = run / "dataset.json", "train"
             bad.write_text(json.dumps(dataset))
-        elif case == "model_without_n":
+        elif case == "model_without_n" or case in self.BAD_MODEL_N:
             bad, command = run / "model.json", "evaluate"
+            if case in self.BAD_MODEL_N:
+                without_n["n"] = self.BAD_MODEL_N[case]
             bad.write_text(json.dumps(without_n))
         elif case == "init_without_n":
             (run / "dataset.json").write_text(json.dumps(dataset))
@@ -153,6 +161,16 @@ class TestConfigLoading:
                 field, value = self.DATASET_MISMATCH[case]
                 doc["N"] = 2
                 doc[field] = value
+        elif case in ("evaluate_without_inputs", "evaluate_seed_mismatch"):
+            # train_inputs.json holds the inputs of the config's seed 7,
+            # which an evaluate at seed 2 does not draw
+            cmd_generate(config_from_dict(doc))
+            (run / "model.json").write_text(json.dumps(model.to_json_dict()))
+            bad, command = run / "train_inputs.json", "evaluate"
+            if case == "evaluate_without_inputs":
+                bad.unlink()
+            else:
+                extra = ["--seed", "2"]
         elif case in self.BAD_LOG:
             (run / "model.json").write_text(json.dumps(model.to_json_dict()))
             bad, command = run / "training_log.csv", "evaluate"
@@ -162,7 +180,7 @@ class TestConfigLoading:
             edit(doc)
             bad = tmp_path / "config.json"
         path = write_config(tmp_path, doc)
-        code, prefix = (4, "i/o error:") if case == "evaluate_without_dataset" else (2, "error:")
+        code, prefix = (4, "i/o error:") if case in self.EXIT_4 else (2, "error:")
         assert main([command, "--config", path, *extra]) == code
         err = capsys.readouterr().err
         assert err.startswith(prefix) and bad.name in err
@@ -336,7 +354,6 @@ class TestEvaluate:
         import jetsid.cli as cli
         from jetsid import bibo_gain_estimate, simulate
         from jetsid.bounds import empirical_modulus
-        from jetsid.signals import SampledSignal
 
         doc = base_doc(tmp_path / "run")
         doc["ground_truth"] = {"kind": "named", "name": "duffing", "params": {}}
@@ -363,7 +380,7 @@ class TestEvaluate:
         specs = sample_ensemble(cfg.ensemble.reseeded(derive_seed(cfg.rng_seed, 3)),
                                 probe_count)
         outputs = simulate(system, specs[:8], cfg.T, cfg.sim)
-        separate = empirical_modulus([SampledSignal(y, cfg.T) for y in outputs])
+        separate = empirical_modulus(outputs, cfg.T)
         for delta in (0.01, 0.05, 0.2, 0.5, 1.0):
             assert omega_Y(delta) == separate(delta)
 

@@ -20,7 +20,6 @@ from jetsid import (
     output_modulus_bound,
     output_sup_bound,
     simulate,
-    sup_distance,
     system_from_config,
 )
 from jetsid.erm import build_dataset, project_feasible
@@ -44,43 +43,42 @@ EPS = np.finfo(float).eps
 class TestSimulate:
     def test_zero_readout(self):
         params = scalar_params(c=0.0)
-        y = simulate(params, const_input(1.0), 1.0, FAST)
-        assert np.abs(y.values).max() == 0.0
+        y = simulate(params, [const_input(1.0)], 1.0, FAST)[0]
+        assert np.abs(y).max() == 0.0
 
     def test_frozen_state(self):
         # zero drive: tanh(0) = 0, state stays at xi
         params = scalar_params(b=0.0, xi=1.0)
-        y = simulate(params, const_input(0.0), 1.0, FAST)
-        assert y.values == pytest.approx(np.ones(129), abs=1e-14)
+        y = simulate(params, [const_input(0.0)], 1.0, FAST)[0]
+        assert y == pytest.approx(np.ones(129), abs=1e-14)
 
     def test_constant_input_closed_form(self):
         # y(t) = tanh(a) * t
         params = scalar_params()
-        y = simulate(params, const_input(1.0), 1.0, SimConfig(grid_size=65))
-        assert y.values[-1] == pytest.approx(math.tanh(1.0), abs=1e-8)
-        assert y.values == pytest.approx(math.tanh(1.0) * y.grid, abs=1e-8)
+        y = simulate(params, [const_input(1.0)], 1.0, SimConfig(grid_size=65))[0]
+        assert y[-1] == pytest.approx(math.tanh(1.0), abs=1e-8)
+        assert y == pytest.approx(math.tanh(1.0) * np.linspace(0.0, 1.0, 65), abs=1e-8)
 
     def test_ramp_input_closed_form(self):
         # u(t) = t: y(t) = log cosh t exactly
         params = scalar_params()
-        y = simulate(params, InputSpec("polynomial", np.array([0.0, 1.0])), 1.0, FAST)
-        expected = np.log(np.cosh(y.grid))
-        assert y.values == pytest.approx(expected, abs=1e-10)
+        y = simulate(params, [InputSpec("polynomial", np.array([0.0, 1.0]))], 1.0, FAST)[0]
+        expected = np.log(np.cosh(np.linspace(0.0, 1.0, 129)))
+        assert y == pytest.approx(expected, abs=1e-10)
 
     def test_linear_system_step_response(self):
         system = GROUND_TRUTHS["linear"]()
-        y = simulate(system, const_input(1.0), 1.0, FAST)
-        assert y.values == pytest.approx(1.0 - np.exp(-y.grid), abs=1e-9)
+        y = simulate(system, [const_input(1.0)], 1.0, FAST)[0]
+        assert y == pytest.approx(1.0 - np.exp(-np.linspace(0.0, 1.0, 129)), abs=1e-9)
 
     def test_rk4_convergence_order(self):
         # halving the step shrinks the closed-form error by >= 12x
         system = GROUND_TRUTHS["linear"]()
-        exact = None
+        exact = 1.0 - np.exp(-np.linspace(0.0, 1.0, 17))
         errors = []
         for step in (1.0 / 16, 1.0 / 32, 1.0 / 64):
-            y = simulate(system, const_input(1.0), 1.0, SimConfig(step=step, grid_size=17))
-            exact = 1.0 - np.exp(-y.grid)
-            errors.append(np.abs(y.values - exact).max())
+            y = simulate(system, [const_input(1.0)], 1.0, SimConfig(step=step, grid_size=17))[0]
+            errors.append(np.abs(y - exact).max())
         assert errors[0] / errors[1] >= 12.0
         assert errors[1] / errors[2] >= 12.0
 
@@ -90,23 +88,23 @@ class TestSimulate:
             RnnParams(rng.uniform(-1, 1, (2, 2)), rng.uniform(-1, 1, 2),
                       rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)), 1.0)
         spec = InputSpec("fourier", [0.5], [2.0], [0.3])
-        y = simulate(params, spec, 1.0, SimConfig(step=1.0 / 256, grid_size=9))
+        y = simulate(params, [spec], 1.0, SimConfig(step=1.0 / 256, grid_size=9))[0]
         nsteps = 2048
         traj = rk4(
             lambda t, x: np.tanh(params.A @ x + params.b * float(eval_closed_form(spec, t))),
             params.xi, 0.0, 1.0 / nsteps, nsteps,
         )
         oracle_final = float(params.c @ traj[-1])
-        assert y.values[-1] == pytest.approx(oracle_final, abs=1e-9)
+        assert y[-1] == pytest.approx(oracle_final, abs=1e-9)
 
     def test_sampled_input_interpolation(self):
         spec = InputSpec("fourier", [0.8], [3.0], [0.4])
         ts = np.linspace(0.0, 1.0, 257)
         sampled = SampledSignal(eval_closed_form(spec, ts), 1.0)
         params = scalar_params(A=0.2)
-        y_exact = simulate(params, spec, 1.0, FAST)
-        y_interp = simulate(params, sampled, 1.0, FAST)
-        assert sup_distance(y_exact, y_interp) < 1e-5
+        y_exact = simulate(params, [spec], 1.0, FAST)[0]
+        y_interp = simulate(params, [sampled], 1.0, FAST)[0]
+        assert np.abs(y_exact - y_interp).max() < 1e-5
 
     def test_divergence_names_first_bad_time(self):
         blowup = ControlAffineSystem(
@@ -117,7 +115,7 @@ class TestSimulate:
             xi0=np.array([0.0]),
         )
         with pytest.raises(DivergenceError) as info, np.errstate(over="ignore"):
-            simulate(blowup, const_input(0.0), 2.0, SimConfig(step=1.0 / 256, grid_size=33))
+            simulate(blowup, [const_input(0.0)], 2.0, SimConfig(step=1.0 / 256, grid_size=33))
         assert 0.0 < info.value.time <= 2.0
         assert "t=" in str(info.value)
 
@@ -129,9 +127,9 @@ class TestSimulate:
         with pytest.raises(ConfigError):
             SimConfig(grid_size=1)
         with pytest.raises(ConfigError):
-            simulate(scalar_params(), const_input(0.0), 1.0, SimConfig(step=2.0))
+            simulate(scalar_params(), [const_input(0.0)], 1.0, SimConfig(step=2.0))
         with pytest.raises(DomainError):
-            simulate(scalar_params(), const_input(0.0), -1.0, FAST)
+            simulate(scalar_params(), [const_input(0.0)], -1.0, FAST)
 
 
 def random_rnn(n, seed):
@@ -189,7 +187,7 @@ class TestBatchedSimulate:
         batched = simulate(system, inputs, 1.0, GRID)
         assert batched.shape == (len(inputs), GRID.grid_size)
         for i, u in enumerate(inputs):
-            single = simulate(system, u, 1.0, GRID).values
+            single = simulate(system, [u], 1.0, GRID)[0]
             if isinstance(system, RnnParams):
                 tol = 64 * EPS * max(1.0, np.abs(single).max())
                 assert np.abs(batched[i] - single).max() <= tol
@@ -219,6 +217,10 @@ class TestBatchedSimulate:
     def test_empty_batch_rejected(self):
         with pytest.raises(ConfigError):
             simulate(scalar_params(), [], 1.0, FAST)
+        # one input is a batch of one, not a bare input
+        for bare in (const_input(0.5), SampledSignal([0.0, 0.5, 1.0], 1.0)):
+            with pytest.raises(ConfigError, match="list of inputs"):
+                simulate(scalar_params(), bare, 1.0, FAST)
 
     def test_one_dim_gain_rejected(self):
         # a (n,) gain broadcasts against the batch axis when B == n, so
@@ -233,7 +235,7 @@ class TestBatchedSimulate:
         with pytest.raises(ShapeError, match="flat_gain"):
             simulate(system, [const_input(0.5), const_input(-0.5)], 1.0, FAST)
         with pytest.raises(ShapeError, match="input_gain"):
-            simulate(system, const_input(0.5), 1.0, FAST)
+            simulate(system, [const_input(0.5)], 1.0, FAST)
 
     def test_divergence_names_input_in_batch(self):
         # dx/dt = x^2 + u blows up before t=1 only for the large input
@@ -248,7 +250,7 @@ class TestBatchedSimulate:
         cfg = SimConfig(step=1.0 / 256, grid_size=33)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError) as alone:
-                simulate(blowup, inputs[2], 1.0, cfg)
+                simulate(blowup, [inputs[2]], 1.0, cfg)
             with pytest.raises(DivergenceError) as batch:
                 simulate(blowup, inputs, 1.0, cfg)
             with pytest.raises(DivergenceError) as dataset:
@@ -291,16 +293,17 @@ class TestCertificates:
                       rng.uniform(-scale, scale, n), rng.uniform(-scale, scale, n)), 1.0)
         ens = EnsembleConfig("fourier", 2, 0.8, 2.0, 1.0, rng_seed=seed)
         u1, u2 = sample_ensemble(ens, 2)
-        y1 = simulate(params, u1, 1.0, FAST)
-        y2 = simulate(params, u2, 1.0, FAST)
+        y1 = simulate(params, [u1], 1.0, FAST)[0]
+        y2 = simulate(params, [u2], 1.0, FAST)[0]
         fine = np.linspace(0.0, 1.0, 2049)
         du = np.abs(eval_closed_form(u1, fine) - eval_closed_form(u2, fine)).max()
         if du > 1e-6:
-            ratio = sup_distance(y1, y2) / du
+            ratio = np.abs(y1 - y2).max() / du
             assert ratio <= io_lipschitz_bound(params, 1.0) + 1e-6
-        assert np.abs(y1.values).max() <= output_sup_bound(params, 1.0) + 1e-6
+        assert np.abs(y1).max() <= output_sup_bound(params, 1.0) + 1e-6
         for delta in (0.05, 0.2, 0.5):
-            assert estimate_modulus(y1, delta) <= output_modulus_bound(params, 1.0, delta) + 1e-6
+            assert (estimate_modulus(y1[None], 1.0, delta)
+                    <= output_modulus_bound(params, 1.0, delta) + 1e-6)
 
 
 class TestBiboGain:
@@ -331,7 +334,8 @@ class TestTrajectoryExport:
         spec = InputSpec("fourier", [0.5], [2.0], [0.1])
         ts = np.linspace(0.0, 1.0, 33)
         u = SampledSignal(eval_closed_form(spec, ts), 1.0)
-        y = simulate(scalar_params(), spec, 1.0, SimConfig(step=1 / 256, grid_size=33))
+        y = SampledSignal(
+            simulate(scalar_params(), [spec], 1.0, SimConfig(step=1 / 256, grid_size=33))[0], 1.0)
         path = tmp_path / "traj.csv"
         from jetsid import write_trajectory_csv
 
@@ -355,15 +359,15 @@ class TestGroundTruthLibrary:
 
     def test_tanh_affine_certificates_hold(self):
         system = GROUND_TRUTHS["tanh_affine"]()
-        y = simulate(system, const_input(0.9), 1.0, FAST)
-        assert np.abs(y.values).max() <= system.gamma_bound(0.9, 1.0) + 1e-9
+        y = simulate(system, [const_input(0.9)], 1.0, FAST)
+        assert np.abs(y).max() <= system.gamma_bound(0.9, 1.0) + 1e-9
         for delta in (0.1, 0.4):
-            assert estimate_modulus(y, delta) <= system.output_lipschitz(0.9) * delta + 1e-9
+            assert estimate_modulus(y, 1.0, delta) <= system.output_lipschitz(0.9) * delta + 1e-9
 
     def test_duffing_runs(self):
         system = GROUND_TRUTHS["duffing"]()
-        y = simulate(system, const_input(0.5), 2.0, SimConfig(step=1 / 256, grid_size=65))
-        assert np.isfinite(y.values).all()
+        y = simulate(system, [const_input(0.5)], 2.0, SimConfig(step=1 / 256, grid_size=65))
+        assert np.isfinite(y).all()
         assert system.output_lipschitz is None
 
     def test_system_from_config(self):

@@ -58,21 +58,21 @@ class TestEvalInput:
 class TestInputJet:
     def test_polynomial_factorials(self):
         jet = input_jet(poly([1.0, 2.0, 3.0]), 2)
-        assert jet.derivs == pytest.approx([1.0, 2.0, 6.0], abs=1e-15)
+        assert jet == pytest.approx([1.0, 2.0, 6.0], abs=1e-15)
 
     def test_single_sine(self):
         jet = input_jet(fourier([1.0], [2.0], [0.0]), 2)
-        assert jet.derivs == pytest.approx([0.0, 2.0, 0.0], abs=1e-15)
+        assert jet == pytest.approx([0.0, 2.0, 0.0], abs=1e-15)
 
     def test_two_sines_vs_symbolic(self):
         spec = fourier([1.0, 1.0], [1.0, 3.0], [PI / 2, 0.0])
         jet = input_jet(spec, 3)
-        assert jet.derivs == pytest.approx([1.0, 3.0, -1.0, -27.0], abs=1e-9)
-        assert jet.derivs == pytest.approx(sympy_input_derivatives(spec, 3), abs=1e-9)
+        assert jet == pytest.approx([1.0, 3.0, -1.0, -27.0], abs=1e-9)
+        assert jet == pytest.approx(sympy_input_derivatives(spec, 3), abs=1e-9)
 
     def test_degree_exceeded_gives_zero(self):
         jet = input_jet(poly([1.0, 1.0]), 4)
-        assert jet.derivs[2:] == pytest.approx([0.0, 0.0, 0.0])
+        assert jet[2:] == pytest.approx([0.0, 0.0, 0.0])
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_central_differences(self, seed):
@@ -95,7 +95,7 @@ class TestInputJet:
         }
         for ell in range(1, 5):
             fd = float(stencils[ell] @ f) / h**ell
-            assert abs(fd - jet.derivs[ell]) <= 1e-6 * max(1.0, abs(jet.derivs[ell]))
+            assert abs(fd - jet[ell]) <= 1e-6 * max(1.0, abs(jet[ell]))
 
 
 def make_config(kind="fourier", **kw):
@@ -138,7 +138,7 @@ class TestSampleEnsemble:
         for spec in sample_ensemble(cfg, 20):
             sig = sample_on_grid(spec, 200, 1.0)
             for delta in (0.1, 0.3, 0.7):
-                assert estimate_modulus(sig, delta) <= cfg.L * delta + 1e-12
+                assert estimate_modulus(sig.values[None], 1.0, delta) <= cfg.L * delta + 1e-12
 
 
 class TestSampleOnGrid:
@@ -163,45 +163,66 @@ class TestSampleOnGrid:
 
 class TestEstimateModulus:
     def test_constant(self):
-        sig = SampledSignal(np.full(11, 3.0), 1.0)
+        sig = np.full((1, 11), 3.0)
         for delta in (0.0, 0.3, 1.0):
-            assert estimate_modulus(sig, delta) == 0.0
+            assert estimate_modulus(sig, 1.0, delta) == 0.0
 
     def test_linear_slope(self):
         L, T = 2.0, 1.0
-        sig = SampledSignal(L * np.linspace(0, T, 11), T)
+        sig = L * np.linspace(0, T, 11)[None]
         # largest grid gap below delta=0.35 is 0.3
-        assert estimate_modulus(sig, 0.35) == pytest.approx(L * 0.3, abs=1e-12)
+        assert estimate_modulus(sig, T, 0.35) == pytest.approx(L * 0.3, abs=1e-12)
 
     def test_sine_quarter_period(self):
         # true modulus of sin(2*pi*t) over delta=0.25 is 2*sin(pi/4)=sqrt(2)
         # (attained e.g. between t=0.375 and t=0.625), computed here by
         # brute force over grid pairs
         ts = np.linspace(0.0, 1.0, 101)
-        sig = SampledSignal(np.sin(2 * PI * ts), 1.0)
-        est = estimate_modulus(sig, 0.25)
-        assert est == pytest.approx(brute_modulus(sig.values, 1.0, 0.25), abs=1e-14)
+        sig = np.sin(2 * PI * ts)
+        est = estimate_modulus(sig[None], 1.0, 0.25)
+        assert est == pytest.approx(brute_modulus(sig, 1.0, 0.25), abs=1e-14)
         assert est == pytest.approx(math.sqrt(2.0), abs=0.05)
 
     def test_monotone_and_clamped(self):
         rng = np.random.default_rng(5)
-        sig = SampledSignal(rng.standard_normal(33), 1.0)
+        sig = rng.standard_normal((1, 33))
         last = 0.0
         for delta in np.linspace(0.0, 1.0, 21):
-            cur = estimate_modulus(sig, delta)
+            cur = estimate_modulus(sig, 1.0, delta)
             assert cur >= last
             last = cur
-        assert estimate_modulus(sig, 5.0) == estimate_modulus(sig, 1.0)
+        assert estimate_modulus(sig, 1.0, 5.0) == estimate_modulus(sig, 1.0, 1.0)
         with pytest.raises(DomainError):
-            estimate_modulus(sig, -0.1)
+            estimate_modulus(sig, 1.0, -0.1)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(9)
-        sig = SampledSignal(rng.standard_normal(41), 2.0)
+        sig = rng.standard_normal(41)
         for delta in (0.05, 0.33, 1.0, 1.7):
-            assert estimate_modulus(sig, delta) == pytest.approx(
-                brute_modulus(sig.values, 2.0, delta), abs=1e-14
+            assert estimate_modulus(sig[None], 2.0, delta) == pytest.approx(
+                brute_modulus(sig, 2.0, delta), abs=1e-14
             )
+
+    @pytest.mark.parametrize("B", [1, 3, 8])
+    def test_batch_is_max_of_rows(self, B):
+        # one pass per lag over the whole batch gives the largest of the
+        # rows' brute-force moduli, bit for bit
+        rng = np.random.default_rng(90 + B)
+        for T, m in ((1.0, 16), (2.0, 40), (0.7, 25)):
+            vals = rng.standard_normal((B, m + 1))
+            for delta in (0.0, T / m, 0.1, 0.25 * T, T, 1.5 * T, 10.0):
+                expected = max(brute_modulus(row, T, delta) for row in vals)
+                assert estimate_modulus(vals, T, delta) == expected
+
+    def test_shape_and_horizon_errors(self):
+        for bad in (np.zeros(5), np.zeros((2, 1)), np.zeros((2, 5, 1))):
+            with pytest.raises(ShapeError):
+                estimate_modulus(bad, 1.0, 0.1)
+        for T in (0.0, -1.0, np.inf):
+            with pytest.raises(DomainError):
+                estimate_modulus(np.zeros((2, 5)), T, 0.1)
+        with pytest.raises(DomainError):
+            estimate_modulus(np.array([[0.0, np.nan, 1.0]]), 1.0, 0.1)
 
 
 class TestSupDistance:
@@ -227,7 +248,7 @@ class TestSupDistance:
         nodes = sample_on_grid(spec, 5, 1.0)
         ts = np.linspace(0.0, 1.0, 301)
         dense_sin = SampledSignal(np.sin(2 * PI * ts), 1.0)
-        dense_lift = SampledSignal(bernstein_eval(nodes, ts), 1.0)
+        dense_lift = SampledSignal(bernstein_eval(nodes.values[None], ts, 1.0)[0], 1.0)
         brute = max(
             abs(math.sin(2 * PI * t) - brute_bernstein_local(nodes.values, 1.0, t)) for t in ts
         )
