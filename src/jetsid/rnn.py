@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import ConfigError, DivergenceError, DomainError, ShapeError, whole_number
 from .jets import RnnParams
@@ -26,9 +25,10 @@ from .signals import FOURIER, InputSpec, SampledSignal, _eval_array
 class SimConfig:
     """Fixed-step RK4 settings.
 
-    step=None resolves to T/4096 at simulation time.  The actual
-    substep is snapped to an integer subdivision of the dense output
-    grid so recorded times are exact.
+    step=None resolves to T/256 at simulation time, one step per
+    interval of the default 257-point grid.  The actual substep is
+    snapped to an integer subdivision of the dense output grid so
+    recorded times are exact, and a coarser grid gets more substeps.
     """
 
     step: float | None = None
@@ -134,7 +134,7 @@ def simulate(system: System, input_u: list | tuple, T: float,
         raise ConfigError(f"step {config.step} exceeds horizon {T}")
     g = config.grid_size
     dt_dense = T / (g - 1)
-    h_req = config.step if config.step is not None else T / 4096.0
+    h_req = config.step if config.step is not None else T / 256.0
     sub = max(1, round(dt_dense / h_req))
     h = dt_dense / sub
     nsteps = (g - 1) * sub
@@ -145,6 +145,7 @@ def simulate(system: System, input_u: list | tuple, T: float,
         if isinstance(u, InputSpec):
             u_stage[:, j] = _eval_array(u, stage_times)
         elif isinstance(u, SampledSignal):
+            from scipy.interpolate import PchipInterpolator
             interp = PchipInterpolator(u.grid, u.values)
             u_stage[:, j] = interp(np.clip(stage_times, 0.0, u.horizon_T))
         else:

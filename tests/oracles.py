@@ -85,6 +85,16 @@ def rk4(rhs, x0, t0, h, nsteps):
     return np.array(out)
 
 
+# Right-hand sides of the shipped ground truths at their default parameters,
+# written out from the definitions one state at a time, so an oracle
+# integrator shares no code with the systems' batched drift and gain.
+GROUND_TRUTH_RHS = {
+    "linear": lambda x, u: -x + u,
+    "tanh_affine": lambda x, u: -np.tanh(x) + u / (1.0 + x**2),
+    "duffing": lambda x, u: np.array([x[1], -0.5 * x[1] - x[0] - math.tanh(x[0]) ** 3 + u]),
+}
+
+
 # 4th-order-accurate central stencils, offsets -3..3, from the standard tables
 _STENCILS = {
     1: (np.array([0.0, 1 / 12, -2 / 3, 0.0, 2 / 3, -1 / 12, 0.0]), 1),

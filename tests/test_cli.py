@@ -1,12 +1,17 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import jetsid
 from jetsid import RnnParams, build_dataset, sample_ensemble
 from jetsid.cli import cmd_generate, config_from_dict, derive_seed, load_config, main
 from jetsid.errors import ConfigError
@@ -505,3 +510,14 @@ class TestBoundsCommand:
         assert report.fixed_model.input_modulus_term == pytest.approx(
             2.0 * M * M * math.exp(M * T) * 2.0 * 2.0 / math.sqrt(k)
         )
+
+
+class TestImport:
+    def test_cli_import_leaves_out_interpolate(self):
+        # simulate imports PchipInterpolator only for a sampled input; no
+        # command makes one, so a fresh interpreter never loads it
+        code = "import sys, jetsid.cli; print('scipy.interpolate' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(jetsid.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=env)
+        assert out.stdout.strip() == "False"

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from jetsid import (
     ConfigError,
@@ -27,7 +28,7 @@ from jetsid import (
 )
 from jetsid.signals import EnsembleConfig, InputSpec
 
-from oracles import scalar_empirical_risk
+from oracles import GROUND_TRUTH_RHS, eval_closed_form, scalar_empirical_risk
 
 EPS = np.finfo(float).eps
 
@@ -72,6 +73,50 @@ class TestBuildDataset:
     def test_k_validation(self):
         with pytest.raises(ConfigError):
             build_dataset([const_input(0.0)], TEACHER, 1, 1.0, FAST)
+
+
+class TestDop853Reference:
+    """Dataset output jets against an adaptive DOP853 reference.
+
+    `build_dataset` integrates with fixed-step RK4; the reference samples
+    the same system, written out in `oracles.GROUND_TRUTH_RHS`, with
+    `solve_ivp(method="DOP853", rtol=1e-13)` at the output nodes jT/k.
+    Entry l of an output jet is compared as z_l T^l / perm(k, l), the
+    l-th forward difference of those samples, relative to the largest
+    such entry of the reference row: the extraction scales rounding by
+    perm(k, l) / T^l, so this is the scale at which two converged
+    integrators are told apart, as in a2a.  A sample error e moves the
+    l-th difference by at most 2^l e, so the bound, fixed before
+    measuring, is 2^k * 2.5e-10 (1e-9 at k=2, 1.0e-6 at k=12).  Run at
+    the default step and at an explicit T/4096, on the default grid and
+    on a 17-point grid, where RK4 substeps each output interval and the
+    step, not the grid, sets the accuracy.
+    """
+
+    @pytest.mark.parametrize(
+        "sim", [SimConfig(), SimConfig(grid_size=17), SimConfig(step=1.0 / 4096)],
+        ids=["default", "default-grid17", "T/4096"])
+    @pytest.mark.parametrize("name", sorted(GROUND_TRUTHS))
+    def test_output_jets_match(self, name, sim):
+        T = 1.0
+        inputs = sample_ensemble(EnsembleConfig("fourier", 2, 0.8, 2.0, T, rng_seed=61), 8)
+        rhs = GROUND_TRUTH_RHS[name]
+        system = GROUND_TRUTHS[name]()
+        solutions = [
+            solve_ivp(lambda t, x, u=u: rhs(x, float(eval_closed_form(u, t))), (0.0, T),
+                      np.asarray(system.xi0, float), method="DOP853", rtol=1e-13, atol=1e-15,
+                      dense_output=True).sol
+            for u in inputs
+        ]
+        for k in (2, 3, 4, 6, 8, 10, 12):
+            z = build_dataset(inputs, system, k, T, sim).z
+            y_ref = np.array([system.h @ sol(np.linspace(0.0, T, k + 1)) for sol in solutions])
+            ref = np.stack([np.diff(y_ref, ell, axis=1)[:, 0] for ell in range(k + 1)], axis=1)
+            scale = np.array([T**ell / math.perm(k, ell) for ell in range(k + 1)])
+            dev = np.abs(z * scale - ref).max(axis=1) / np.abs(ref).max(axis=1)
+            assert dev.max() <= 2.0**k * 2.5e-10, (
+                f"{name}, k={k}: output jets differ from DOP853 by {dev.max():.3g} "
+                "in forward-difference scale")
 
 
 class TestTeacherDataset:

@@ -25,7 +25,7 @@ from jetsid import (
 from jetsid.erm import build_dataset, project_feasible
 from jetsid.signals import EnsembleConfig, InputSpec, sample_ensemble
 
-from oracles import eval_closed_form, rk4
+from oracles import GROUND_TRUTH_RHS, eval_closed_form, rk4
 
 
 def scalar_params(A=0.0, b=1.0, c=1.0, xi=0.0):
@@ -70,6 +70,17 @@ class TestSimulate:
         system = GROUND_TRUTHS["linear"]()
         y = simulate(system, [const_input(1.0)], 1.0, FAST)[0]
         assert y == pytest.approx(1.0 - np.exp(-np.linspace(0.0, 1.0, 129)), abs=1e-9)
+
+    @pytest.mark.parametrize("T", [1.0, 2.5])
+    def test_default_step_is_T_over_256(self, T):
+        # pins the default: a change to it fails here instead of moving
+        # every dataset silently (on the 9-point grid RK4 takes 32 substeps)
+        system = GROUND_TRUTHS["duffing"]()
+        specs = sample_ensemble(EnsembleConfig("fourier", 2, 0.8, 2.0, T, rng_seed=3), 4)
+        assert np.array_equal(simulate(system, specs, T),
+                              simulate(system, specs, T, SimConfig(step=T / 256)))
+        assert np.array_equal(simulate(system, specs, T, SimConfig(grid_size=9)),
+                              simulate(system, specs, T, SimConfig(step=T / 256, grid_size=9)))
 
     def test_rk4_convergence_order(self):
         # halving the step shrinks the closed-form error by >= 12x
@@ -139,19 +150,10 @@ def random_rnn(n, seed):
                   rng.uniform(-1, 1, n), rng.uniform(-1, 1, n)), 1.0)
 
 
-# Right-hand sides written out from the definitions, one state at a time,
-# so the oracle shares no code with the systems' batched drift and gain.
-ORACLE_RHS = {
-    "linear": lambda x, u: -x + u,
-    "tanh_affine": lambda x, u: -np.tanh(x) + u / (1.0 + x**2),
-    "duffing": lambda x, u: np.array([x[1], -0.5 * x[1] - x[0] - math.tanh(x[0]) ** 3 + u]),
-}
-
-
 def batch_case(name):
     if name in GROUND_TRUTHS:
         system = GROUND_TRUTHS[name]()
-        return system, ORACLE_RHS[name], np.asarray(system.xi0, float), system.h
+        return system, GROUND_TRUTH_RHS[name], np.asarray(system.xi0, float), system.h
     params = random_rnn(int(name[-1]), seed=int(name[-1]))
 
     def rhs(x, u):
