@@ -59,16 +59,13 @@ from .rnn import (
     output_sup_bound,
     simulate,
     system_from_config,
-    write_trajectory_csv,
 )
 from .signals import (
     EnsembleConfig,
     InputSpec,
     SampledSignal,
     estimate_modulus,
-    eval_input,
     input_jet,
     sample_ensemble,
     sample_on_grid,
-    sup_distance,
 )

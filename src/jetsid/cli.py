@@ -34,6 +34,7 @@ from .erm import (
     train,
 )
 from .errors import (
+    ConfigBlock,
     ConfigError,
     DivergenceError,
     DomainError,
@@ -67,32 +68,43 @@ def derive_seed(master: int, stream: int) -> int:
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(ConfigBlock):
+    """One experiment.  The ensemble, train and sim blocks may be given as
+    their JSON dicts, so `from_json_dict` reads back a resolved echo."""
+
+    SECTION = "config"
+
     ensemble: EnsembleConfig
     ground_truth: dict
     k: int
     T: float
     N: int
     train: TrainConfig
-    sim: SimConfig
     delta: float
-    probe_count: int
-    rng_seed: int
-    out_dir: str | None
+    sim: SimConfig = SimConfig()
+    probe_count: int = 32
+    rng_seed: int = 0
+    out_dir: str | None = None
     c_abs: float = 1.0
     sweep: dict | None = None
 
     def __post_init__(self):
-        if self.k < 2:
-            raise ConfigError(f"k must be >= 2, got {self.k}")
-        if self.N < 1:
-            raise ConfigError(f"N must be >= 1, got {self.N}")
+        for name, block in (("ensemble", EnsembleConfig), ("train", TrainConfig), ("sim", SimConfig)):
+            value = getattr(self, name)
+            if isinstance(value, dict):
+                object.__setattr__(self, name, block.from_json_dict(value))
+            elif not isinstance(value, block):
+                raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+        for name, minimum in (("k", 2), ("N", 1), ("probe_count", 1), ("rng_seed", 0)):
+            object.__setattr__(self, name, whole_number(name, getattr(self, name), minimum))
+        for name in ("T", "delta", "c_abs"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if not 0.0 < self.delta < 1.0:
             raise ConfigError(f"delta must lie in (0, 1), got {self.delta}")
-        if not self.T > 0:
-            raise ConfigError(f"T must be positive, got {self.T}")
-        if self.probe_count < 1:
-            raise ConfigError(f"probe_count must be >= 1, got {self.probe_count}")
+        for name in ("T", "c_abs"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):
+                raise ConfigError(f"{name} must be finite and positive, got {v}")
         if self.ensemble.horizon_T != self.T:
             raise ConfigError(
                 f"ensemble horizon_T={self.ensemble.horizon_T} != experiment T={self.T}"
@@ -102,68 +114,26 @@ class ExperimentConfig:
     def system(self) -> System:
         return system_from_config(self.ground_truth)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "ensemble": self.ensemble.to_json_dict(),
-            "ground_truth": self.ground_truth,
-            "k": self.k,
-            "T": self.T,
-            "N": self.N,
-            "train": self.train.to_json_dict(),
-            "sim": self.sim.to_json_dict(),
-            "delta": self.delta,
-            "probe_count": self.probe_count,
-            "rng_seed": self.rng_seed,
-            "out_dir": self.out_dir,
-            "c_abs": self.c_abs,
-            "sweep": self.sweep,
-        }
-
-
-_TOP_FIELDS = {
-    "ensemble", "ground_truth", "k", "T", "N", "train", "sim",
-    "delta", "probe_count", "rng_seed", "out_dir", "c_abs", "sweep",
-}
-_REQUIRED_FIELDS = {"ensemble", "ground_truth", "k", "T", "N", "train", "delta"}
-
 
 def config_from_dict(doc: dict, seed_override: int | None = None,
                      out_override: str | None = None) -> ExperimentConfig:
-    unknown = set(doc) - _TOP_FIELDS
-    if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    missing = _REQUIRED_FIELDS - set(doc)
-    if missing:
-        raise ConfigError(f"missing config fields: {sorted(missing)}")
-
+    """The config a JSON document describes, after the --seed and --out
+    overrides.  Absent ensemble and trainer seeds derive from the master
+    seed, and an absent ensemble horizon is T."""
+    ExperimentConfig.check_fields(doc)
+    doc = dict(doc)
+    if seed_override is not None:
+        doc["rng_seed"] = seed_override
+    if out_override is not None:
+        doc["out_dir"] = out_override
     try:
-        master = whole_number("rng_seed", seed_override if seed_override is not None
-                              else doc.get("rng_seed", 0))
-        ens_doc = dict(doc["ensemble"])
-        ens_doc.setdefault("horizon_T", doc["T"])
-        ens_doc.setdefault("rng_seed", derive_seed(master, _STREAM_ENSEMBLE))
-        train_doc = dict(doc["train"])
-        train_doc.setdefault("rng_seed", derive_seed(master, _STREAM_TRAINER))
-
-        return ExperimentConfig(
-            ensemble=EnsembleConfig.from_json_dict(ens_doc),
-            ground_truth=doc["ground_truth"],
-            k=whole_number("k", doc["k"]),
-            T=float(doc["T"]),
-            N=whole_number("N", doc["N"]),
-            train=TrainConfig.from_json_dict(train_doc),
-            sim=SimConfig.from_json_dict(doc.get("sim", {})),
-            delta=float(doc["delta"]),
-            probe_count=whole_number("probe_count", doc.get("probe_count", 32)),
-            rng_seed=master,
-            out_dir=out_override if out_override is not None else doc.get("out_dir"),
-            c_abs=float(doc.get("c_abs", 1.0)),
-            sweep=doc.get("sweep"),
-        )
+        master = whole_number("rng_seed", doc.get("rng_seed", ExperimentConfig.rng_seed), 0)
+        doc["ensemble"] = {"horizon_T": doc["T"], "rng_seed": derive_seed(master, _STREAM_ENSEMBLE),
+                           **doc["ensemble"]}
+        doc["train"] = {"rng_seed": derive_seed(master, _STREAM_TRAINER), **doc["train"]}
+        return ExperimentConfig(**doc)
     except JetsidError:
         raise
-    except KeyError as exc:
-        raise ConfigError(f"config lacks field {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed config value: {exc}") from exc
 
@@ -509,8 +479,7 @@ def _sweep_point(config: ExperimentConfig, param: str, value, mode: str, index: 
         base[param] = value
         base["rng_seed"] = point_seed
         base["sweep"] = None
-        base["ensemble"] = {k: v for k, v in base["ensemble"].items() if k != "rng_seed"}
-        base["train"] = {k: v for k, v in base["train"].items() if k != "rng_seed"}
+        del base["ensemble"]["rng_seed"], base["train"]["rng_seed"]
         point = config_from_dict(base)
         row["k"], row["N"] = point.k, point.N
         if mode == "bounds_only":

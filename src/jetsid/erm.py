@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bernstein import bernstein_jet, jet_poly_eval
-from .errors import ConfigError, DomainError, ShapeError, whole_number
+from .errors import ConfigBlock, ConfigError, DomainError, ShapeError, whole_number
 from .jets import RnnParams, output_jet
 from .rnn import SimConfig, System, simulate
 from .signals import InputSpec, _eval_array
@@ -87,8 +87,10 @@ class JetDataset:
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(ConfigBlock):
     """Optimizer settings for multi-restart projected descent."""
+
+    SECTION = "train"
 
     M: float
     n: int
@@ -100,34 +102,14 @@ class TrainConfig:
     tolerance: float = 1e-12
 
     def __post_init__(self):
-        for name in ("n", "restarts", "max_iters", "rng_seed"):
-            object.__setattr__(self, name, whole_number(f"train.{name}", getattr(self, name)))
-        if not self.M > 0:
-            raise ConfigError(f"M must be positive, got {self.M}")
-        if self.n < 1:
-            raise ConfigError(f"n must be >= 1, got {self.n}")
-        if self.restarts < 1 or self.max_iters < 0:
-            raise ConfigError("restarts >= 1 and max_iters >= 0 required")
-        if not (self.step_size > 0 and self.fd_step > 0 and self.tolerance >= 0):
-            raise ConfigError("step_size, fd_step must be positive; tolerance >= 0")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "M": self.M, "n": self.n, "restarts": self.restarts,
-            "max_iters": self.max_iters, "step_size": self.step_size,
-            "fd_step": self.fd_step, "rng_seed": self.rng_seed,
-            "tolerance": self.tolerance,
-        }
-
-    @staticmethod
-    def from_json_dict(doc: dict) -> "TrainConfig":
-        known = {"M", "n", "restarts", "max_iters", "step_size", "fd_step", "rng_seed", "tolerance"}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown train fields: {sorted(unknown)}")
-        if not {"M", "n"} <= set(doc):
-            raise ConfigError("train config needs at least M and n")
-        return TrainConfig(**doc)
+        for name, minimum in (("n", 1), ("restarts", 1), ("max_iters", 0), ("rng_seed", 0)):
+            object.__setattr__(self, name, whole_number(f"train.{name}", getattr(self, name), minimum))
+        for name in ("M", "step_size", "fd_step"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):
+                raise ConfigError(f"train.{name} must be finite and positive, got {v}")
+        if not self.tolerance >= 0:
+            raise ConfigError(f"train.tolerance must be >= 0, got {self.tolerance}")
 
 
 def input_jets(inputs: list[InputSpec], k: int, T: float) -> np.ndarray:

@@ -1,11 +1,14 @@
-"""Exception types shared across the package, and the whole-number check
-that integer config fields go through.
+"""Exception types shared across the package, the whole-number check
+that integer config fields go through, and the JSON codec of the config
+dataclasses.
 
 The CLI maps these onto exit codes: configuration/validation problems
 exit 2, numerical divergence exits 3, file I/O problems exit 4.
 """
 
+import dataclasses
 import numbers
+from typing import ClassVar
 
 
 class JetsidError(Exception):
@@ -42,10 +45,39 @@ class DivergenceError(JetsidError, RuntimeError):
         super().__init__(msg)
 
 
-
-def whole_number(field: str, value) -> int:
-    """`value` as an int; ConfigError naming `field` unless it is a whole number."""
+def whole_number(field: str, value, minimum: int | None = None) -> int:
+    """`value` as an int; ConfigError naming `field` unless it is a whole
+    number of at least `minimum`."""
     if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
                                        or isinstance(value, float) and value.is_integer()):
         raise ConfigError(f"{field} must be a whole number, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{field} must be >= {minimum}, got {value!r}")
     return int(value)
+
+
+class ConfigBlock:
+    """JSON codec of a frozen config dataclass: its JSON form is its field
+    dict, and a document must hold exactly its fields, those without a
+    default being required.  `SECTION` names the block in error messages."""
+
+    SECTION: ClassVar[str]
+
+    def to_json_dict(self) -> dict:
+        return dataclasses.asdict(self)
+
+    @classmethod
+    def check_fields(cls, doc: dict) -> None:
+        fields = dataclasses.fields(cls)
+        unknown = set(doc) - {f.name for f in fields}
+        if unknown:
+            raise ConfigError(f"unknown {cls.SECTION} fields: {sorted(unknown)}")
+        missing = {f.name for f in fields if f.default is dataclasses.MISSING
+                   and f.default_factory is dataclasses.MISSING} - set(doc)
+        if missing:
+            raise ConfigError(f"missing {cls.SECTION} fields: {sorted(missing)}")
+
+    @classmethod
+    def from_json_dict(cls, doc: dict):
+        cls.check_fields(doc)
+        return cls(**doc)

@@ -16,13 +16,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError, DomainError, ShapeError, whole_number
+from .errors import ConfigBlock, ConfigError, DivergenceError, DomainError, ShapeError, whole_number
 from .jets import RnnParams
 from .signals import FOURIER, InputSpec, SampledSignal, _eval_array
 
 
 @dataclass(frozen=True)
-class SimConfig:
+class SimConfig(ConfigBlock):
     """Fixed-step RK4 settings.
 
     step=None resolves to T/256 at simulation time, one step per
@@ -31,25 +31,15 @@ class SimConfig:
     recorded times are exact, and a coarser grid gets more substeps.
     """
 
+    SECTION = "sim"
+
     step: float | None = None
     grid_size: int = 257
 
     def __post_init__(self):
-        object.__setattr__(self, "grid_size", whole_number("sim.grid_size", self.grid_size))
+        object.__setattr__(self, "grid_size", whole_number("sim.grid_size", self.grid_size, 2))
         if self.step is not None and not self.step > 0:
             raise ConfigError(f"step must be positive, got {self.step}")
-        if self.grid_size < 2:
-            raise ConfigError(f"grid_size must be >= 2, got {self.grid_size}")
-
-    def to_json_dict(self) -> dict:
-        return {"step": self.step, "grid_size": self.grid_size}
-
-    @staticmethod
-    def from_json_dict(doc: dict) -> "SimConfig":
-        unknown = set(doc) - {"step", "grid_size"}
-        if unknown:
-            raise ConfigError(f"unknown sim fields: {sorted(unknown)}")
-        return SimConfig(**doc)
 
 
 @dataclass(frozen=True)
@@ -176,16 +166,6 @@ def simulate(system: System, input_u: list | tuple, T: float,
             outputs[:, gi] = hvec @ x
             gi += 1
     return outputs
-
-
-def write_trajectory_csv(path, u: SampledSignal, y: SampledSignal) -> None:
-    """Export one input/output trajectory as `t,u,y` rows."""
-    if u.values.size != y.values.size or u.horizon_T != y.horizon_T:
-        raise DomainError("input and output trajectories must share the grid")
-    with open(path, "w") as fh:
-        fh.write("t,u,y\n")
-        for t, ui, yi in zip(u.grid, u.values, y.values):
-            fh.write(f"{float(t)!r},{float(ui)!r},{float(yi)!r}\n")
 
 
 def io_lipschitz_bound(params: RnnParams, T: float) -> float:

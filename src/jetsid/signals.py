@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bernstein import _sample_rows
-from .errors import ConfigError, DomainError, ShapeError, whole_number
+from .errors import ConfigBlock, ConfigError, DomainError, ShapeError, whole_number
 
 FOURIER = "fourier"
 POLYNOMIAL = "polynomial"
@@ -42,27 +42,6 @@ class SampledSignal:
     @property
     def grid(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon_T, self.values.size)
-
-    def to_json_dict(self) -> dict:
-        return {"values": self.values.tolist(), "horizon_T": self.horizon_T}
-
-    @staticmethod
-    def from_json_dict(doc: dict) -> "SampledSignal":
-        return SampledSignal(np.asarray(doc["values"], dtype=float), float(doc["horizon_T"]))
-
-    def to_csv(self, path) -> None:
-        """Write `t,value` rows at full float precision."""
-        grid = self.grid
-        with open(path, "w") as fh:
-            fh.write("t,value\n")
-            for t, v in zip(grid, self.values):
-                fh.write(f"{float(t)!r},{float(v)!r}\n")
-
-    @staticmethod
-    def from_csv(path) -> "SampledSignal":
-        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        t, v = rows[:, 0], rows[:, 1]
-        return SampledSignal(v, float(t[-1]))
 
 
 @dataclass(frozen=True)
@@ -115,7 +94,7 @@ class InputSpec:
 
 
 @dataclass(frozen=True)
-class EnsembleConfig:
+class EnsembleConfig(ConfigBlock):
     """Distribution of random inputs with hard amplitude/slope budgets.
 
     Every drawn input satisfies sum|c_i| <= R and sum|c_i w_i| <= L
@@ -125,6 +104,8 @@ class EnsembleConfig:
     i.i.d. uniform on [-coef_scale, coef_scale] and the whole vector is
     rescaled by the binding budget ratio when a draw violates a budget.
     """
+
+    SECTION = "ensemble"
 
     kind: str
     m_terms: int
@@ -137,54 +118,19 @@ class EnsembleConfig:
     phase_range: tuple[float, float] = (0.0, _TWO_PI)
 
     def __post_init__(self):
-        for name in ("m_terms", "rng_seed"):
-            object.__setattr__(self, name, whole_number(f"ensemble.{name}", getattr(self, name)))
+        for name, minimum in (("m_terms", 1), ("rng_seed", 0)):
+            object.__setattr__(self, name, whole_number(f"ensemble.{name}", getattr(self, name), minimum))
         if self.kind not in (FOURIER, POLYNOMIAL):
             raise ConfigError(f"unknown ensemble kind {self.kind!r}")
-        if self.m_terms < 1:
-            raise ConfigError("m_terms must be >= 1")
         for name in ("R", "L", "horizon_T", "coef_scale"):
             v = getattr(self, name)
             if not (np.isfinite(v) and v > 0):
                 raise ConfigError(f"{name} must be finite and positive, got {v}")
-        lo, hi = self.freq_range
-        if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
-            raise ConfigError(f"bad freq_range {self.freq_range}")
-        lo, hi = self.phase_range
-        if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
-            raise ConfigError(f"bad phase_range {self.phase_range}")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "m_terms": self.m_terms,
-            "R": self.R,
-            "L": self.L,
-            "horizon_T": self.horizon_T,
-            "rng_seed": self.rng_seed,
-            "coef_scale": self.coef_scale,
-            "freq_range": list(self.freq_range),
-            "phase_range": list(self.phase_range),
-        }
-
-    @staticmethod
-    def from_json_dict(doc: dict) -> "EnsembleConfig":
-        known = {
-            "kind", "m_terms", "R", "L", "horizon_T", "rng_seed",
-            "coef_scale", "freq_range", "phase_range",
-        }
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown ensemble fields: {sorted(unknown)}")
-        missing = {"kind", "m_terms", "R", "L", "horizon_T", "rng_seed"} - set(doc)
-        if missing:
-            raise ConfigError(f"missing ensemble fields: {sorted(missing)}")
-        kw = dict(doc)
-        if "freq_range" in kw:
-            kw["freq_range"] = tuple(float(x) for x in kw["freq_range"])
-        if "phase_range" in kw:
-            kw["phase_range"] = tuple(float(x) for x in kw["phase_range"])
-        return EnsembleConfig(**kw)
+        for name in ("freq_range", "phase_range"):
+            lo, hi = pair = tuple(float(x) for x in getattr(self, name))
+            if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
+                raise ConfigError(f"bad {name} {pair}")
+            object.__setattr__(self, name, pair)
 
     def reseeded(self, seed: int) -> "EnsembleConfig":
         return replace(self, rng_seed=int(seed))
@@ -203,13 +149,6 @@ def _eval_array(spec: InputSpec, ts: np.ndarray) -> np.ndarray:
             out += c * np.sin(w * ts + a)
         return out
     return np.polynomial.polynomial.polyval(ts, spec.coefficients)
-
-
-def eval_input(spec: InputSpec, t: float, horizon_T: float) -> float:
-    """Value of the input at one time in [0, horizon_T]."""
-    if not 0.0 <= t <= horizon_T:
-        raise DomainError(f"t={t} outside [0, {horizon_T}]")
-    return float(_eval_array(spec, np.asarray([t]))[0])
 
 
 def input_jet(spec: InputSpec, order: int) -> np.ndarray:
@@ -296,12 +235,3 @@ def estimate_modulus(values: np.ndarray, T: float, delta: float) -> float:
         best = max(best, float(np.abs(vals[:, lag:] - vals[:, :-lag]).max()))
     return best
 
-
-def sup_distance(a: SampledSignal, b: SampledSignal) -> float:
-    """Max pointwise distance between two signals on identical grids."""
-    if a.values.size != b.values.size or a.horizon_T != b.horizon_T:
-        raise ShapeError(
-            f"grid mismatch: {a.values.size} pts on [0,{a.horizon_T}] vs "
-            f"{b.values.size} pts on [0,{b.horizon_T}]"
-        )
-    return float(np.abs(a.values - b.values).max())

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 import jetsid
 from jetsid import RnnParams, build_dataset, sample_ensemble
-from jetsid.cli import cmd_generate, config_from_dict, derive_seed, load_config, main
+from jetsid.cli import (ExperimentConfig, cmd_generate, config_from_dict, derive_seed,
+                        load_config, main)
 from jetsid.errors import ConfigError
 
 
@@ -75,6 +76,13 @@ class TestConfigLoading:
     def test_resolved_echo_has_no_silent_defaults(self, tmp_path):
         cfg = load_config(write_config(tmp_path, base_doc(tmp_path / "run")))
         echo = cfg.to_json_dict()
+        assert set(echo) == {"ensemble", "ground_truth", "k", "T", "N", "train", "sim", "delta",
+                             "probe_count", "rng_seed", "out_dir", "c_abs", "sweep"}
+        assert set(echo["ensemble"]) == {"kind", "m_terms", "R", "L", "horizon_T", "rng_seed",
+                                         "coef_scale", "freq_range", "phase_range"}
+        assert set(echo["train"]) == {"M", "n", "restarts", "max_iters", "step_size", "fd_step",
+                                      "rng_seed", "tolerance"}
+        assert set(echo["sim"]) == {"step", "grid_size"}
         assert echo["ensemble"]["rng_seed"] is not None
         assert echo["train"]["rng_seed"] is not None
         assert echo["probe_count"] == 4
@@ -98,6 +106,23 @@ class TestConfigLoading:
         "fractional_k": ("bounds", lambda doc: doc.update(k=4.5)),
         "fractional_train_n": ("train", lambda doc: doc["train"].update(n=2.5)),
         "fractional_m_terms": ("generate", lambda doc: doc["ensemble"].update(m_terms=2.5)),
+        "negative_c_abs": ("bounds", lambda doc: doc.update(c_abs=-1)),
+        "nan_c_abs": ("bounds", lambda doc: doc.update(c_abs=math.nan)),
+        "infinite_train_M": ("bounds", lambda doc: doc["train"].update(M=math.inf)),
+        "negative_train_seed": ("bounds", lambda doc: doc["train"].update(rng_seed=-1)),
+        "negative_ensemble_seed": ("generate", lambda doc: doc["ensemble"].update(rng_seed=-1)),
+    }
+    # unknown and missing fields of each config block, with the message
+    # naming the block (sim has no required field)
+    BAD_FIELDS = {
+        "unknown_top_field": ("unknown config fields", lambda doc: doc.update(mystery=1)),
+        "missing_top_field": ("missing config fields", lambda doc: doc.pop("delta")),
+        "unknown_ensemble_field": ("unknown ensemble fields",
+                                   lambda doc: doc["ensemble"].update(mystery=1)),
+        "missing_ensemble_field": ("missing ensemble fields", lambda doc: doc["ensemble"].pop("L")),
+        "unknown_train_field": ("unknown train fields", lambda doc: doc["train"].update(mystery=1)),
+        "missing_train_field": ("missing train fields", lambda doc: doc["train"].pop("M")),
+        "unknown_sim_field": ("unknown sim fields", lambda doc: doc["sim"].update(method="rk4")),
     }
     # edits of a valid dataset.json document
     BAD_DATASET = {
@@ -128,7 +153,8 @@ class TestConfigLoading:
     @pytest.mark.parametrize("case", ["corrupt_dataset", "model_without_n", "init_without_n",
                                       "evaluate_without_dataset", "evaluate_without_inputs",
                                       "evaluate_seed_mismatch", *DATASET_MISMATCH,
-                                      *BAD_CONFIG, *BAD_DATASET, *BAD_MODEL_N, *BAD_LOG])
+                                      *BAD_CONFIG, *BAD_FIELDS, *BAD_DATASET, *BAD_MODEL_N,
+                                      *BAD_LOG])
     def test_bad_input_file_exits_2(self, tmp_path, capsys, case):
         from jetsid import EnsembleConfig, build_teacher_dataset
 
@@ -181,7 +207,7 @@ class TestConfigLoading:
             bad, command = run / "training_log.csv", "evaluate"
             bad.write_text(self.BAD_LOG[case])
         else:
-            command, edit = self.BAD_CONFIG[case]
+            command, edit = self.BAD_CONFIG.get(case) or ("bounds", self.BAD_FIELDS[case][1])
             edit(doc)
             bad = tmp_path / "config.json"
         path = write_config(tmp_path, doc)
@@ -191,6 +217,8 @@ class TestConfigLoading:
         assert err.startswith(prefix) and bad.name in err
         if case in self.DATASET_MISMATCH:
             assert f"{self.DATASET_MISMATCH[case][0]}=" in err
+        if case in self.BAD_FIELDS:
+            assert self.BAD_FIELDS[case][0] in err
 
     @settings(database=None, derandomize=True)
     @given(
@@ -206,17 +234,26 @@ class TestConfigLoading:
         probe_count=st.integers(1, 64),
         seed=st.integers(0, 2**63),
         truth=st.sampled_from(["linear", "tanh_affine", "duffing"]),
+        c_abs=st.floats(1e-3, 1e3),
+        step=st.none() | st.floats(1e-4, 1.0),
+        step_size=st.floats(1e-3, 10.0),
+        tolerance=st.floats(0.0, 1e-3),
+        freq_range=st.lists(st.floats(0.0, 10.0), min_size=2, max_size=2).map(sorted),
     )
     def test_config_round_trip(self, k, N, T, m_terms, kind, R, n, grid_size, delta,
-                               probe_count, seed, truth):
+                               probe_count, seed, truth, c_abs, step, step_size, tolerance,
+                               freq_range):
         doc = base_doc("out")
-        doc["ensemble"].update(kind=kind, m_terms=m_terms, R=R)
-        doc["train"]["n"] = n
-        doc["sim"]["grid_size"] = grid_size
+        doc["ensemble"].update(kind=kind, m_terms=m_terms, R=R, freq_range=freq_range)
+        doc["train"].update(n=n, step_size=step_size, tolerance=tolerance)
+        doc["sim"].update(grid_size=grid_size, step=step)
         doc["ground_truth"]["name"] = truth
-        doc.update(k=k, N=N, T=T, delta=delta, probe_count=probe_count, rng_seed=seed)
+        doc.update(k=k, N=N, T=T, delta=delta, probe_count=probe_count, rng_seed=seed,
+                   c_abs=c_abs)
         c = config_from_dict(doc)
-        assert config_from_dict(c.to_json_dict()) == c
+        echo = json.loads(json.dumps(c.to_json_dict()))
+        assert config_from_dict(echo) == c
+        assert ExperimentConfig.from_json_dict(echo) == c
 
 
 class TestGenerate:

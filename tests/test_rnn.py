@@ -331,26 +331,6 @@ class TestBiboGain:
             bibo_gain_estimate(scalar_params(), 1.0, 0, 1.0, 0)
 
 
-class TestTrajectoryExport:
-    def test_csv_round_trip(self, tmp_path):
-        spec = InputSpec("fourier", [0.5], [2.0], [0.1])
-        ts = np.linspace(0.0, 1.0, 33)
-        u = SampledSignal(eval_closed_form(spec, ts), 1.0)
-        y = SampledSignal(
-            simulate(scalar_params(), [spec], 1.0, SimConfig(step=1 / 256, grid_size=33))[0], 1.0)
-        path = tmp_path / "traj.csv"
-        from jetsid import write_trajectory_csv
-
-        write_trajectory_csv(path, u, y)
-        rows = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert path.read_text().splitlines()[0] == "t,u,y"
-        assert rows.shape == (33, 3)
-        assert rows[:, 1] == pytest.approx(u.values)
-        assert rows[:, 2] == pytest.approx(y.values)
-        with pytest.raises(DomainError):
-            write_trajectory_csv(path, u, SampledSignal(y.values[:-1], 1.0))
-
-
 class TestGroundTruthLibrary:
     def test_registry_contents(self):
         assert set(GROUND_TRUTHS) == {"linear", "tanh_affine", "duffing"}
