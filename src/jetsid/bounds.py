@@ -10,7 +10,7 @@ exposed as c_abs (default 1.0), printed in every report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -19,7 +19,7 @@ from .bernstein import bernstein_eval, jet_poly_eval
 from .erm import _snap_grid, input_jets, sample_size_check
 from .errors import DomainError, PreconditionError
 from .jets import RnnParams, output_jet
-from .rnn import SimConfig, System, simulate
+from .rnn import SimConfig, System, _exp_growth, simulate
 from .signals import InputSpec, estimate_modulus
 
 Modulus = Callable[[float], float]
@@ -48,24 +48,11 @@ class FixedModelBound:
     input_modulus_term: float
     jet_truncation_term: float
     bernstein_gap_term: float
+    total: float = field(init=False)
 
-    @property
-    def total(self) -> float:
-        return (
-            self.output_modulus_term
-            + self.input_modulus_term
-            + self.jet_truncation_term
-            + self.bernstein_gap_term
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "output_modulus_term": self.output_modulus_term,
-            "input_modulus_term": self.input_modulus_term,
-            "jet_truncation_term": self.jet_truncation_term,
-            "bernstein_gap_term": self.bernstein_gap_term,
-            "total": self.total,
-        }
+    def __post_init__(self):
+        object.__setattr__(self, "total", self.output_modulus_term + self.input_modulus_term
+                           + self.jet_truncation_term + self.bernstein_gap_term)
 
 
 @dataclass(frozen=True)
@@ -77,32 +64,15 @@ class ErmRiskBound:
     jet_truncation_term: float
     approximation_error: float
     estimation_error: float
+    total: float = field(init=False)
     sample_size_ok: bool
     sample_size_threshold: int
     sample_size_waived: bool
 
-    @property
-    def total(self) -> float:
-        return (
-            self.output_modulus_term
-            + self.input_modulus_term
-            + self.jet_truncation_term
-            + self.approximation_error
-            + self.estimation_error
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "output_modulus_term": self.output_modulus_term,
-            "input_modulus_term": self.input_modulus_term,
-            "jet_truncation_term": self.jet_truncation_term,
-            "approximation_error": self.approximation_error,
-            "estimation_error": self.estimation_error,
-            "total": self.total,
-            "sample_size_ok": self.sample_size_ok,
-            "sample_size_threshold": self.sample_size_threshold,
-            "sample_size_waived": self.sample_size_waived,
-        }
+    def __post_init__(self):
+        object.__setattr__(self, "total", self.output_modulus_term + self.input_modulus_term
+                           + self.jet_truncation_term + self.approximation_error
+                           + self.estimation_error)
 
 
 def fixed_model_risk_bound(
@@ -123,7 +93,7 @@ def fixed_model_risk_bound(
     if bernstein_gap_expectation < 0:
         raise PreconditionError("gap expectation must be >= 0")
     nrm = params.norms()
-    growth = math.exp(nrm["A"] * T)
+    growth = _exp_growth(nrm["A"], T, "fixed-model bound e^(||A|| T)")
     return FixedModelBound(
         output_modulus_term=2.0 * omega_Y(T / math.sqrt(k)),
         input_modulus_term=2.0 * nrm["c"] * nrm["b"] * growth * omega_U(2.0 * T / math.sqrt(k)),
@@ -165,10 +135,10 @@ def erm_risk_bound(
             f"sample size N={N} below required threshold {threshold} "
             f"(k(6n^6 + 10n^3 log2 k) with n={n}, k={k})"
         )
-    growth = math.exp(M * T)
-    range_bound = M * (M + math.sqrt(n) * T) + gamma_R
+    growth = _exp_growth(M, T, "ERM bound e^(M T)")
     capacity = k * (n**6 + n**3 * math.log2(k))
-    estimation = c_abs * range_bound * math.sqrt((capacity * math.log(N) + math.log(1.0 / delta)) / N)
+    estimation = c_abs * range_bound(M, n, T, gamma_R) * math.sqrt(
+        (capacity * math.log(N) + math.log(1.0 / delta)) / N)
     return ErmRiskBound(
         output_modulus_term=4.0 * omega_Y(T / math.sqrt(k)),
         input_modulus_term=2.0 * M**2 * growth * omega_U(2.0 * T / math.sqrt(k)),
@@ -179,6 +149,11 @@ def erm_risk_bound(
         sample_size_threshold=threshold,
         sample_size_waived=bool(not ok and waive_sample_size),
     )
+
+
+def range_bound(M: float, n: int, T: float, gamma: float) -> float:
+    """Range bound M(M + sqrt(n) T) + gamma of the loss over the model class."""
+    return M * (M + math.sqrt(n) * T) + gamma
 
 
 def vc_dimension_bound(n: int, k: int) -> int:
@@ -253,41 +228,27 @@ def probe_risk_and_gap(
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Everything the calculators can say about one experiment."""
+    """Everything the calculators can say about one experiment.  Its JSON
+    form is `dataclasses.asdict` of it, and its CSV row `to_flat_dict`."""
 
-    fixed_model: FixedModelBound | None
-    erm: ErmRiskBound | None
+    fixed_model: FixedModelBound
+    erm: ErmRiskBound
     vc_bound: int
-    rademacher: float | None
+    rademacher_bound: float | None
     c_abs: float
     gamma: float
     gamma_is_estimate: bool
     gamma_probe_count: int | None
     moduli_source: str
+    sample_size_ok: bool = field(init=False)
 
-    @property
-    def sample_size_ok(self) -> bool:
-        return self.erm.sample_size_ok if self.erm is not None else False
-
-    def to_json_dict(self) -> dict:
-        return {
-            "fixed_model": None if self.fixed_model is None else self.fixed_model.to_json_dict(),
-            "erm": None if self.erm is None else self.erm.to_json_dict(),
-            "vc_bound": self.vc_bound,
-            "rademacher_bound": self.rademacher,
-            "c_abs": self.c_abs,
-            "gamma": self.gamma,
-            "gamma_is_estimate": self.gamma_is_estimate,
-            "gamma_probe_count": self.gamma_probe_count,
-            "moduli_source": self.moduli_source,
-            "sample_size_ok": self.sample_size_ok,
-        }
+    def __post_init__(self):
+        object.__setattr__(self, "sample_size_ok", self.erm.sample_size_ok)
 
     def to_flat_dict(self) -> dict:
         """One-row view for CSV aggregation."""
         flat: dict = {}
-        doc = self.to_json_dict()
-        for key, val in doc.items():
+        for key, val in asdict(self).items():
             if isinstance(val, dict):
                 for sub, v in val.items():
                     flat[f"{key}.{sub}"] = v

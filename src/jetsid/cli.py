@@ -14,11 +14,10 @@ Exit codes: 0 success, 2 validation error, 3 numerical divergence,
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -41,7 +40,9 @@ from .errors import (
     JetsidError,
     PreconditionError,
     ShapeError,
+    read_json,
     whole_number,
+    write_json,
 )
 from .jets import RnnParams
 from .rnn import (
@@ -68,9 +69,31 @@ def derive_seed(master: int, stream: int) -> int:
 
 
 @dataclass(frozen=True)
+class SweepConfig(ConfigBlock):
+    """The points of the `sweep` command: one per entry of `values` put in
+    for `param`, each trained and scored ("full") or run through the
+    calculators alone ("bounds_only")."""
+
+    SECTION = "sweep"
+
+    param: str
+    values: list
+    mode: str = "full"
+
+    def __post_init__(self):
+        if self.param not in ("k", "N"):
+            raise ConfigError(f"sweep param must be 'k' or 'N', got {self.param!r}")
+        if not isinstance(self.values, list) or not self.values:
+            raise ConfigError(f"sweep values must be a nonempty list, got {self.values!r}")
+        if self.mode not in ("full", "bounds_only"):
+            raise ConfigError(f"sweep mode must be 'full' or 'bounds_only', got {self.mode!r}")
+
+
+@dataclass(frozen=True)
 class ExperimentConfig(ConfigBlock):
-    """One experiment.  The ensemble, train and sim blocks may be given as
-    their JSON dicts, so `from_json_dict` reads back a resolved echo."""
+    """One experiment.  The ensemble, train, sim and sweep blocks may be
+    given as their JSON dicts, so `from_json_dict` reads back a resolved
+    echo."""
 
     SECTION = "config"
 
@@ -86,15 +109,16 @@ class ExperimentConfig(ConfigBlock):
     rng_seed: int = 0
     out_dir: str | None = None
     c_abs: float = 1.0
-    sweep: dict | None = None
+    sweep: SweepConfig | None = None
 
     def __post_init__(self):
-        for name, block in (("ensemble", EnsembleConfig), ("train", TrainConfig), ("sim", SimConfig)):
+        for name, block in (("ensemble", EnsembleConfig), ("train", TrainConfig), ("sim", SimConfig),
+                            ("sweep", SweepConfig)):
             value = getattr(self, name)
-            if isinstance(value, dict):
+            if not (isinstance(value, block) or name == "sweep" and value is None):
                 object.__setattr__(self, name, block.from_json_dict(value))
-            elif not isinstance(value, block):
-                raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+        if not (self.out_dir is None or isinstance(self.out_dir, str)):
+            raise ConfigError(f"out_dir must be a string or null, got {self.out_dir!r}")
         for name, minimum in (("k", 2), ("N", 1), ("probe_count", 1), ("rng_seed", 0)):
             object.__setattr__(self, name, whole_number(name, getattr(self, name), minimum))
         for name in ("T", "delta", "c_abs"):
@@ -140,23 +164,7 @@ def config_from_dict(doc: dict, seed_override: int | None = None,
 
 def load_config(path, seed_override: int | None = None,
                 out_override: str | None = None) -> ExperimentConfig:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config parse error in {path}: line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config root must be a JSON object, got {type(doc).__name__}")
-    try:
-        return config_from_dict(doc, seed_override, out_override)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _write_json(path: Path, doc) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    return read_json(path, "config", lambda doc: config_from_dict(doc, seed_override, out_override))
 
 
 def _csv_cell(v) -> str:
@@ -208,28 +216,28 @@ def _bound_report(
     model_n: int,
     gap_mean: float,
     Lbar_star: float,
-    fixed_params: RnnParams | None,
+    fixed_params: RnnParams,
     omega_Y,
     moduli_source: str,
     gamma: float,
     gamma_probes: int | None,
 ) -> bounds_mod.BoundReport:
     """`gamma_probes` is None for a declared gamma, else the number of
-    probes behind its estimate."""
+    probes behind its estimate.  The ERM bound comes first: its growth
+    factor e^(MT) bounds the fixed model's e^(||A||T), so a certificate
+    that overflows fails there, before the model's norms are taken."""
     omega_U = bounds_mod.linear_modulus(config.ensemble.L)
-    fixed = None
-    if fixed_params is not None:
-        fixed = bounds_mod.fixed_model_risk_bound(
-            omega_Y, omega_U, fixed_params, config.k, config.T, gap_mean
-        )
     erm_terms = bounds_mod.erm_risk_bound(
         M=config.train.M, n=model_n, k=config.k, T=config.T, N=config.N,
         delta=config.delta, gamma_R=gamma, Lbar_star_estimate=Lbar_star,
         c_abs=config.c_abs, omega_Y=omega_Y, omega_U=omega_U,
         waive_sample_size=True,
     )
+    fixed = bounds_mod.fixed_model_risk_bound(
+        omega_Y, omega_U, fixed_params, config.k, config.T, gap_mean
+    )
     vc = bounds_mod.vc_dimension_bound(model_n, config.k)
-    range_bound = config.train.M * (config.train.M + math.sqrt(model_n) * config.T) + gamma
+    range_bound = bounds_mod.range_bound(config.train.M, model_n, config.T, gamma)
     rademacher = (
         bounds_mod.rademacher_bound(range_bound, vc, config.N, config.c_abs)
         if config.N >= vc else None
@@ -238,7 +246,7 @@ def _bound_report(
         fixed_model=fixed,
         erm=erm_terms,
         vc_bound=vc,
-        rademacher=rademacher,
+        rademacher_bound=rademacher,
         c_abs=config.c_abs,
         gamma=gamma,
         gamma_is_estimate=gamma_probes is not None,
@@ -304,16 +312,6 @@ def _score(config: ExperimentConfig, system: System, model: RnnParams,
     return _Score(eval_seed, eval_specs, float(risks.mean()), risk_se, gap_mean, report, timings)
 
 
-def _load_model(path) -> RnnParams:
-    with open(path) as fh:
-        try:
-            return RnnParams.from_json_dict(json.load(fh))
-        except KeyError as exc:
-            raise ConfigError(f"model file {path} lacks field {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"model file {path} is malformed: {exc}") from exc
-
-
 def cmd_generate(config: ExperimentConfig) -> Path:
     """Sample the training inputs, simulate the ground truth, and write
     dataset.json plus the input spec list."""
@@ -321,7 +319,7 @@ def cmd_generate(config: ExperimentConfig) -> Path:
     specs = sample_ensemble(config.ensemble, config.N)
     dataset = build_dataset(specs, config.system(), config.k, config.T, config.sim)
     dataset.save(out / "dataset.json")
-    _write_json(out / "train_inputs.json", {"inputs": [s.to_json_dict() for s in specs]})
+    write_json(out / "train_inputs.json", {"inputs": [s.to_json_dict() for s in specs]})
     print(f"wrote {out / 'dataset.json'} ({dataset.N} pairs, k={dataset.k})")
     return out / "dataset.json"
 
@@ -336,9 +334,9 @@ def cmd_train(config: ExperimentConfig, dataset_path=None, init_path=None) -> Pa
     out = _out_dir(config)
     path = Path(dataset_path) if dataset_path else out / "dataset.json"
     dataset = JetDataset.load(path)
-    init = None if init_path is None else _load_model(init_path)
+    init = None if init_path is None else read_json(init_path, "model file", RnnParams.from_json_dict)
     result = train(dataset, config.train, init=init)
-    _write_json(out / "model.json", result.params.to_json_dict())
+    write_json(out / "model.json", result.params.to_json_dict())
     _write_csv(
         out / "training_log.csv",
         ["iter", "risk"],
@@ -368,7 +366,7 @@ def cmd_evaluate(config: ExperimentConfig, model_path=None) -> Path:
     out = _out_dir(config)
     t0 = time.perf_counter()
     path = Path(model_path) if model_path else out / "model.json"
-    model = _load_model(path)
+    model = read_json(path, "model file", RnnParams.from_json_dict)
     if not is_feasible(model, config.train.M):
         raise ConfigError(
             f"model at {path} violates the norm budget M={config.train.M}: {model.norms()}"
@@ -391,12 +389,7 @@ def cmd_evaluate(config: ExperimentConfig, model_path=None) -> Path:
                               f", the config has {field}={getattr(config, field)}")
     train_inputs = [s.to_json_dict() for s in sample_ensemble(config.ensemble, config.N)]
     inputs_path = out / "train_inputs.json"
-    with open(inputs_path) as fh:
-        try:
-            recorded = json.load(fh)
-        except ValueError as exc:
-            raise ConfigError(f"input list {inputs_path} is malformed: {exc}") from exc
-    if not isinstance(recorded, dict) or recorded.get("inputs") != train_inputs:
+    if read_json(inputs_path, "input list", lambda doc: doc["inputs"]) != train_inputs:
         raise ConfigError(f"input list {inputs_path} differs from the {config.N} inputs the "
                           f"config draws at seed {config.rng_seed}")
     system = config.system()
@@ -413,7 +406,7 @@ def cmd_evaluate(config: ExperimentConfig, model_path=None) -> Path:
         "risk_standard_error": score.risk_se,
         "bernstein_gap_mean": score.gap_mean,
         "approximation_error_upper_estimate": score.bounds.erm.approximation_error,
-        "bounds": score.bounds.to_json_dict(),
+        "bounds": asdict(score.bounds),
         "train_inputs": train_inputs,
         "eval_inputs": [s.to_json_dict() for s in score.eval_specs],
         "seeds": {
@@ -423,11 +416,11 @@ def cmd_evaluate(config: ExperimentConfig, model_path=None) -> Path:
             "eval": score.eval_seed,
         },
     }
-    _write_json(out / "report.json", report)
+    write_json(out / "report.json", report)
     row = {"k": config.k, "N": config.N, "risk": score.risk, "risk_se": score.risk_se}
     row.update(score.bounds.to_flat_dict())
     _write_csv(out / "report_row.csv", list(row), [row])
-    _write_json(out / "timings.json", score.timings)
+    write_json(out / "timings.json", score.timings)
     print(f"wrote {out / 'report.json'} risk={score.risk:.6g} "
           f"fixed-model bound={score.bounds.fixed_model.total:.6g}")
     return out / "report.json"
@@ -505,22 +498,10 @@ def cmd_sweep(config: ExperimentConfig) -> Path:
     continues.
     """
     out = _out_dir(config)
-    if not config.sweep:
+    sweep = config.sweep
+    if sweep is None:
         raise ConfigError("sweep command needs a sweep block in the config")
-    unknown = set(config.sweep) - {"param", "values", "mode"}
-    if unknown:
-        raise ConfigError(f"unknown sweep fields: {sorted(unknown)}")
-    param = config.sweep.get("param")
-    if param not in ("k", "N"):
-        raise ConfigError(f"sweep param must be 'k' or 'N', got {param!r}")
-    values = config.sweep.get("values")
-    if not values:
-        raise ConfigError("sweep needs a nonempty values list")
-    mode = config.sweep.get("mode", "full")
-    if mode not in ("full", "bounds_only"):
-        raise ConfigError(f"sweep mode must be 'full' or 'bounds_only', got {mode!r}")
-
-    rows = [_sweep_point(config, param, v, mode, i) for i, v in enumerate(values)]
+    rows = [_sweep_point(config, sweep.param, v, sweep.mode, i) for i, v in enumerate(sweep.values)]
     _write_csv(out / "sweep.csv", _SWEEP_COLUMNS, rows)
     failures = sum(1 for r in rows if r["error"])
     print(f"wrote {out / 'sweep.csv'} ({len(rows)} points, {failures} failed)")
@@ -531,8 +512,8 @@ def cmd_bounds(config: ExperimentConfig) -> Path:
     """Pure calculator mode: closed-form bound report, no simulation."""
     out = _out_dir(config)
     report = _closed_form_report(config)
-    doc = {"config": config.to_json_dict(), "bounds": report.to_json_dict()}
-    _write_json(out / "bounds.json", doc)
+    doc = {"config": config.to_json_dict(), "bounds": asdict(report)}
+    write_json(out / "bounds.json", doc)
     flat = report.to_flat_dict()
     _write_csv(out / "bounds_row.csv", list(flat), [flat])
     print(f"wrote {out / 'bounds.json'}")

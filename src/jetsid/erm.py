@@ -10,7 +10,6 @@ Euclidean norms of b, c and xi by M.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -18,7 +17,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .bernstein import bernstein_jet, jet_poly_eval
-from .errors import ConfigBlock, ConfigError, DomainError, ShapeError, whole_number
+from .errors import (ConfigBlock, ConfigError, DomainError, ShapeError, read_json, whole_number,
+                     write_json)
 from .jets import RnnParams, output_jet
 from .rnn import SimConfig, System, simulate
 from .signals import InputSpec, _eval_array
@@ -39,6 +39,8 @@ class JetDataset:
         z = np.asarray(self.z, dtype=float)
         if self.k < 2:
             raise ConfigError(f"k must be >= 2, got {self.k}")
+        if not (math.isfinite(self.T) and self.T > 0):
+            raise ConfigError(f"T must be finite and positive, got {self.T}")
         N = v.shape[0] if v.ndim else 0
         if N < 1:
             raise ConfigError("dataset needs at least one pair")
@@ -71,19 +73,11 @@ class JetDataset:
         return ds
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_json(path, self.to_json_dict())
 
     @staticmethod
     def load(path) -> "JetDataset":
-        with open(path) as fh:
-            try:
-                return JetDataset.from_json_dict(json.load(fh))
-            except KeyError as exc:
-                raise ConfigError(f"dataset file {path} lacks field {exc}") from exc
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"dataset file {path} is malformed: {exc}") from exc
+        return read_json(path, "dataset file", JetDataset.from_json_dict)
 
 
 @dataclass(frozen=True)

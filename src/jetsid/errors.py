@@ -1,14 +1,19 @@
 """Exception types shared across the package, the whole-number check
-that integer config fields go through, and the JSON codec of the config
-dataclasses.
+that integer config fields go through, and the JSON format of every file
+the package reads or writes: `ConfigBlock`, the codec of the config
+dataclasses, and `read_json`/`write_json`, the one reader and writer.
 
 The CLI maps these onto exit codes: configuration/validation problems
-exit 2, numerical divergence exits 3, file I/O problems exit 4.
+exit 2, numerical divergence exits 3, file I/O problems exit 4.  A file
+that does not parse, or whose document its parser rejects, is a
+ConfigError `<what> <path> is malformed: ...`; a missing one is an
+OSError.
 """
 
 import dataclasses
+import json
 import numbers
-from typing import ClassVar
+from typing import Callable, ClassVar
 
 
 class JetsidError(Exception):
@@ -68,6 +73,8 @@ class ConfigBlock:
 
     @classmethod
     def check_fields(cls, doc: dict) -> None:
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{cls.SECTION} must be a JSON object, got {type(doc).__name__}")
         fields = dataclasses.fields(cls)
         unknown = set(doc) - {f.name for f in fields}
         if unknown:
@@ -81,3 +88,23 @@ class ConfigBlock:
     def from_json_dict(cls, doc: dict):
         cls.check_fields(doc)
         return cls(**doc)
+
+
+def read_json(path, what: str, parse: Callable):
+    """`parse` of the JSON document at `path`.  A document that does not
+    parse, or that `parse` rejects with a KeyError, TypeError or
+    ValueError, is a ConfigError naming the file as `what`."""
+    with open(path) as fh:
+        try:
+            return parse(json.load(fh))
+        except KeyError as exc:
+            raise ConfigError(f"{what} {path} is malformed: no field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{what} {path} is malformed: {exc}") from exc
+
+
+def write_json(path, doc) -> None:
+    """`doc` as indented JSON with sorted keys, one trailing newline."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=2)
+        fh.write("\n")

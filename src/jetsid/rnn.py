@@ -168,10 +168,19 @@ def simulate(system: System, input_u: list | tuple, T: float,
     return outputs
 
 
+def _exp_growth(rate: float, T: float, what: str) -> float:
+    """e^(rate T), the growth factor `what` of a certificate; a DomainError
+    naming it when it overflows a float."""
+    try:
+        return math.exp(rate * T)
+    except OverflowError:
+        raise DomainError(f"{what} overflows a float at {rate:.6g} * {T:.6g}") from None
+
+
 def io_lipschitz_bound(params: RnnParams, T: float) -> float:
     """Certified i/o Lipschitz constant |c| |b| e^(||A|| T)."""
     nrm = params.norms()
-    return nrm["c"] * nrm["b"] * math.exp(nrm["A"] * T)
+    return nrm["c"] * nrm["b"] * _exp_growth(nrm["A"], T, "i/o Lipschitz bound e^(||A|| T)")
 
 
 def output_modulus_bound(params: RnnParams, T: float, delta: float) -> float:
@@ -179,7 +188,8 @@ def output_modulus_bound(params: RnnParams, T: float, delta: float) -> float:
     if delta < 0:
         raise DomainError(f"delta must be >= 0, got {delta}")
     nrm = params.norms()
-    return math.sqrt(params.n) * nrm["c"] * math.exp(nrm["A"] * T) * delta
+    growth = _exp_growth(nrm["A"], T, "output modulus bound e^(||A|| T)")
+    return math.sqrt(params.n) * nrm["c"] * growth * delta
 
 
 def output_sup_bound(params: RnnParams, T: float) -> float:
@@ -274,6 +284,8 @@ def _make_duffing(
 ) -> ControlAffineSystem:
     d, s, b = float(damping), float(stiffness), float(saturation)
     x0 = np.asarray(xi0, dtype=float)
+    if x0.shape != (2,):
+        raise ConfigError(f"duffing xi0 must be two numbers, got {xi0!r}")
 
     def drift(x):
         return np.array([x[1], -d * x[1] - s * x[0] - b * np.tanh(x[0]) ** 3])

@@ -125,6 +125,23 @@ class TestErmRiskBound:
         assert erm_risk_bound(**self.kwargs(n=2)).estimation_error > e0
 
 
+class TestOverflow:
+    # each certificate's growth factor e^(rate T) names the certificate when
+    # it overflows a float, instead of an OverflowError
+    def test_growth_overflow_is_domain_error(self):
+        from jetsid import DomainError, io_lipschitz_bound, output_modulus_bound
+
+        big = scalar_params(A=1000.0)
+        with pytest.raises(DomainError, match="fixed-model bound"):
+            fixed_model_risk_bound(IDENT, IDENT, big, 4, 1.0, 0.0)
+        with pytest.raises(DomainError, match="ERM bound"):
+            erm_risk_bound(**TestErmRiskBound().kwargs(M=1e300))
+        with pytest.raises(DomainError, match="output modulus bound"):
+            output_modulus_bound(big, 1.0, 0.1)
+        with pytest.raises(DomainError, match="i/o Lipschitz bound"):
+            io_lipschitz_bound(big, 1.0)
+
+
 class TestVcDimensionBound:
     def test_examples(self):
         assert vc_dimension_bound(1, 2) == 32

@@ -111,6 +111,13 @@ class TestConfigLoading:
         "infinite_train_M": ("bounds", lambda doc: doc["train"].update(M=math.inf)),
         "negative_train_seed": ("bounds", lambda doc: doc["train"].update(rng_seed=-1)),
         "negative_ensemble_seed": ("generate", lambda doc: doc["ensemble"].update(rng_seed=-1)),
+        "sweep_not_object": ("sweep", lambda doc: doc.update(sweep=5)),
+        "sweep_values_not_list": ("sweep", lambda doc: doc.update(sweep={"param": "k", "values": 5})),
+        "sweep_values_string": ("sweep",
+                                lambda doc: doc.update(sweep={"param": "k", "values": "24"})),
+        "duffing_short_xi0": ("generate", lambda doc: doc["ground_truth"].update(
+            name="duffing", params={"xi0": [0.0]})),
+        "out_dir_not_string": ("generate", lambda doc: doc.update(out_dir=5)),
     }
     # unknown and missing fields of each config block, with the message
     # naming the block (sim has no required field)
@@ -123,6 +130,18 @@ class TestConfigLoading:
         "unknown_train_field": ("unknown train fields", lambda doc: doc["train"].update(mystery=1)),
         "missing_train_field": ("missing train fields", lambda doc: doc["train"].pop("M")),
         "unknown_sim_field": ("unknown sim fields", lambda doc: doc["sim"].update(method="rk4")),
+        "unknown_sweep_field": ("unknown sweep fields", lambda doc: doc.update(
+            sweep={"param": "k", "values": [2], "mystery": 1})),
+        "missing_sweep_param": ("missing sweep fields", lambda doc: doc.update(sweep={"values": [2]})),
+    }
+    # configs whose certificates overflow a float, with the growth factor the
+    # error must name: e^(MT) at M = 1e300 or T = 1e300, and an rnn
+    # teacher's e^(||A|| T) = e^1000
+    OVERFLOW = {
+        "overflow_train_M": ("ERM bound e^(M T)", lambda doc: doc["train"].update(M=1e300)),
+        "overflow_T": ("ERM bound e^(M T)", lambda doc: doc.update(T=1e300)),
+        "overflow_rnn_truth": ("output modulus bound e^(||A|| T)", lambda doc: doc.update(ground_truth={
+            "kind": "rnn", "params": {"A": [1000.0], "b": [1.0], "c": [1.0], "xi": [0.0], "n": 1}})),
     }
     # edits of a valid dataset.json document
     BAD_DATASET = {
@@ -131,6 +150,8 @@ class TestConfigLoading:
         "missing_z": lambda ds: ds["pairs"][0].pop("z"),
         "empty_pairs": lambda ds: ds.update(pairs=[], N=0),
         "fractional_dataset_k": lambda ds: ds.update(k=3.5),
+        "negative_dataset_T": lambda ds: ds.update(T=-1.0),
+        "nan_dataset_T": lambda ds: ds.update(T=math.nan),
     }
     # model.json edits that `int()` would read as n=1
     BAD_MODEL_N = {"fractional_model_n": 1.5, "string_model_n": "1"}
@@ -153,8 +174,8 @@ class TestConfigLoading:
     @pytest.mark.parametrize("case", ["corrupt_dataset", "model_without_n", "init_without_n",
                                       "evaluate_without_dataset", "evaluate_without_inputs",
                                       "evaluate_seed_mismatch", *DATASET_MISMATCH,
-                                      *BAD_CONFIG, *BAD_FIELDS, *BAD_DATASET, *BAD_MODEL_N,
-                                      *BAD_LOG])
+                                      *BAD_CONFIG, *BAD_FIELDS, *OVERFLOW, *BAD_DATASET,
+                                      *BAD_MODEL_N, *BAD_LOG])
     def test_bad_input_file_exits_2(self, tmp_path, capsys, case):
         from jetsid import EnsembleConfig, build_teacher_dataset
 
@@ -207,14 +228,16 @@ class TestConfigLoading:
             bad, command = run / "training_log.csv", "evaluate"
             bad.write_text(self.BAD_LOG[case])
         else:
-            command, edit = self.BAD_CONFIG.get(case) or ("bounds", self.BAD_FIELDS[case][1])
+            command, edit = (self.BAD_CONFIG.get(case)
+                             or ("bounds", {**self.BAD_FIELDS, **self.OVERFLOW}[case][1]))
             edit(doc)
             bad = tmp_path / "config.json"
         path = write_config(tmp_path, doc)
         code, prefix = (4, "i/o error:") if case in self.EXIT_4 else (2, "error:")
         assert main([command, "--config", path, *extra]) == code
         err = capsys.readouterr().err
-        assert err.startswith(prefix) and bad.name in err
+        assert err.startswith(prefix)
+        assert (self.OVERFLOW[case][0] if case in self.OVERFLOW else bad.name) in err
         if case in self.DATASET_MISMATCH:
             assert f"{self.DATASET_MISMATCH[case][0]}=" in err
         if case in self.BAD_FIELDS:
@@ -239,19 +262,25 @@ class TestConfigLoading:
         step_size=st.floats(1e-3, 10.0),
         tolerance=st.floats(0.0, 1e-3),
         freq_range=st.lists(st.floats(0.0, 10.0), min_size=2, max_size=2).map(sorted),
+        sweep=st.none() | st.fixed_dictionaries(
+            {"param": st.sampled_from(["k", "N"]),
+             "values": st.lists(st.integers(1, 64), min_size=1, max_size=4)},
+            optional={"mode": st.sampled_from(["full", "bounds_only"])}),
     )
     def test_config_round_trip(self, k, N, T, m_terms, kind, R, n, grid_size, delta,
                                probe_count, seed, truth, c_abs, step, step_size, tolerance,
-                               freq_range):
+                               freq_range, sweep):
         doc = base_doc("out")
         doc["ensemble"].update(kind=kind, m_terms=m_terms, R=R, freq_range=freq_range)
         doc["train"].update(n=n, step_size=step_size, tolerance=tolerance)
         doc["sim"].update(grid_size=grid_size, step=step)
         doc["ground_truth"]["name"] = truth
         doc.update(k=k, N=N, T=T, delta=delta, probe_count=probe_count, rng_seed=seed,
-                   c_abs=c_abs)
+                   c_abs=c_abs, sweep=sweep)
         c = config_from_dict(doc)
         echo = json.loads(json.dumps(c.to_json_dict()))
+        if sweep is not None:
+            assert echo["sweep"] == {"mode": "full", **sweep}
         assert config_from_dict(echo) == c
         assert ExperimentConfig.from_json_dict(echo) == c
 
@@ -457,6 +486,32 @@ class TestEvaluate:
         assert main(["sweep", "--config", path]) == 0
         assert read_rows(tmp_path / "run" / "sweep.csv")[0]["error"] == ""
         assert len(calls) == 3
+
+    # the bound report's CSV header, in the order every row file writes it
+    BOUND_COLUMNS = [
+        "fixed_model.output_modulus_term", "fixed_model.input_modulus_term",
+        "fixed_model.jet_truncation_term", "fixed_model.bernstein_gap_term", "fixed_model.total",
+        "erm.output_modulus_term", "erm.input_modulus_term", "erm.jet_truncation_term",
+        "erm.approximation_error", "erm.estimation_error", "erm.total", "erm.sample_size_ok",
+        "erm.sample_size_threshold", "erm.sample_size_waived",
+        "vc_bound", "rademacher_bound", "c_abs", "gamma", "gamma_is_estimate",
+        "gamma_probe_count", "moduli_source", "sample_size_ok",
+    ]
+
+    def test_bound_report_format_pinned(self, tmp_path):
+        path, report = self.run_pipeline(tmp_path)
+        assert main(["bounds", "--config", path]) == 0
+        run = tmp_path / "run"
+        header = {name: (run / name).read_text().splitlines()[0].split(",")
+                  for name in ("report_row.csv", "bounds_row.csv")}
+        assert header["report_row.csv"] == ["k", "N", "risk", "risk_se", *self.BOUND_COLUMNS]
+        assert header["bounds_row.csv"] == self.BOUND_COLUMNS
+        doc = json.loads((run / "bounds.json").read_text())
+        assert set(doc) == {"config", "bounds"}
+        for bounds in (doc["bounds"], report["bounds"]):
+            keys = [f"{key}.{sub}" for key in ("fixed_model", "erm") for sub in bounds[key]]
+            keys += [key for key, val in bounds.items() if not isinstance(val, dict)]
+            assert sorted(keys) == sorted(self.BOUND_COLUMNS)
 
     def test_timings_in_sidecar_not_report(self, tmp_path):
         _, report = self.run_pipeline(tmp_path)

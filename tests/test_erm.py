@@ -306,7 +306,7 @@ class TestDatasetSerialization:
                               min_size=size, max_size=size), min_size=N, max_size=N)
             for size in (k, k + 1)
         ))),
-        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
     )))
     def test_json_round_trip_is_bitwise(self, case):
         k, (V, Z), T = case
