@@ -63,7 +63,6 @@ from .rnn import (
 from .signals import (
     EnsembleConfig,
     InputSpec,
-    SampledSignal,
     estimate_modulus,
     input_jet,
     sample_ensemble,

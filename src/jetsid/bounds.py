@@ -10,8 +10,8 @@ exposed as c_abs (default 1.0), printed in every report.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import Callable, NamedTuple, Sequence, get_type_hints
 
 import numpy as np
 
@@ -40,6 +40,15 @@ def empirical_modulus(values: np.ndarray, T: float) -> Modulus:
     return lambda delta: 0.0 if delta <= 0 else estimate_modulus(values, T, delta)
 
 
+def _check_finite(terms, what: str) -> None:
+    """DomainError naming the first float term of the bound `terms` that
+    overflowed a float (or is NaN), so no certificate is infinite."""
+    for f in fields(terms):
+        value = getattr(terms, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise DomainError(f"{what} term {f.name} overflows a float: {value}")
+
+
 @dataclass(frozen=True)
 class FixedModelBound:
     """Risk bound terms for one fixed model against an unknown system."""
@@ -53,6 +62,7 @@ class FixedModelBound:
     def __post_init__(self):
         object.__setattr__(self, "total", self.output_modulus_term + self.input_modulus_term
                            + self.jet_truncation_term + self.bernstein_gap_term)
+        _check_finite(self, "fixed-model bound")
 
 
 @dataclass(frozen=True)
@@ -73,6 +83,7 @@ class ErmRiskBound:
         object.__setattr__(self, "total", self.output_modulus_term + self.input_modulus_term
                            + self.jet_truncation_term + self.approximation_error
                            + self.estimation_error)
+        _check_finite(self, "ERM bound")
 
 
 def fixed_model_risk_bound(
@@ -136,12 +147,16 @@ def erm_risk_bound(
             f"(k(6n^6 + 10n^3 log2 k) with n={n}, k={k})"
         )
     growth = _exp_growth(M, T, "ERM bound e^(M T)")
+    try:
+        input_modulus = 2.0 * M**2 * growth * omega_U(2.0 * T / math.sqrt(k))
+    except OverflowError:  # M**2 raises where a product would give inf
+        input_modulus = math.inf
     capacity = k * (n**6 + n**3 * math.log2(k))
     estimation = c_abs * range_bound(M, n, T, gamma_R) * math.sqrt(
         (capacity * math.log(N) + math.log(1.0 / delta)) / N)
     return ErmRiskBound(
         output_modulus_term=4.0 * omega_Y(T / math.sqrt(k)),
-        input_modulus_term=2.0 * M**2 * growth * omega_U(2.0 * T / math.sqrt(k)),
+        input_modulus_term=input_modulus,
         jet_truncation_term=3.0 * M * T * growth * math.sqrt(n / k),
         approximation_error=Lbar_star_estimate,
         estimation_error=estimation,
@@ -229,7 +244,8 @@ def probe_risk_and_gap(
 @dataclass(frozen=True)
 class BoundReport:
     """Everything the calculators can say about one experiment.  Its JSON
-    form is `dataclasses.asdict` of it, and its CSV row `to_flat_dict`."""
+    form is `dataclasses.asdict` of it, and its CSV row `to_flat_dict`,
+    whose columns `flat_keys` names without a report."""
 
     fixed_model: FixedModelBound
     erm: ErmRiskBound
@@ -245,13 +261,25 @@ class BoundReport:
     def __post_init__(self):
         object.__setattr__(self, "sample_size_ok", self.erm.sample_size_ok)
 
-    def to_flat_dict(self) -> dict:
-        """One-row view for CSV aggregation."""
-        flat: dict = {}
-        for key, val in asdict(self).items():
-            if isinstance(val, dict):
-                for sub, v in val.items():
-                    flat[f"{key}.{sub}"] = v
+    @classmethod
+    def flat_keys(cls) -> list[str]:
+        """The CSV columns: each field in order, a bound's terms as
+        `<field>.<term>`."""
+        hints = get_type_hints(cls)
+        keys: list[str] = []
+        for f in fields(cls):
+            block = hints[f.name]
+            if is_dataclass(block):
+                keys += [f"{f.name}.{term.name}" for term in fields(block)]
             else:
-                flat[key] = val
+                keys.append(f.name)
+        return keys
+
+    def to_flat_dict(self) -> dict:
+        """One-row view for CSV aggregation, keyed by `flat_keys`."""
+        flat: dict = {}
+        for key in self.flat_keys():
+            name, _, term = key.partition(".")
+            value = getattr(self, name)
+            flat[key] = getattr(value, term) if term else value
         return flat

@@ -426,20 +426,6 @@ def cmd_evaluate(config: ExperimentConfig, model_path=None) -> Path:
     return out / "report.json"
 
 
-_SWEEP_COLUMNS = [
-    "param", "value", "k", "N", "mode", "risk", "risk_se",
-    "fixed_model.output_modulus_term", "fixed_model.input_modulus_term",
-    "fixed_model.jet_truncation_term", "fixed_model.bernstein_gap_term",
-    "fixed_model.total",
-    "erm.output_modulus_term", "erm.input_modulus_term",
-    "erm.jet_truncation_term", "erm.approximation_error",
-    "erm.estimation_error", "erm.total",
-    "erm.sample_size_ok", "erm.sample_size_threshold", "erm.sample_size_waived",
-    "vc_bound", "rademacher_bound", "c_abs", "gamma", "gamma_is_estimate",
-    "moduli_source", "error",
-]
-
-
 def _closed_form_report(config: ExperimentConfig) -> bounds_mod.BoundReport:
     """Calculator-mode report: declared handles only, no simulation.
 
@@ -502,7 +488,9 @@ def cmd_sweep(config: ExperimentConfig) -> Path:
     if sweep is None:
         raise ConfigError("sweep command needs a sweep block in the config")
     rows = [_sweep_point(config, sweep.param, v, sweep.mode, i) for i, v in enumerate(sweep.values)]
-    _write_csv(out / "sweep.csv", _SWEEP_COLUMNS, rows)
+    columns = ["param", "value", "k", "N", "mode", "risk", "risk_se",
+               *bounds_mod.BoundReport.flat_keys(), "error"]
+    _write_csv(out / "sweep.csv", columns, rows)
     failures = sum(1 for r in rows if r["error"])
     print(f"wrote {out / 'sweep.csv'} ({len(rows)} points, {failures} failed)")
     return out / "sweep.csv"

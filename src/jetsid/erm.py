@@ -21,7 +21,7 @@ from .errors import (ConfigBlock, ConfigError, DomainError, ShapeError, read_jso
                      write_json)
 from .jets import RnnParams, output_jet
 from .rnn import SimConfig, System, simulate
-from .signals import InputSpec, _eval_array
+from .signals import InputSpec, sample_on_grid
 
 
 @dataclass(frozen=True)
@@ -102,15 +102,14 @@ class TrainConfig(ConfigBlock):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise ConfigError(f"train.{name} must be finite and positive, got {v}")
-        if not self.tolerance >= 0:
-            raise ConfigError(f"train.tolerance must be >= 0, got {self.tolerance}")
+        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
+            raise ConfigError(f"train.tolerance must be finite and >= 0, got {self.tolerance}")
 
 
 def input_jets(inputs: list[InputSpec], k: int, T: float) -> np.ndarray:
     """(N, k) input jets of order k-1, one row per input: the jet of the
     degree-(k-1) lift of its samples at i*T/(k-1)."""
-    ts = np.linspace(0.0, T, k)
-    return bernstein_jet(np.array([_eval_array(spec, ts) for spec in inputs]).reshape(-1, k), k, T)
+    return bernstein_jet(sample_on_grid(inputs, k - 1, T), k, T)
 
 
 def _snap_grid(sim: SimConfig, k: int) -> tuple[SimConfig, int]:

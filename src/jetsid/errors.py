@@ -104,7 +104,12 @@ def read_json(path, what: str, parse: Callable):
 
 
 def write_json(path, doc) -> None:
-    """`doc` as indented JSON with sorted keys, one trailing newline."""
+    """`doc` as indented JSON with sorted keys, one trailing newline.  A
+    document holding NaN or an infinity is not JSON: a ConfigError naming
+    the file, raised before the file is opened."""
+    try:
+        text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise ConfigError(f"not writing {path}: {exc}") from None
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")

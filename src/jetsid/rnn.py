@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigBlock, ConfigError, DivergenceError, DomainError, ShapeError, whole_number
 from .jets import RnnParams
-from .signals import FOURIER, InputSpec, SampledSignal, _eval_array
+from .signals import FOURIER, InputSpec, _eval_array
 
 
 @dataclass(frozen=True)
@@ -38,8 +38,8 @@ class SimConfig(ConfigBlock):
 
     def __post_init__(self):
         object.__setattr__(self, "grid_size", whole_number("sim.grid_size", self.grid_size, 2))
-        if self.step is not None and not self.step > 0:
-            raise ConfigError(f"step must be positive, got {self.step}")
+        if self.step is not None and not (math.isfinite(self.step) and self.step > 0):
+            raise ConfigError(f"sim.step must be finite and positive, got {self.step}")
 
 
 @dataclass(frozen=True)
@@ -107,11 +107,10 @@ def simulate(system: System, input_u: list | tuple, T: float,
 
     `input_u` is a nonempty list or tuple of B inputs; the result is a
     (B, grid_size) array with one row per input.  All B inputs step
-    together, the state held as an (n, B) array.  Closed-form inputs are
-    evaluated exactly at every RK4 stage time; sampled inputs are
-    interpolated with a monotone piecewise cubic.  Raises DivergenceError
-    naming the first bad time and the index of the first input whose
-    state leaves the finite range.
+    together, the state held as an (n, B) array.  Each input is a
+    closed-form `InputSpec`, evaluated exactly at every RK4 stage time.
+    Raises DivergenceError naming the first bad time and the index of the
+    first input whose state leaves the finite range.
     """
     if not isinstance(input_u, (list, tuple)):
         raise ConfigError(f"simulate takes a list of inputs, got {type(input_u).__name__}")
@@ -132,14 +131,9 @@ def simulate(system: System, input_u: list | tuple, T: float,
     stage_times = np.arange(2 * nsteps + 1) * (h / 2.0)
     u_stage = np.empty((stage_times.size, len(inputs)))
     for j, u in enumerate(inputs):
-        if isinstance(u, InputSpec):
-            u_stage[:, j] = _eval_array(u, stage_times)
-        elif isinstance(u, SampledSignal):
-            from scipy.interpolate import PchipInterpolator
-            interp = PchipInterpolator(u.grid, u.values)
-            u_stage[:, j] = interp(np.clip(stage_times, 0.0, u.horizon_T))
-        else:
+        if not isinstance(u, InputSpec):
             raise ConfigError(f"unsupported input type {type(u).__name__}")
+        u_stage[:, j] = _eval_array(u, stage_times)
 
     rhs = _rhs(system)
     hvec = _output_vector(system)
@@ -240,11 +234,19 @@ def bibo_gain_estimate(
     return float(np.abs(simulate(system, probes, T, config)).max())
 
 
+def _finite(system: str, **params: float) -> tuple[float, ...]:
+    """The scalar parameters of a shipped system as floats; a ConfigError
+    naming the first that is not finite."""
+    for name, value in params.items():
+        if not math.isfinite(float(value)):
+            raise ConfigError(f"ground_truth {system} {name} must be finite, got {value!r}")
+    return tuple(float(v) for v in params.values())
+
+
 def _make_linear(decay: float = 1.0, xi0: float = 0.0) -> ControlAffineSystem:
-    a = float(decay)
+    a, x0 = _finite("linear", decay=decay, xi0=xi0)
     if not a > 0:
         raise ConfigError("linear system needs decay > 0")
-    x0 = float(xi0)
 
     def gamma(R: float, T: float) -> float:
         return max(abs(x0), R / a)
@@ -263,7 +265,7 @@ def _make_linear(decay: float = 1.0, xi0: float = 0.0) -> ControlAffineSystem:
 
 
 def _make_tanh_affine(xi0: float = 0.0) -> ControlAffineSystem:
-    x0 = float(xi0)
+    (x0,) = _finite("tanh_affine", xi0=xi0)
     return ControlAffineSystem(
         name="tanh_affine",
         drift=lambda x: -np.tanh(x),
@@ -282,10 +284,10 @@ def _make_duffing(
     damping: float = 0.5, stiffness: float = 1.0, saturation: float = 1.0,
     xi0: tuple[float, float] = (0.0, 0.0),
 ) -> ControlAffineSystem:
-    d, s, b = float(damping), float(stiffness), float(saturation)
+    d, s, b = _finite("duffing", damping=damping, stiffness=stiffness, saturation=saturation)
     x0 = np.asarray(xi0, dtype=float)
-    if x0.shape != (2,):
-        raise ConfigError(f"duffing xi0 must be two numbers, got {xi0!r}")
+    if x0.shape != (2,) or not np.isfinite(x0).all():
+        raise ConfigError(f"ground_truth duffing xi0 must be two finite numbers, got {xi0!r}")
 
     def drift(x):
         return np.array([x[1], -d * x[1] - s * x[0] - b * np.tanh(x[0]) ** 3])

@@ -22,29 +22,6 @@ _TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
-class SampledSignal:
-    """Signal values on the grid 0, T/m, ..., T (m+1 equispaced points)."""
-
-    values: np.ndarray
-    horizon_T: float
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        if vals.ndim != 1 or vals.size < 2:
-            raise ShapeError(f"signal needs >= 2 samples, got shape {vals.shape}")
-        if not np.isfinite(vals).all():
-            raise DomainError("signal contains nonfinite values")
-        if not (np.isfinite(self.horizon_T) and self.horizon_T > 0):
-            raise DomainError(f"horizon must be positive, got {self.horizon_T}")
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "horizon_T", float(self.horizon_T))
-
-    @property
-    def grid(self) -> np.ndarray:
-        return np.linspace(0.0, self.horizon_T, self.values.size)
-
-
-@dataclass(frozen=True)
 class InputSpec:
     """Parametric description of one input signal.
 
@@ -206,12 +183,13 @@ def sample_ensemble(config: EnsembleConfig, N: int) -> list[InputSpec]:
     return [_draw_spec(config, np.random.default_rng(child)) for child in children]
 
 
-def sample_on_grid(spec: InputSpec, m: int, T: float) -> SampledSignal:
-    """Sample the input at the m+1 grid points i*T/m, i = 0..m."""
+def sample_on_grid(specs: list[InputSpec], m: int, T: float) -> np.ndarray:
+    """(N, m+1) samples of N inputs at the grid points i*T/m, i = 0..m,
+    one row per input."""
     if m < 1:
         raise DomainError("grid degree m must be >= 1")
     ts = np.linspace(0.0, T, m + 1)
-    return SampledSignal(_eval_array(spec, ts), T)
+    return np.array([_eval_array(spec, ts) for spec in specs]).reshape(-1, m + 1)
 
 
 def estimate_modulus(values: np.ndarray, T: float, delta: float) -> float:

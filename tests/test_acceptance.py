@@ -171,8 +171,8 @@ def test_a2b_projection_identity_and_error_bound():
         c, w, amp = spec.coefficients, spec.frequencies, spec.phases
         L = float(np.abs(c * w).sum())
         k = (4, 9, 16, 25)[trial % 4]
-        nodes = sample_on_grid(spec, k, T)
-        err = float(np.abs(eval_closed_form(spec, ts) - bernstein_eval(nodes.values[None], ts, T)).max())
+        nodes = sample_on_grid([spec], k, T)
+        err = float(np.abs(eval_closed_form(spec, ts) - bernstein_eval(nodes, ts, T)).max())
         margin = err - bernstein_error_bound(linear_modulus(L), k, T)
         worst_slack = max(worst_slack, margin)
     elapsed = time.perf_counter() - t0

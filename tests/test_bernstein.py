@@ -5,7 +5,6 @@ import pytest
 
 from jetsid import (
     DomainError,
-    SampledSignal,
     ShapeError,
     bernstein_error_bound,
     bernstein_eval,
@@ -19,23 +18,23 @@ from oracles import brute_bernstein, sympy_bernstein_jet
 
 
 def grid_signal(func, m, T=1.0):
-    ts = np.linspace(0.0, T, m + 1)
-    return SampledSignal(np.array([func(t) for t in ts]), T)
+    """`func` sampled at the m+1 grid points i*T/m."""
+    return np.array([func(t) for t in np.linspace(0.0, T, m + 1)])
 
 
-def lift_at(sig, t):
-    """The lift of one signal at one time: a batch of one at one time."""
-    return bernstein_eval(sig.values[None], t, sig.horizon_T)[0, 0]
+def lift_at(values, t, T=1.0):
+    """The lift of one row of samples at one time: a batch of one at one time."""
+    return bernstein_eval(np.asarray(values, dtype=float)[None], t, T)[0, 0]
 
 
-def jet_of(sig, k):
-    """The jet of one signal's lift: a batch of one."""
-    return bernstein_jet(sig.values[None], k, sig.horizon_T)[0]
+def jet_of(values, k, T=1.0):
+    """The jet of one row of samples' lift: a batch of one."""
+    return bernstein_jet(np.asarray(values, dtype=float)[None], k, T)[0]
 
 
 class TestBernsteinEval:
     def test_partition_of_unity(self):
-        sig = SampledSignal(np.full(8, 5.0), 1.0)
+        sig = np.full(8, 5.0)
         for t in (0.0, 0.123, 0.9, 1.0):
             assert lift_at(sig, t) == pytest.approx(5.0, abs=1e-13)
 
@@ -47,22 +46,22 @@ class TestBernsteinEval:
         # B_2 of t^2 at 0.5 is 0.375 by direct summation
         sig = grid_signal(lambda t: t * t, 2)
         assert lift_at(sig, 0.5) == pytest.approx(0.375, abs=1e-15)
-        assert brute_bernstein(sig.values, 1.0, 0.5) == pytest.approx(0.375, abs=1e-15)
+        assert brute_bernstein(sig, 1.0, 0.5) == pytest.approx(0.375, abs=1e-15)
 
     def test_matches_direct_summation(self):
         rng = np.random.default_rng(2)
         for m in (3, 7, 15):
-            sig = SampledSignal(rng.uniform(-1, 1, m + 1), 2.0)
+            sig = rng.uniform(-1, 1, m + 1)
             for t in np.linspace(0.0, 2.0, 17):
-                assert lift_at(sig, t) == pytest.approx(
-                    brute_bernstein(sig.values, 2.0, t), abs=1e-12
+                assert lift_at(sig, t, 2.0) == pytest.approx(
+                    brute_bernstein(sig, 2.0, t), abs=1e-12
                 )
 
     def test_endpoint_interpolation(self):
         rng = np.random.default_rng(3)
-        sig = SampledSignal(rng.uniform(-1, 1, 9), 1.5)
-        assert lift_at(sig, 0.0) == sig.values[0]
-        assert lift_at(sig, 1.5) == pytest.approx(sig.values[-1], abs=1e-15)
+        sig = rng.uniform(-1, 1, 9)
+        assert lift_at(sig, 0.0, 1.5) == sig[0]
+        assert lift_at(sig, 1.5, 1.5) == pytest.approx(sig[-1], abs=1e-15)
 
     def test_domain_error(self):
         nodes = np.array([[0.0, 1.0]])
@@ -100,11 +99,11 @@ class TestBernsteinEval:
 
 class TestBernsteinJet:
     def test_constant(self):
-        jet = jet_of(SampledSignal([2.5, 2.5, 2.5], 1.0), 3)
+        jet = jet_of([2.5, 2.5, 2.5], 3)
         assert jet == pytest.approx([2.5, 0.0, 0.0], abs=1e-15)
 
     def test_affine(self):
-        jet = jet_of(SampledSignal([0.0, 1.0, 2.0], 1.0), 3)
+        jet = jet_of([0.0, 1.0, 2.0], 3)
         assert jet == pytest.approx([0.0, 2.0, 0.0], abs=1e-14)
 
     def test_quadratic(self):
@@ -113,23 +112,23 @@ class TestBernsteinJet:
         sig = grid_signal(lambda t: t * t, 2)
         jet = jet_of(sig, 3)
         assert jet == pytest.approx([0.0, 0.5, 1.0], abs=1e-14)
-        assert jet == pytest.approx(sympy_bernstein_jet(sig.values, 1.0), abs=1e-12)
+        assert jet == pytest.approx(sympy_bernstein_jet(sig, 1.0), abs=1e-12)
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
     def test_matches_symbolic_differentiation(self, k):
         # validation of the forward-difference formula for k <= 6
         rng = np.random.default_rng(k)
         for T in (1.0, 2.5):
-            sig = SampledSignal(rng.uniform(-2, 2, k), T)
-            expected = sympy_bernstein_jet(sig.values, T)
-            assert jet_of(sig, k) == pytest.approx(expected, rel=1e-9, abs=1e-9)
+            sig = rng.uniform(-2, 2, k)
+            expected = sympy_bernstein_jet(sig, T)
+            assert jet_of(sig, k, T) == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
     def test_linearity(self):
         rng = np.random.default_rng(8)
         k = 6
-        u = SampledSignal(rng.uniform(-1, 1, k), 1.0)
-        v = SampledSignal(rng.uniform(-1, 1, k), 1.0)
-        combo = SampledSignal(2.0 * u.values - 3.0 * v.values, 1.0)
+        u = rng.uniform(-1, 1, k)
+        v = rng.uniform(-1, 1, k)
+        combo = 2.0 * u - 3.0 * v
         expected = 2.0 * jet_of(u, k) - 3.0 * jet_of(v, k)
         assert jet_of(combo, k) == pytest.approx(expected, abs=1e-12)
 
@@ -190,9 +189,9 @@ class TestIdentities:
         rng = np.random.default_rng(11)
         ts = np.linspace(0.0, 1.0, 512)
         for k in range(2, 13):
-            sig = SampledSignal(rng.uniform(-1, 1, k), 1.0)
-            lifted = bernstein_eval(sig.values[None], ts, 1.0)
-            rebuilt = jet_poly_eval(bernstein_jet(sig.values[None], k, 1.0), ts)
+            sig = rng.uniform(-1, 1, (1, k))
+            lifted = bernstein_eval(sig, ts, 1.0)
+            rebuilt = jet_poly_eval(bernstein_jet(sig, k, 1.0), ts)
             assert np.abs(lifted - rebuilt).max() < 1e-9
 
     def test_round_trip_is_identity_for_k2(self):
@@ -200,7 +199,7 @@ class TestIdentities:
         for _ in range(20):
             a = rng.uniform(-1, 1, 2)
             nodes = np.linspace(0.0, 1.0, 2)
-            sig = SampledSignal(jet_poly_eval(a[None], nodes)[0], 1.0)
+            sig = jet_poly_eval(a[None], nodes)[0]
             assert jet_of(sig, 2) == pytest.approx(a, abs=1e-12)
 
     @pytest.mark.parametrize("k", [3, 5, 8, 12])
@@ -218,7 +217,7 @@ class TestIdentities:
         for ell in range(k):
             a = np.zeros(k)
             a[ell] = 1.0
-            sig = SampledSignal(jet_poly_eval(a[None], nodes)[0], 1.0)
+            sig = jet_poly_eval(a[None], nodes)[0]
             back = jet_of(sig, k)
             expected_diag = math.prod(1.0 - j / m for j in range(ell))
             assert back[ell] == pytest.approx(expected_diag, rel=1e-9, abs=1e-9)
@@ -247,9 +246,9 @@ class TestErrorBound:
             L = float(np.abs(c * w).sum())
             spec = InputSpec("fourier", c, w, a)
             for k in (4, 9, 16):
-                nodes = sample_on_grid(spec, k, 1.0)
+                nodes = sample_on_grid([spec], k, 1.0)
                 dense_u = np.array([np.sum(c * np.sin(w * t + a)) for t in ts])
-                err = np.abs(dense_u - bernstein_eval(nodes.values[None], ts, 1.0)).max()
+                err = np.abs(dense_u - bernstein_eval(nodes, ts, 1.0)).max()
                 assert err <= bernstein_error_bound(lambda d: L * d, k, 1.0) + 1e-12
 
     def test_modulus_doubling(self):
@@ -265,9 +264,9 @@ class TestErrorBound:
             L = float(np.abs(c * w).sum())
             spec = InputSpec("fourier", c, w, a)
             k = 8
-            nodes = sample_on_grid(spec, k, 1.0)
+            nodes = sample_on_grid([spec], k, 1.0)
             dense_u = np.array([[np.sum(c * np.sin(w * t + a)) for t in ts]])
-            dense_lift = bernstein_eval(nodes.values[None], ts, 1.0)
+            dense_lift = bernstein_eval(nodes, ts, 1.0)
             slack = 2.0 * L / (ts.size - 1) + 1e-9
             for delta in (0.1, 0.25, 0.5):
                 assert estimate_modulus(dense_lift, 1.0, delta) <= 2.0 * estimate_modulus(

@@ -20,7 +20,7 @@ from jetsid import (
 )
 from jetsid.bounds import empirical_modulus
 from jetsid.erm import project_feasible
-from jetsid.signals import EnsembleConfig, SampledSignal, sample_ensemble
+from jetsid.signals import EnsembleConfig, InputSpec, sample_ensemble
 
 ZERO = lambda d: 0.0
 IDENT = lambda d: d
@@ -127,7 +127,9 @@ class TestErmRiskBound:
 
 class TestOverflow:
     # each certificate's growth factor e^(rate T) names the certificate when
-    # it overflows a float, instead of an OverflowError
+    # it overflows a float, instead of an OverflowError, and a term that
+    # overflows in a product or at M**2 names the bound and the term
+    # instead of reading inf
     def test_growth_overflow_is_domain_error(self):
         from jetsid import DomainError, io_lipschitz_bound, output_modulus_bound
 
@@ -140,6 +142,12 @@ class TestOverflow:
             output_modulus_bound(big, 1.0, 0.1)
         with pytest.raises(DomainError, match="i/o Lipschitz bound"):
             io_lipschitz_bound(big, 1.0)
+        huge = scalar_params(b=1e154, c=1e154)  # 2 |c| |b| = 2e308
+        with pytest.raises(DomainError, match="fixed-model bound term input_modulus_term"):
+            fixed_model_risk_bound(IDENT, IDENT, huge, 4, 1.0, 0.0)
+        for M, T in ((1e200, 1e-199), (1e150, 1e-148)):
+            with pytest.raises(DomainError, match="ERM bound term input_modulus_term"):
+                erm_risk_bound(**TestErmRiskBound().kwargs(M=M, T=T, omega_U=IDENT))
 
 
 class TestVcDimensionBound:
@@ -193,7 +201,7 @@ class TestSandwichErrorBound:
         # measured reconstruction error of a smooth model i/o map stays
         # below the certificate built from measured moduli
         from jetsid import io_lipschitz_bound
-        from jetsid.bernstein import bernstein_eval, bernstein_jet, jet_poly_eval
+        from jetsid.bernstein import bernstein_jet, jet_poly_eval
         from jetsid import simulate, sample_on_grid
 
         rng = np.random.default_rng(13)
@@ -207,8 +215,10 @@ class TestSandwichErrorBound:
         # G u on the dense grid
         gu = simulate(params, [spec], T, dense)
         # G B_{k-1} u: simulate on the lifted input
-        lift_vals = bernstein_eval(sample_on_grid(spec, k - 1, T).values[None], ts, T)[0]
-        g_lift = simulate(params, [SampledSignal(lift_vals, T)], T, dense)
+        # the lift is the polynomial whose Taylor coefficients are jet / l!
+        lift_jet = bernstein_jet(sample_on_grid([spec], k - 1, T), k, T)[0]
+        factorials = np.array([math.factorial(ell) for ell in range(k)])
+        g_lift = simulate(params, [InputSpec("polynomial", lift_jet / factorials)], T, dense)
         # degree-k lift of G B_{k-1} u
         rebuilt = jet_poly_eval(bernstein_jet(g_lift[:, ::16], k + 1, T), ts)
         measured = np.abs(gu - rebuilt).max()

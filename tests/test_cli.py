@@ -1,9 +1,8 @@
+import ast
 import csv
 import json
 import math
-import os
-import subprocess
-import sys
+import re
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +14,7 @@ import jetsid
 from jetsid import RnnParams, build_dataset, sample_ensemble
 from jetsid.cli import (ExperimentConfig, cmd_generate, config_from_dict, derive_seed,
                         load_config, main)
-from jetsid.errors import ConfigError
+from jetsid.errors import ConfigError, write_json
 
 
 def base_doc(out_dir):
@@ -118,6 +117,13 @@ class TestConfigLoading:
         "duffing_short_xi0": ("generate", lambda doc: doc["ground_truth"].update(
             name="duffing", params={"xi0": [0.0]})),
         "out_dir_not_string": ("generate", lambda doc: doc.update(out_dir=5)),
+        # nonfinite floats, which would be echoed as Infinity or make gamma nonfinite
+        "infinite_train_tolerance": ("bounds", lambda doc: doc["train"].update(tolerance=math.inf)),
+        "infinite_sim_step": ("bounds", lambda doc: doc["sim"].update(step=math.inf)),
+        "nan_linear_xi0": ("bounds", lambda doc: doc["ground_truth"].update(
+            params={"xi0": math.nan})),
+        "infinite_linear_xi0": ("bounds", lambda doc: doc["ground_truth"].update(
+            params={"xi0": -math.inf})),
     }
     # unknown and missing fields of each config block, with the message
     # naming the block (sim has no required field)
@@ -134,14 +140,19 @@ class TestConfigLoading:
             sweep={"param": "k", "values": [2], "mystery": 1})),
         "missing_sweep_param": ("missing sweep fields", lambda doc: doc.update(sweep={"values": [2]})),
     }
-    # configs whose certificates overflow a float, with the growth factor the
-    # error must name: e^(MT) at M = 1e300 or T = 1e300, and an rnn
-    # teacher's e^(||A|| T) = e^1000
+    # configs whose certificates overflow a float, with the growth factor or
+    # term the error must name: e^(MT) at M = 1e300 or T = 1e300, an rnn
+    # teacher's e^(||A|| T) = e^1000, M^2 = 1e400 at a harmless MT = 10,
+    # and 2 M^2 e^(MT) = 2e300 * e^100 overflowing in a product
     OVERFLOW = {
         "overflow_train_M": ("ERM bound e^(M T)", lambda doc: doc["train"].update(M=1e300)),
         "overflow_T": ("ERM bound e^(M T)", lambda doc: doc.update(T=1e300)),
         "overflow_rnn_truth": ("output modulus bound e^(||A|| T)", lambda doc: doc.update(ground_truth={
             "kind": "rnn", "params": {"A": [1000.0], "b": [1.0], "c": [1.0], "xi": [0.0], "n": 1}})),
+        "overflow_train_M_squared": ("ERM bound term input_modulus_term", lambda doc: (
+            doc["train"].update(M=1e200), doc.update(T=1e-199))),
+        "overflow_in_product": ("ERM bound term input_modulus_term", lambda doc: (
+            doc["train"].update(M=1e150), doc.update(T=1e-148))),
     }
     # edits of a valid dataset.json document
     BAD_DATASET = {
@@ -506,6 +517,10 @@ class TestEvaluate:
                   for name in ("report_row.csv", "bounds_row.csv")}
         assert header["report_row.csv"] == ["k", "N", "risk", "risk_se", *self.BOUND_COLUMNS]
         assert header["bounds_row.csv"] == self.BOUND_COLUMNS
+        sweep_doc = {**base_doc(run), "sweep": {"param": "k", "values": [3], "mode": "bounds_only"}}
+        assert main(["sweep", "--config", write_config(tmp_path, sweep_doc, "sweep.json")]) == 0
+        assert (run / "sweep.csv").read_text().splitlines()[0].split(",") == [
+            "param", "value", "k", "N", "mode", "risk", "risk_se", *self.BOUND_COLUMNS, "error"]
         doc = json.loads((run / "bounds.json").read_text())
         assert set(doc) == {"config", "bounds"}
         for bounds in (doc["bounds"], report["bounds"]):
@@ -569,7 +584,7 @@ class TestSweep:
         (point,) = read_rows(tmp_path / "sweep" / "sweep.csv")
         assert point["error"] == ""
         shared = sorted(set(chain) & set(point))
-        assert len(shared) == 24
+        assert len(shared) == 26
         assert [chain[c] for c in shared] == [point[c] for c in shared]
 
     def test_missing_sweep_block(self, tmp_path):
@@ -604,12 +619,49 @@ class TestBoundsCommand:
         )
 
 
+def scipy_imports(source: str) -> list[str]:
+    """The scipy modules the import statements of `source` name, anywhere
+    in its syntax tree, inside functions too."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [f"{name} (line {node.lineno})" for name in names
+                  if name.partition(".")[0] == "scipy"]
+    return found
+
+
 class TestImport:
-    def test_cli_import_leaves_out_interpolate(self):
-        # simulate imports PchipInterpolator only for a sampled input; no
-        # command makes one, so a fresh interpreter never loads it
-        code = "import sys, jetsid.cli; print('scipy.interpolate' in sys.modules)"
-        env = {**os.environ, "PYTHONPATH": str(Path(jetsid.__file__).parents[1])}
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, env=env)
-        assert out.stdout.strip() == "False"
+    def test_scipy_imports_detector(self):
+        nested = "def f():\n    if True:\n        from scipy.integrate import solve_ivp\n"
+        assert scipy_imports(nested) == ["scipy.integrate (line 3)"]
+        assert scipy_imports("import numpy, scipy.integrate as si") == ["scipy.integrate (line 1)"]
+        assert scipy_imports("from scipy import integrate") == ["scipy (line 1)"]
+        assert scipy_imports('from .signals import x\nimport scipyx\n"""scipy"""') == []
+
+    def test_package_does_not_import_scipy(self):
+        # scipy is a test and benchmark dependency only: no module of the
+        # package imports it, at any depth
+        modules = sorted(Path(jetsid.__file__).parent.rglob("*.py"))
+        assert len(modules) >= 9
+        found = {path.name: scipy_imports(path.read_text()) for path in modules}
+        assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+class TestWriteJson:
+    def test_nonfinite_document_refused_before_writing(self, tmp_path):
+        for value in (math.inf, -math.inf, math.nan):
+            path = tmp_path / "bounds.json"
+            with pytest.raises(ConfigError, match=re.escape(str(path))):
+                write_json(path, {"bounds": {"total": value}})
+            assert not path.exists()
+
+    def test_finite_bytes_unchanged(self, tmp_path):
+        doc = {"b": [1.0, 2.5e-300, -0.0], "a": {"z": None, "y": True, "x": 3}}
+        write_json(tmp_path / "doc.json", doc)
+        expected = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        assert (tmp_path / "doc.json").read_text() == expected

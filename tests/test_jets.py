@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from jetsid import (
     DomainError,
     RnnParams,
-    SampledSignal,
     ShapeError,
     bernstein_jet,
     output_jet,
@@ -32,9 +31,9 @@ def jet_of(params, v, k):
     return output_jet(params, np.asarray(v, dtype=float)[None], k)[0]
 
 
-def lifted_jet(sig, k):
-    """The jet of one signal's lift: a batch of one."""
-    return bernstein_jet(sig.values[None], k, sig.horizon_T)
+def lifted_jet(values, k):
+    """The jet of the lift of one row of samples on [0, 1]: a batch of one."""
+    return bernstein_jet(np.asarray(values, dtype=float)[None], k, 1.0)
 
 
 def random_feasible(rng, n, M=1.0):
@@ -155,14 +154,14 @@ class TestBatchedOutputJet:
 
 class TestPredictedOutputJet:
     def test_zero_input_zero_state(self):
-        sig = SampledSignal(np.zeros(3), 1.0)
+        sig = np.zeros(3)
         jet = output_jet(scalar_params(), lifted_jet(sig, 3), 3)[0]
         assert jet[:2] == pytest.approx([0.0, 0.0])
 
     def test_constant_input(self):
         # constant input: state velocity is constant, so y'' = 0
         a = 0.8
-        sig = sample_on_grid(InputSpec("polynomial", np.array([a])), 1, 1.0)
+        (sig,) = sample_on_grid([InputSpec("polynomial", np.array([a]))], 1, 1.0)
         jet = output_jet(scalar_params(), lifted_jet(sig, 2), 2)[0]
         assert jet == pytest.approx([0.0, math.tanh(a), 0.0], abs=1e-14)
         fd = fd_output_derivatives(scalar_params(), lambda t: a)
@@ -172,7 +171,7 @@ class TestPredictedOutputJet:
         rng = np.random.default_rng(6)
         params = random_feasible(rng, 2)
         doubled = RnnParams(params.A, params.b, 2.0 * params.c, params.xi)
-        sig = SampledSignal(rng.uniform(-1, 1, 4), 1.0)
+        sig = rng.uniform(-1, 1, 4)
         one = output_jet(params, lifted_jet(sig, 4), 4)[0]
         two = output_jet(doubled, lifted_jet(sig, 4), 4)[0]
         assert two == pytest.approx(2.0 * one, abs=1e-12)

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.interpolate import PchipInterpolator
 
 from jetsid import (
     ConfigError,
@@ -11,7 +10,6 @@ from jetsid import (
     DomainError,
     GROUND_TRUTHS,
     RnnParams,
-    SampledSignal,
     ShapeError,
     SimConfig,
     bibo_gain_estimate,
@@ -108,15 +106,6 @@ class TestSimulate:
         oracle_final = float(params.c @ traj[-1])
         assert y[-1] == pytest.approx(oracle_final, abs=1e-9)
 
-    def test_sampled_input_interpolation(self):
-        spec = InputSpec("fourier", [0.8], [3.0], [0.4])
-        ts = np.linspace(0.0, 1.0, 257)
-        sampled = SampledSignal(eval_closed_form(spec, ts), 1.0)
-        params = scalar_params(A=0.2)
-        y_exact = simulate(params, [spec], 1.0, FAST)[0]
-        y_interp = simulate(params, [sampled], 1.0, FAST)[0]
-        assert np.abs(y_exact - y_interp).max() < 1e-5
-
     def test_divergence_names_first_bad_time(self):
         blowup = ControlAffineSystem(
             name="blowup",
@@ -162,13 +151,6 @@ def batch_case(name):
     return params, rhs, params.xi, params.c
 
 
-def input_function(u):
-    if isinstance(u, SampledSignal):
-        interp = PchipInterpolator(u.grid, u.values)
-        return lambda t: float(interp(min(max(t, 0.0), u.horizon_T)))
-    return lambda t: float(eval_closed_form(u, t))
-
-
 BATCH_SYSTEMS = ["linear", "tanh_affine", "duffing", "rnn1", "rnn2", "rnn3"]
 GRID = SimConfig(step=1.0 / 256, grid_size=9)
 
@@ -195,8 +177,8 @@ class TestBatchedSimulate:
                 assert np.abs(batched[i] - single).max() <= tol
             else:
                 assert np.array_equal(batched[i], single)
-            f = input_function(u)
-            traj = rk4(lambda t, x: rhs(x, f(t)), xi, 0.0, 1.0 / 256, 256)
+            traj = rk4(lambda t, x: rhs(x, float(eval_closed_form(u, t))),
+                       xi, 0.0, 1.0 / 256, 256)
             assert np.abs(batched[i] - traj[::32] @ hvec).max() <= 1e-12
 
     @pytest.mark.parametrize("name", BATCH_SYSTEMS)
@@ -207,11 +189,9 @@ class TestBatchedSimulate:
 
     @pytest.mark.parametrize("name", BATCH_SYSTEMS)
     def test_mixed_input_kinds(self, name):
-        sampled = InputSpec("fourier", [0.6], [2.5], [0.2])
         inputs = [
             InputSpec("fourier", [0.5, -0.2], [2.0, 1.1], [0.3, 1.0]),
             InputSpec("polynomial", [0.2, -0.4, 0.3]),
-            SampledSignal(eval_closed_form(sampled, np.linspace(0.0, 1.0, 65)), 1.0),
             const_input(-0.7),
         ]
         self.check_rows(name, inputs)
@@ -220,9 +200,12 @@ class TestBatchedSimulate:
         with pytest.raises(ConfigError):
             simulate(scalar_params(), [], 1.0, FAST)
         # one input is a batch of one, not a bare input
-        for bare in (const_input(0.5), SampledSignal([0.0, 0.5, 1.0], 1.0)):
+        for bare in (const_input(0.5), np.array([0.0, 0.5, 1.0])):
             with pytest.raises(ConfigError, match="list of inputs"):
                 simulate(scalar_params(), bare, 1.0, FAST)
+        # sampled values are not an input: only closed-form InputSpecs are
+        with pytest.raises(ConfigError, match="unsupported input type ndarray"):
+            simulate(scalar_params(), [np.array([0.0, 0.5, 1.0])], 1.0, FAST)
 
     def test_one_dim_gain_rejected(self):
         # a (n,) gain broadcasts against the batch axis when B == n, so

@@ -9,7 +9,6 @@ from jetsid import (
     ConfigError,
     EnsembleConfig,
     InputSpec,
-    SampledSignal,
     ShapeError,
     estimate_modulus,
     input_jet,
@@ -34,17 +33,17 @@ def poly(c):
 class TestEvalInput:
     def test_constant_fourier(self):
         spec = fourier([1.0], [0.0], [PI / 2])
-        assert sample_on_grid(spec, 10, 1.0).values[3] == pytest.approx(1.0, abs=1e-15)
+        assert sample_on_grid([spec], 10, 1.0)[0, 3] == pytest.approx(1.0, abs=1e-15)
 
     def test_polynomial(self):
-        assert sample_on_grid(poly([2.0, 3.0]), 2, 1.0).values[1] == pytest.approx(3.5, abs=1e-15)
+        assert sample_on_grid([poly([2.0, 3.0])], 2, 1.0)[0, 1] == pytest.approx(3.5, abs=1e-15)
 
     def test_two_tone(self):
         # 0.5*sin(1) + 0.5*sin(2), frozen from direct evaluation
         spec = fourier([0.5, 0.5], [1.0, 2.0], [0.0, 0.0])
         expected = 0.5 * math.sin(1.0) + 0.5 * math.sin(2.0)
         assert expected == pytest.approx(0.8753842058167891, abs=1e-15)
-        assert sample_on_grid(spec, 1, 1.0).values[1] == pytest.approx(expected, abs=1e-14)
+        assert sample_on_grid([spec], 1, 1.0)[0, 1] == pytest.approx(expected, abs=1e-14)
 
 
 class TestInputJet:
@@ -128,28 +127,38 @@ class TestSampleEnsemble:
     def test_modulus_within_slope_budget(self):
         cfg = make_config(rng_seed=23)
         for spec in sample_ensemble(cfg, 20):
-            sig = sample_on_grid(spec, 200, 1.0)
+            sig = sample_on_grid([spec], 200, 1.0)
             for delta in (0.1, 0.3, 0.7):
-                assert estimate_modulus(sig.values[None], 1.0, delta) <= cfg.L * delta + 1e-12
+                assert estimate_modulus(sig, 1.0, delta) <= cfg.L * delta + 1e-12
 
 
 class TestSampleOnGrid:
     def test_constant(self):
-        sig = sample_on_grid(poly([1.0]), 4, 1.0)
-        assert sig.values == pytest.approx([1.0] * 5)
+        (sig,) = sample_on_grid([poly([1.0])], 4, 1.0)
+        assert sig == pytest.approx([1.0] * 5)
 
     def test_linear(self):
-        sig = sample_on_grid(poly([0.0, 1.0]), 2, 1.0)
-        assert sig.values == pytest.approx([0.0, 0.5, 1.0])
+        (sig,) = sample_on_grid([poly([0.0, 1.0])], 2, 1.0)
+        assert sig == pytest.approx([0.0, 0.5, 1.0])
 
     def test_sine(self):
-        sig = sample_on_grid(fourier([1.0], [PI], [0.0]), 2, 1.0)
-        assert sig.values == pytest.approx([0.0, 1.0, 0.0], abs=1e-12)
+        (sig,) = sample_on_grid([fourier([1.0], [PI], [0.0])], 2, 1.0)
+        assert sig == pytest.approx([0.0, 1.0, 0.0], abs=1e-12)
+
+    def test_batch_rows_match_single_rows(self):
+        # one row per input, bit for bit the row of a batch of one; an
+        # empty batch keeps its (0, m+1) shape
+        specs = sample_ensemble(make_config(rng_seed=5), 6)
+        batch = sample_on_grid(specs, 7, 1.0)
+        assert batch.shape == (6, 8)
+        for row, spec in zip(batch, specs):
+            assert np.array_equal(row, sample_on_grid([spec], 7, 1.0)[0])
+        assert sample_on_grid([], 7, 1.0).shape == (0, 8)
 
     def test_round_trip_with_eval(self):
         spec = fourier([0.4, 0.3], [1.2, 2.7], [0.1, 1.4])
-        sig = sample_on_grid(spec, 7, 2.0)
-        assert np.abs(sig.values - eval_closed_form(spec, sig.grid)).max() == 0.0
+        (sig,) = sample_on_grid([spec], 7, 2.0)
+        assert np.abs(sig - eval_closed_form(spec, np.linspace(0.0, 2.0, 8))).max() == 0.0
 
 
 class TestEstimateModulus:
@@ -220,11 +229,11 @@ class TestSupDistance:
     def test_sine_vs_bernstein_lift(self):
         # distance to the degree-5 lift matches a brute-force re-evaluation
         spec = fourier([1.0], [2 * PI], [0.0])
-        nodes = sample_on_grid(spec, 5, 1.0)
+        (nodes,) = sample_on_grid([spec], 5, 1.0)
         ts = np.linspace(0.0, 1.0, 301)
-        dense_lift = bernstein_eval(nodes.values[None], ts, 1.0)[0]
+        dense_lift = bernstein_eval(nodes[None], ts, 1.0)[0]
         brute = max(
-            abs(math.sin(2 * PI * t) - brute_bernstein_local(nodes.values, 1.0, t)) for t in ts
+            abs(math.sin(2 * PI * t) - brute_bernstein_local(nodes, 1.0, t)) for t in ts
         )
         assert np.abs(eval_closed_form(spec, ts) - dense_lift).max() == pytest.approx(brute, abs=1e-12)
 
@@ -253,9 +262,7 @@ class TestSerialization:
             EnsembleConfig.from_json_dict(doc)
 
     def test_signal_invariants(self):
-        with pytest.raises(ShapeError):
-            SampledSignal([1.0], 1.0)
-        with pytest.raises(DomainError):
-            SampledSignal([1.0, np.inf], 1.0)
-        with pytest.raises(DomainError):
-            SampledSignal([1.0, 2.0], -1.0)
+        # a grid needs both endpoints: degree m >= 1
+        for m in (0, -1):
+            with pytest.raises(DomainError):
+                sample_on_grid([poly([1.0])], m, 1.0)
