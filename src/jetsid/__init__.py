@@ -34,6 +34,7 @@ from .erm import (
     empirical_risk,
     is_feasible,
     project_feasible,
+    risk_and_grad,
     sample_size_check,
     train,
 )
@@ -57,6 +58,7 @@ from .rnn import (
     io_lipschitz_bound,
     output_modulus_bound,
     output_sup_bound,
+    rk4_substeps,
     simulate,
     system_from_config,
 )

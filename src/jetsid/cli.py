@@ -24,6 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import bounds as bounds_mod
+from .bernstein import MAX_WELL_CONDITIONED_K
 from .erm import (
     JetDataset,
     TrainConfig,
@@ -33,6 +34,7 @@ from .erm import (
     train,
 )
 from .errors import (
+    MAX_COUNT,
     ConfigBlock,
     ConfigError,
     DivergenceError,
@@ -119,8 +121,10 @@ class ExperimentConfig(ConfigBlock):
                 object.__setattr__(self, name, block.from_json_dict(value))
         if not (self.out_dir is None or isinstance(self.out_dir, str)):
             raise ConfigError(f"out_dir must be a string or null, got {self.out_dir!r}")
-        for name, minimum in (("k", 2), ("N", 1), ("probe_count", 1), ("rng_seed", 0)):
-            object.__setattr__(self, name, whole_number(name, getattr(self, name), minimum))
+        for name, minimum, maximum in (("k", 2, MAX_WELL_CONDITIONED_K), ("N", 1, MAX_COUNT),
+                                       ("probe_count", 1, MAX_COUNT), ("rng_seed", 0, None)):
+            object.__setattr__(self, name,
+                               whole_number(name, getattr(self, name), minimum, maximum))
         for name in ("T", "delta", "c_abs"):
             object.__setattr__(self, name, float(getattr(self, name)))
         if not 0.0 < self.delta < 1.0:

@@ -17,9 +17,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .bernstein import bernstein_jet, jet_poly_eval
-from .errors import (ConfigBlock, ConfigError, DomainError, ShapeError, read_json, whole_number,
-                     write_json)
-from .jets import RnnParams, output_jet
+from .errors import (MAX_COUNT, MAX_STATES, ConfigBlock, ConfigError, DomainError, ShapeError,
+                     read_json, whole_number, write_json)
+from .jets import RnnParams, _jet_and_series, output_jet
 from .rnn import SimConfig, System, simulate
 from .signals import InputSpec, sample_on_grid
 
@@ -91,14 +91,15 @@ class TrainConfig(ConfigBlock):
     restarts: int = 4
     max_iters: int = 150
     step_size: float = 0.5
-    fd_step: float = 1e-5
     rng_seed: int = 0
     tolerance: float = 1e-12
 
     def __post_init__(self):
-        for name, minimum in (("n", 1), ("restarts", 1), ("max_iters", 0), ("rng_seed", 0)):
-            object.__setattr__(self, name, whole_number(f"train.{name}", getattr(self, name), minimum))
-        for name in ("M", "step_size", "fd_step"):
+        for name, minimum, maximum in (("n", 1, MAX_STATES), ("restarts", 1, MAX_COUNT),
+                                       ("max_iters", 0, MAX_COUNT), ("rng_seed", 0, None)):
+            object.__setattr__(self, name, whole_number(f"train.{name}", getattr(self, name),
+                                                        minimum, maximum))
+        for name in ("M", "step_size"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v > 0):
                 raise ConfigError(f"train.{name} must be finite and positive, got {v}")
@@ -161,10 +162,74 @@ def empirical_risk(params: RnnParams, dataset: JetDataset) -> float:
     """Mean over the pairs of the sample loss: the largest mismatch
     |poly(output_jet(params, v) - z)(t_j)| between the predicted and the
     target output polynomial over the grid t_j = j*T/k, j=1..k."""
-    k = dataset.k
-    t = np.arange(1, k + 1) * (dataset.T / k)
-    mismatch = jet_poly_eval(output_jet(params, dataset.v, k) - dataset.z, t)
-    return float(np.abs(mismatch).max(axis=1).mean())
+    return _risk_forward(_flatten(params), dataset.v, dataset.z, params.n, dataset.k,
+                         dataset.T)[0]
+
+
+def _split(theta: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """Views A, b, c, xi of flat weights theta = (A row by row, b, c, xi)."""
+    nn = n * n
+    return theta[:nn].reshape(n, n), theta[nn:nn + n], theta[nn + n:nn + 2 * n], theta[nn + 2 * n:]
+
+
+def _risk_forward(theta, v, z, n, k, T) -> tuple[float, tuple]:
+    """`empirical_risk` at flat weights theta, and the tape that
+    `_risk_backward` turns into its gradient."""
+    A, b, c, xi = _split(theta, n)
+    y, series = _jet_and_series(A, b, c, xi, v)
+    t = np.arange(1, k + 1) * (T / k)
+    mismatch = jet_poly_eval(y - z, t)
+    return float(np.abs(mismatch).max(axis=1).mean()), (A, c, t, mismatch, series)
+
+
+def _risk_backward(tape: tuple) -> np.ndarray:
+    """Gradient of the risk from its forward tape, by the adjoint of the
+    Taylor recurrence of `jets._jet_and_series`.
+
+    Each sample's loss is a max over the grid; it is seeded at its
+    arg-max node t_p (the first on a tie), a subgradient: sign/N * t_p^j
+    on the j-th Taylor coefficient X_j.c of the output.  The sweep then
+    runs j = k-1..0 back through X_{j+1} = S_j/(j+1), W_j = [j=0] -
+    sum_i S_i S_{j-i}, the S_j convolution (S_0 = tanh(ARG_0)) and
+    ARG_j = A X_j + b u_j.
+    """
+    A, c, t, mismatch, (u, X, ARG, S, W) = tape
+    k, N, n = ARG.shape
+    worst = np.abs(mismatch).argmax(axis=1)
+    seed = np.sign(mismatch[np.arange(N), worst]) / N
+    ybar = seed * t[worst] ** np.arange(k + 1)[:, None]
+    Xbar = ybar[..., None] * c
+    Sbar = np.zeros_like(S)
+    Wbar = np.zeros_like(W)
+    ARGbar = np.zeros_like(ARG)
+    for j in range(k - 1, -1, -1):
+        Sbar[j] += Xbar[j + 1] / (j + 1)
+        Sbar[: j + 1] -= 2.0 * Wbar[j] * S[j::-1]
+        if j == 0:
+            ARGbar[0] += Sbar[0] * W[0]
+        else:
+            weights = np.arange(j, 0, -1)[:, None, None] * (Sbar[j] / j)
+            Wbar[:j] += weights * ARG[j:0:-1]
+            ARGbar[j:0:-1] += weights * W[:j]
+        Xbar[j] += ARGbar[j] @ A
+    flat = ARGbar.reshape(k * N, n)
+    return np.concatenate([
+        (flat.T @ X[:k].reshape(k * N, n)).ravel(),
+        u.ravel() @ flat,
+        ybar.ravel() @ X.reshape((k + 1) * N, n),
+        Xbar[0].sum(axis=0),
+    ])
+
+
+def risk_and_grad(theta: np.ndarray, v: np.ndarray, z: np.ndarray, n: int, k: int,
+                  T: float) -> tuple[float, np.ndarray]:
+    """`empirical_risk` of the n-state model with flat weights theta =
+    (A row by row, b, c, xi) on the jet pairs (v, z) of order k and
+    horizon T, and its exact gradient in theta (a subgradient where a
+    sample's largest mismatch is attained at more than one node), for
+    about two risk evaluations' work.  No argument is checked."""
+    risk, tape = _risk_forward(theta, v, z, n, k, T)
+    return risk, _risk_backward(tape)
 
 
 _FEASIBLE_SLACK = 1.0 + 1e-12
@@ -184,16 +249,22 @@ def project_feasible(params: RnnParams, M: float) -> RnnParams:
     """
     if not M > 0:
         raise ConfigError(f"M must be positive, got {M}")
+    if is_feasible(params, M):
+        return params
+    return _unflatten(_project(_flatten(params), params.n, M), params.n)
 
-    def clip_vec(v):
-        nrm = float(np.linalg.norm(v))
-        return v if nrm <= M * _FEASIBLE_SLACK else v * (M / nrm)
 
-    A = params.A
+def _project(theta: np.ndarray, n: int, M: float) -> np.ndarray:
+    """`project_feasible` on flat weights, as a new array."""
+    A, *vectors = _split(theta, n)
     if float(np.linalg.norm(A, 2)) > M * _FEASIBLE_SLACK:
         U, s, Vt = np.linalg.svd(A)
         A = (U * np.minimum(s, M)) @ Vt
-    return RnnParams(A, clip_vec(params.b), clip_vec(params.c), clip_vec(params.xi))
+    parts = [A.ravel()]
+    for v in vectors:
+        nrm = float(np.linalg.norm(v))
+        parts.append(v if nrm <= M * _FEASIBLE_SLACK else v * (M / nrm))
+    return np.concatenate(parts)
 
 
 def _flatten(params: RnnParams) -> np.ndarray:
@@ -201,12 +272,7 @@ def _flatten(params: RnnParams) -> np.ndarray:
 
 
 def _unflatten(theta: np.ndarray, n: int) -> RnnParams:
-    return RnnParams(
-        A=theta[: n * n].reshape(n, n),
-        b=theta[n * n : n * n + n],
-        c=theta[n * n + n : n * n + 2 * n],
-        xi=theta[n * n + 2 * n :],
-    )
+    return RnnParams(*_split(theta, n))
 
 
 def _random_init(config: TrainConfig, rng: np.random.Generator) -> RnnParams:
@@ -249,42 +315,37 @@ _MAX_HALVINGS = 20
 def _descend(
     dataset: JetDataset, config: TrainConfig, start: RnnParams
 ) -> tuple[RnnParams, list[float], bool]:
-    """Projected finite-difference descent from one starting point.
+    """Projected subgradient descent from one starting point, on flat
+    weights, with the gradient of `risk_and_grad`.
 
     Steps are accepted only if the risk strictly decreases; the returned
-    trajectory is the accepted-risk sequence (nonincreasing).
+    trajectory is the accepted-risk sequence (nonincreasing).  An
+    accepted step costs one forward and one backward sweep, a rejected
+    step size one forward sweep.
     """
-    theta = _flatten(project_feasible(start, config.M))
-    risk = empirical_risk(_unflatten(theta, config.n), dataset)
+    n, M = config.n, config.M
+    data = (dataset.v, dataset.z, n, dataset.k, dataset.T)
+    theta = _project(_flatten(start), n, M)
+    risk, tape = _risk_forward(theta, *data)
     trajectory = [risk]
-    accepted_any = False
     for _ in range(config.max_iters):
-        grad = np.zeros_like(theta)
-        for i in range(theta.size):
-            h = config.fd_step * max(1.0, abs(theta[i]))
-            bumped = theta.copy()
-            bumped[i] += h
-            grad[i] = (empirical_risk(_unflatten(bumped, config.n), dataset) - risk) / h
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm == 0.0:
+        grad = _risk_backward(tape)
+        if not (np.isfinite(grad).all() and grad.any()):
             break
         alpha = config.step_size
-        improved = False
         for _ in range(_MAX_HALVINGS):
-            cand = _flatten(project_feasible(_unflatten(theta - alpha * grad, config.n), config.M))
-            cand_risk = empirical_risk(_unflatten(cand, config.n), dataset)
+            cand = _project(theta - alpha * grad, n, M)
+            cand_risk, cand_tape = _risk_forward(cand, *data)
             if cand_risk < risk:
-                theta, risk = cand, cand_risk
-                improved = True
                 break
             alpha *= 0.5
-        if not improved:
+        else:
             break
-        accepted_any = True
+        theta, risk, tape = cand, cand_risk, cand_tape
         trajectory.append(risk)
-        if len(trajectory) >= 2 and trajectory[-2] - trajectory[-1] < config.tolerance:
+        if trajectory[-2] - trajectory[-1] < config.tolerance:
             break
-    return _unflatten(theta, config.n), trajectory, not accepted_any
+    return _unflatten(theta, n), trajectory, len(trajectory) == 1
 
 
 def train(dataset: JetDataset, config: TrainConfig, init: RnnParams | None = None) -> TrainResult:
@@ -294,6 +355,8 @@ def train(dataset: JetDataset, config: TrainConfig, init: RnnParams | None = Non
     when given, the rest from random feasible points) and returns the
     best final risk; ties break toward the lowest restart index.
     """
+    if init is not None and init.n != config.n:
+        raise ShapeError(f"init model has n={init.n}, train.n is {config.n}")
     children = np.random.SeedSequence(config.rng_seed).spawn(config.restarts)
     best: tuple[RnnParams, list[float], bool] | None = None
     best_risk = math.inf

@@ -50,14 +50,26 @@ class DivergenceError(JetsidError, RuntimeError):
         super().__init__(msg)
 
 
-def whole_number(field: str, value, minimum: int | None = None) -> int:
+# Upper limits of the size fields of a config, so that no size is too
+# large to allocate: the state count train.n, and every count (N,
+# probe_count, sim.grid_size, ensemble.m_terms, train.restarts,
+# train.max_iters).  The jet order k stops at
+# bernstein.MAX_WELL_CONDITIONED_K.
+MAX_STATES = 1000
+MAX_COUNT = 10**6
+
+
+def whole_number(field: str, value, minimum: int | None = None,
+                 maximum: int | None = None) -> int:
     """`value` as an int; ConfigError naming `field` unless it is a whole
-    number of at least `minimum`."""
+    number of at least `minimum` and at most `maximum`."""
     if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
                                        or isinstance(value, float) and value.is_integer()):
         raise ConfigError(f"{field} must be a whole number, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"{field} must be >= {minimum}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"{field} must be <= {maximum}, got {value!r}")
     return int(value)
 
 

@@ -103,7 +103,16 @@ def output_jet(params: RnnParams, input_jet: np.ndarray, k: int) -> np.ndarray:
     V = np.asarray(input_jet, dtype=float)
     if V.ndim != 2 or V.shape[1] != k:
         raise ShapeError(f"input jets have shape {V.shape}, expected (N, {k}) (order {k - 1})")
-    N, n = V.shape[0], params.n
+    return _jet_and_series(params.A, params.b, params.c, params.xi, V)[0]
+
+
+def _jet_and_series(A: np.ndarray, b: np.ndarray, c: np.ndarray, xi: np.ndarray,
+                    V: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """The (N, k+1) output jets of the (N, k) input jets V, unchecked, and
+    the series (u, X, ARG, S, W) of the recurrence behind them: u holds
+    the input's Taylor coefficients, shape (k, N), and X, ARG, S, W the
+    state's, shapes (k+1, N, n), (k, N, n), (k, N, n), (k, N, n)."""
+    (N, k), n = V.shape, A.shape[0]
     facts = np.array([math.factorial(ell) for ell in range(k + 1)])
     u = V.T / facts[:k, None]
 
@@ -111,9 +120,9 @@ def output_jet(params: RnnParams, input_jet: np.ndarray, k: int) -> np.ndarray:
     S = np.zeros((k, N, n))
     W = np.zeros((k, N, n))
     ARG = np.zeros((k, N, n))
-    X[0] = params.xi
+    X[0] = xi
     for j in range(k):
-        ARG[j] = X[j] @ params.A.T + u[j][:, None] * params.b
+        ARG[j] = X[j] @ A.T + u[j][:, None] * b
         if j == 0:
             S[0] = np.tanh(ARG[0])
         else:
@@ -123,7 +132,7 @@ def output_jet(params: RnnParams, input_jet: np.ndarray, k: int) -> np.ndarray:
         if j == 0:
             W[0] += 1.0
         X[j + 1] = S[j] / (j + 1)
-    y_coeffs = X @ params.c
+    y_coeffs = X @ c
     # entry 0 is c.xi by definition; the direct dot keeps it bit-exact
-    y_coeffs[0] = params.c @ params.xi
-    return (y_coeffs * facts[:, None]).T
+    y_coeffs[0] = c @ xi
+    return (y_coeffs * facts[:, None]).T, (u, X, ARG, S, W)

@@ -16,7 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigBlock, ConfigError, DivergenceError, DomainError, ShapeError, whole_number
+from .errors import (MAX_COUNT, ConfigBlock, ConfigError, DivergenceError, DomainError, ShapeError,
+                     whole_number)
 from .jets import RnnParams
 from .signals import FOURIER, InputSpec, _eval_array
 
@@ -37,7 +38,8 @@ class SimConfig(ConfigBlock):
     grid_size: int = 257
 
     def __post_init__(self):
-        object.__setattr__(self, "grid_size", whole_number("sim.grid_size", self.grid_size, 2))
+        object.__setattr__(self, "grid_size",
+                           whole_number("sim.grid_size", self.grid_size, 2, MAX_COUNT))
         if self.step is not None and not (math.isfinite(self.step) and self.step > 0):
             raise ConfigError(f"sim.step must be finite and positive, got {self.step}")
 
@@ -101,6 +103,15 @@ def _initial_state(system: System) -> np.ndarray:
     return system.xi if isinstance(system, RnnParams) else np.atleast_1d(np.asarray(system.xi0, dtype=float))
 
 
+def rk4_substeps(T: float, config: SimConfig = SimConfig()) -> int:
+    """RK4 steps per interval of the dense output grid of `simulate`: the
+    requested step (T/256 when `config.step` is None) snapped to an
+    integer subdivision of the grid spacing T/(grid_size-1), at least 1.
+    `simulate` takes (grid_size-1) times as many steps per input."""
+    h_req = config.step if config.step is not None else T / 256.0
+    return max(1, round(T / (config.grid_size - 1) / h_req))
+
+
 def simulate(system: System, input_u: list | tuple, T: float,
              config: SimConfig = SimConfig()) -> np.ndarray:
     """Outputs y on the dense grid of `config.grid_size` points over [0, T].
@@ -122,10 +133,8 @@ def simulate(system: System, input_u: list | tuple, T: float,
     if config.step is not None and config.step > T:
         raise ConfigError(f"step {config.step} exceeds horizon {T}")
     g = config.grid_size
-    dt_dense = T / (g - 1)
-    h_req = config.step if config.step is not None else T / 256.0
-    sub = max(1, round(dt_dense / h_req))
-    h = dt_dense / sub
+    sub = rk4_substeps(T, config)
+    h = T / (g - 1) / sub
     nsteps = (g - 1) * sub
 
     stage_times = np.arange(2 * nsteps + 1) * (h / 2.0)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bernstein import _sample_rows
-from .errors import ConfigBlock, ConfigError, DomainError, ShapeError, whole_number
+from .errors import MAX_COUNT, ConfigBlock, ConfigError, DomainError, ShapeError, whole_number
 
 FOURIER = "fourier"
 POLYNOMIAL = "polynomial"
@@ -95,8 +95,9 @@ class EnsembleConfig(ConfigBlock):
     phase_range: tuple[float, float] = (0.0, _TWO_PI)
 
     def __post_init__(self):
-        for name, minimum in (("m_terms", 1), ("rng_seed", 0)):
-            object.__setattr__(self, name, whole_number(f"ensemble.{name}", getattr(self, name), minimum))
+        for name, minimum, maximum in (("m_terms", 1, MAX_COUNT), ("rng_seed", 0, None)):
+            object.__setattr__(self, name, whole_number(f"ensemble.{name}", getattr(self, name),
+                                                        minimum, maximum))
         if self.kind not in (FOURIER, POLYNOMIAL):
             raise ConfigError(f"unknown ensemble kind {self.kind!r}")
         for name in ("R", "L", "horizon_T", "coef_scale"):

@@ -212,3 +212,21 @@ def scalar_empirical_risk(params, V, Z, k, T):
             abs(taylor_value(pred, j * T / k) - taylor_value(z, j * T / k)) for j in range(1, k + 1)
         )
     return total / len(V)
+
+
+def difference_gradient(risk, theta, step=1e-5, central=False):
+    """Gradient of `risk` at the flat weights theta by differences along
+    each coordinate, with the step h = step * max(1, |theta_i|): forward
+    differences (risk(theta + h e_i) - risk(theta)) / h, the gradient
+    projected descent took before its exact gradient, or central ones
+    (risk(theta + h e_i) - risk(theta - h e_i)) / (2 h)."""
+    theta = np.asarray(theta, dtype=float)
+    base = risk(theta)
+    grad = np.zeros_like(theta)
+    for i in range(theta.size):
+        h = step * max(1.0, abs(theta[i]))
+        up, down = theta.copy(), theta.copy()
+        up[i] += h
+        down[i] -= h
+        grad[i] = (risk(up) - risk(down)) / (2.0 * h) if central else (risk(up) - base) / h
+    return grad

@@ -79,8 +79,8 @@ class TestConfigLoading:
                              "probe_count", "rng_seed", "out_dir", "c_abs", "sweep"}
         assert set(echo["ensemble"]) == {"kind", "m_terms", "R", "L", "horizon_T", "rng_seed",
                                          "coef_scale", "freq_range", "phase_range"}
-        assert set(echo["train"]) == {"M", "n", "restarts", "max_iters", "step_size", "fd_step",
-                                      "rng_seed", "tolerance"}
+        assert set(echo["train"]) == {"M", "n", "restarts", "max_iters", "step_size", "rng_seed",
+                                      "tolerance"}
         assert set(echo["sim"]) == {"step", "grid_size"}
         assert echo["ensemble"]["rng_seed"] is not None
         assert echo["train"]["rng_seed"] is not None
@@ -135,6 +135,8 @@ class TestConfigLoading:
         "missing_ensemble_field": ("missing ensemble fields", lambda doc: doc["ensemble"].pop("L")),
         "unknown_train_field": ("unknown train fields", lambda doc: doc["train"].update(mystery=1)),
         "missing_train_field": ("missing train fields", lambda doc: doc["train"].pop("M")),
+        # the finite-difference step went with the finite-difference gradient
+        "train_fd_step": ("unknown train fields", lambda doc: doc["train"].update(fd_step=1e-5)),
         "unknown_sim_field": ("unknown sim fields", lambda doc: doc["sim"].update(method="rk4")),
         "unknown_sweep_field": ("unknown sweep fields", lambda doc: doc.update(
             sweep={"param": "k", "values": [2], "mystery": 1})),
@@ -153,6 +155,17 @@ class TestConfigLoading:
             doc["train"].update(M=1e200), doc.update(T=1e-199))),
         "overflow_in_product": ("ERM bound term input_modulus_term", lambda doc: (
             doc["train"].update(M=1e150), doc.update(T=1e-148))),
+    }
+    # size fields past their documented maximum, with the command that would
+    # try to allocate them and the field the error must name
+    TOO_LARGE = {
+        "huge_N": ("generate", "N", lambda doc: doc.update(N=1e300)),
+        "huge_k": ("generate", "k", lambda doc: doc.update(k=1e300)),
+        "huge_grid_size": ("generate", "sim.grid_size",
+                           lambda doc: doc["sim"].update(grid_size=1e30)),
+        "huge_m_terms": ("generate", "ensemble.m_terms",
+                         lambda doc: doc["ensemble"].update(m_terms=1e300)),
+        "huge_train_n": ("bounds", "train.n", lambda doc: doc["train"].update(n=1e30)),
     }
     # edits of a valid dataset.json document
     BAD_DATASET = {
@@ -185,7 +198,7 @@ class TestConfigLoading:
     @pytest.mark.parametrize("case", ["corrupt_dataset", "model_without_n", "init_without_n",
                                       "evaluate_without_dataset", "evaluate_without_inputs",
                                       "evaluate_seed_mismatch", *DATASET_MISMATCH,
-                                      *BAD_CONFIG, *BAD_FIELDS, *OVERFLOW, *BAD_DATASET,
+                                      *BAD_CONFIG, *BAD_FIELDS, *OVERFLOW, *TOO_LARGE, *BAD_DATASET,
                                       *BAD_MODEL_N, *BAD_LOG])
     def test_bad_input_file_exits_2(self, tmp_path, capsys, case):
         from jetsid import EnsembleConfig, build_teacher_dataset
@@ -238,6 +251,10 @@ class TestConfigLoading:
             (run / "model.json").write_text(json.dumps(model.to_json_dict()))
             bad, command = run / "training_log.csv", "evaluate"
             bad.write_text(self.BAD_LOG[case])
+        elif case in self.TOO_LARGE:
+            command, _, edit = self.TOO_LARGE[case]
+            edit(doc)
+            bad = tmp_path / "config.json"
         else:
             command, edit = (self.BAD_CONFIG.get(case)
                              or ("bounds", {**self.BAD_FIELDS, **self.OVERFLOW}[case][1]))
@@ -253,6 +270,8 @@ class TestConfigLoading:
             assert f"{self.DATASET_MISMATCH[case][0]}=" in err
         if case in self.BAD_FIELDS:
             assert self.BAD_FIELDS[case][0] in err
+        if case in self.TOO_LARGE:
+            assert f"{self.TOO_LARGE[case][1]} must be <= " in err
 
     @settings(database=None, derandomize=True)
     @given(

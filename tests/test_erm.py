@@ -20,15 +20,18 @@ from jetsid import (
     build_teacher_dataset,
     empirical_risk,
     is_feasible,
+    jet_poly_eval,
     output_jet,
     project_feasible,
+    risk_and_grad,
     sample_ensemble,
     sample_size_check,
     train,
 )
 from jetsid.signals import EnsembleConfig, InputSpec
 
-from oracles import GROUND_TRUTH_RHS, eval_closed_form, scalar_empirical_risk
+from oracles import (GROUND_TRUTH_RHS, difference_gradient, eval_closed_form,
+                     scalar_empirical_risk)
 
 EPS = np.finfo(float).eps
 
@@ -235,6 +238,65 @@ class TestProjectFeasible:
                 assert val <= raw.norms()[key] + 1e-12
 
 
+def flat(params):
+    return np.concatenate([params.A.ravel(), params.b, params.c, params.xi])
+
+
+def unflat(theta, n):
+    nn = n * n
+    return RnnParams(theta[:nn].reshape(n, n), theta[nn:nn + n], theta[nn + n:nn + 2 * n],
+                     theta[nn + 2 * n:])
+
+
+class TestRiskAndGrad:
+    """The adjoint gradient against differences of the oracle risk."""
+
+    @staticmethod
+    def problem(n, k, N=12):
+        """Feasible weights and random jet pairs, each target redrawn until
+        the largest |mismatch| over the grid beats the second largest by
+        0.05, so that the risk is smooth around the weights."""
+        rng = np.random.default_rng(100 * n + k)
+        scale = 1.0 / math.sqrt(n)
+        params = project_feasible(RnnParams(*(rng.uniform(-scale, scale, shape) for shape in
+                                              ((n, n), n, n, n))), 1.0)
+        V, Z = rng.uniform(-1, 1, (N, k)), rng.uniform(-1, 1, (N, k + 1))
+        Y = output_jet(params, V, k)
+        while True:
+            mismatch = np.sort(np.abs(jet_poly_eval(Y - Z, np.arange(1, k + 1) / k)), axis=1)
+            close = mismatch[:, -1] - mismatch[:, -2] < 0.05
+            if not close.any():
+                return params, V, Z
+            Z[close] = rng.uniform(-1, 1, (int(close.sum()), k + 1))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    @pytest.mark.parametrize("k", [2, 4, 8, 12])
+    def test_matches_central_differences(self, n, k):
+        params, V, Z = self.problem(n, k)
+        risk, grad = risk_and_grad(flat(params), V, Z, n, k, 1.0)
+        assert risk == empirical_risk(params, JetDataset(V, Z, k, 1.0))
+        ref = difference_gradient(lambda th: scalar_empirical_risk(unflat(th, n), V, Z, k, 1.0),
+                                  flat(params), step=1e-6, central=True)
+        assert np.abs(grad - ref).max() <= 1e-6 * max(1.0, np.abs(ref).max())
+
+    def test_first_order_close_to_forward_differences(self):
+        # the forward differences at step 1e-5 that descent once took are
+        # off by O(1e-5) times the curvature
+        params, V, Z = self.problem(2, 4)
+        ds = JetDataset(V, Z, 4, 1.0)
+        _, grad = risk_and_grad(flat(params), V, Z, 2, 4, 1.0)
+        ref = difference_gradient(lambda th: empirical_risk(unflat(th, 2), ds), flat(params))
+        assert np.abs(grad - ref).max() <= 1e-3 * max(1.0, np.abs(ref).max())
+
+    def test_zero_at_realizable_optimum_with_zero_mismatch(self):
+        # every mismatch is exactly 0, so every seed sign(0) is 0
+        ens = EnsembleConfig("fourier", 2, 0.8, 2.0, 1.0, rng_seed=9)
+        ds = build_teacher_dataset(sample_ensemble(ens, 4), TEACHER, 3, 1.0)
+        risk, grad = risk_and_grad(flat(TEACHER), ds.v, ds.z, 1, 3, 1.0)
+        assert risk == 0.0
+        assert not grad.any()
+
+
 class TestSampleSizeCheck:
     def test_examples(self):
         assert sample_size_check(32, 1, 2) == (True, 32)
@@ -280,6 +342,16 @@ class TestTrain:
         cfg = TrainConfig(M=1.0, n=1, restarts=2, max_iters=60, rng_seed=1)
         result = train(ds, cfg)
         assert result.risk < result.trajectory[0]
+
+    def test_risk_is_empirical_risk_bit_for_bit(self):
+        ds = self.make_dataset()
+        for n in (1, 2):
+            result = train(ds, TrainConfig(M=1.0, n=n, restarts=2, max_iters=15, rng_seed=5))
+            assert result.risk == empirical_risk(result.params, ds)
+
+    def test_init_of_other_state_count_rejected(self):
+        with pytest.raises(ShapeError, match="train.n"):
+            train(self.make_dataset(n_inputs=4), TrainConfig(M=1.0, n=3, restarts=1), init=TEACHER)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

@@ -152,6 +152,25 @@ class TestBatchedOutputJet:
             assert np.abs(batched[i] - one[0]).max() <= self.bound(one)
 
 
+class TestOutputJetPinned:
+    def test_bit_identical_to_recorded_batch(self):
+        # jets of this batch recorded before the recurrence was factored
+        # into the helper that the risk gradient shares: a reordered
+        # operation there moves dataset.json and fails here
+        params = RnnParams([[0.3, -0.4], [0.2, 0.1]], [0.8, -0.3], [0.5, 0.4], [0.1, -0.2])
+        V = np.array([[0.5, -1.0, 2.0, 0.25], [-0.3, 0.7, 0.0, -1.5], [1.0, 0.0, -0.5, 3.0]])
+        recorded = [
+            ["-0x1.eb851eb851ebap-6", "0x1.6741dc106f69cp-3", "-0x1.5d36a31d806d2p-4",
+             "0x1.1d8131ac74fd4p-3", "0x1.0f6bb2c934fbcp+0"],
+            ["-0x1.eb851eb851ebap-6", "-0x1.d6c3aeda2580ap-6", "0x1.304bc8f22669ap-3",
+             "0x1.5bdc9041e696ep-3", "-0x1.a0891af802f41p-2"],
+            ["-0x1.eb851eb851ebap-6", "0x1.f3cbcf928bf1cp-3", "0x1.f3c451f72a673p-4",
+             "-0x1.e8c9a0dfccc11p-5", "0x1.6d159fc45e38ep-2"],
+        ]
+        got = output_jet(params, V, 4)
+        assert [[float(x).hex() for x in row] for row in got] == recorded
+
+
 class TestPredictedOutputJet:
     def test_zero_input_zero_state(self):
         sig = np.zeros(3)

@@ -17,6 +17,7 @@ from jetsid import (
     io_lipschitz_bound,
     output_modulus_bound,
     output_sup_bound,
+    rk4_substeps,
     simulate,
     system_from_config,
 )
@@ -79,6 +80,30 @@ class TestSimulate:
                               simulate(system, specs, T, SimConfig(step=T / 256)))
         assert np.array_equal(simulate(system, specs, T, SimConfig(grid_size=9)),
                               simulate(system, specs, T, SimConfig(step=T / 256, grid_size=9)))
+
+    @pytest.mark.parametrize("T", [1.0, 2.5])
+    @pytest.mark.parametrize("config", [
+        SimConfig(), SimConfig(grid_size=9), SimConfig(grid_size=2), SimConfig(step=1.0 / 100),
+        SimConfig(step=1.0 / 700, grid_size=17), SimConfig(step=0.9, grid_size=65)],
+        ids=["default", "default-grid9", "default-grid2", "step-1/100", "step-1/700-grid17",
+             "coarse-step-grid65"])
+    def test_rk4_substeps_counts_simulate_steps(self, T, config):
+        # every RK4 step evaluates the drift 4 times, after one shape check
+        calls = []
+
+        def drift(x):
+            calls.append(1)
+            return -x
+
+        system = ControlAffineSystem("counting", drift, lambda x: np.ones_like(x),
+                                     np.array([1.0]), np.array([0.0]))
+        simulate(system, [const_input(1.0)], T, config)
+        assert len(calls) == 1 + 4 * (config.grid_size - 1) * rk4_substeps(T, config)
+
+    def test_rk4_substeps_of_the_default_step(self):
+        assert rk4_substeps(2.5) == 1
+        assert rk4_substeps(2.5, SimConfig(grid_size=9)) == 32
+        assert rk4_substeps(1.0, SimConfig(step=1.0 / 100, grid_size=17)) == 6
 
     def test_rk4_convergence_order(self):
         # halving the step shrinks the closed-form error by >= 12x
