@@ -121,7 +121,9 @@ class ExperimentConfig(ConfigBlock):
                 object.__setattr__(self, name, block.from_json_dict(value))
         if not (self.out_dir is None or isinstance(self.out_dir, str)):
             raise ConfigError(f"out_dir must be a string or null, got {self.out_dir!r}")
-        for name, minimum, maximum in (("k", 2, MAX_WELL_CONDITIONED_K), ("N", 1, MAX_COUNT),
+        # the output lift takes k+1 samples, so k stops one short of the
+        # conditioning limit of bernstein_jet
+        for name, minimum, maximum in (("k", 2, MAX_WELL_CONDITIONED_K - 1), ("N", 1, MAX_COUNT),
                                        ("probe_count", 1, MAX_COUNT), ("rng_seed", 0, None)):
             object.__setattr__(self, name,
                                whole_number(name, getattr(self, name), minimum, maximum))

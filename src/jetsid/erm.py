@@ -257,12 +257,12 @@ def project_feasible(params: RnnParams, M: float) -> RnnParams:
 def _project(theta: np.ndarray, n: int, M: float) -> np.ndarray:
     """`project_feasible` on flat weights, as a new array."""
     A, *vectors = _split(theta, n)
-    if float(np.linalg.norm(A, 2)) > M * _FEASIBLE_SLACK:
+    if float(np.linalg.svd(A, compute_uv=False).max()) > M * _FEASIBLE_SLACK:
         U, s, Vt = np.linalg.svd(A)
         A = (U * np.minimum(s, M)) @ Vt
     parts = [A.ravel()]
     for v in vectors:
-        nrm = float(np.linalg.norm(v))
+        nrm = math.sqrt(v @ v)
         parts.append(v if nrm <= M * _FEASIBLE_SLACK else v * (M / nrm))
     return np.concatenate(parts)
 

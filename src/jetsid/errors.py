@@ -54,7 +54,8 @@ class DivergenceError(JetsidError, RuntimeError):
 # large to allocate: the state count train.n, and every count (N,
 # probe_count, sim.grid_size, ensemble.m_terms, train.restarts,
 # train.max_iters).  The jet order k stops at
-# bernstein.MAX_WELL_CONDITIONED_K.
+# bernstein.MAX_WELL_CONDITIONED_K - 1, as its output lift takes k+1
+# samples.
 MAX_STATES = 1000
 MAX_COUNT = 10**6
 

@@ -138,11 +138,10 @@ def simulate(system: System, input_u: list | tuple, T: float,
     nsteps = (g - 1) * sub
 
     stage_times = np.arange(2 * nsteps + 1) * (h / 2.0)
-    u_stage = np.empty((stage_times.size, len(inputs)))
-    for j, u in enumerate(inputs):
+    for u in inputs:
         if not isinstance(u, InputSpec):
             raise ConfigError(f"unsupported input type {type(u).__name__}")
-        u_stage[:, j] = _eval_array(u, stage_times)
+    u_stage = np.ascontiguousarray(_eval_array(inputs, stage_times).T)
 
     rhs = _rhs(system)
     hvec = _output_vector(system)

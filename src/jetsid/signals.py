@@ -114,19 +114,32 @@ class EnsembleConfig(ConfigBlock):
         return replace(self, rng_seed=int(seed))
 
 
-def _eval_array(spec: InputSpec, ts: np.ndarray) -> np.ndarray:
-    """Evaluate the closed-form input at arbitrary times, no domain check.
+def _eval_array(specs: list[InputSpec], ts: np.ndarray) -> np.ndarray:
+    """(N, len(ts)) values of N closed-form inputs at the times ts, one
+    row per input, no domain check.
 
-    Accumulates term by term so scalar and batched evaluations agree
-    bitwise (grid sampling then pointwise re-evaluation round-trips).
+    Inputs of one kind and term count are evaluated together from stacked
+    (G, m) parameter arrays.  Each element takes the same steps as in a
+    batch of one (Fourier terms accumulated one by one, Horner for
+    polynomials), so a row does not depend on the batch it is in.
     """
     ts = np.asarray(ts, dtype=float)
-    if spec.kind == FOURIER:
-        out = np.zeros_like(ts)
-        for c, w, a in zip(spec.coefficients, spec.frequencies, spec.phases):
-            out += c * np.sin(w * ts + a)
-        return out
-    return np.polynomial.polynomial.polyval(ts, spec.coefficients)
+    out = np.empty((len(specs), ts.size))
+    groups: dict[tuple[str, int], list[int]] = {}
+    for i, spec in enumerate(specs):
+        groups.setdefault((spec.kind, spec.coefficients.size), []).append(i)
+    for (kind, _), rows in groups.items():
+        C = np.array([specs[i].coefficients for i in rows])
+        if kind == FOURIER:
+            W = np.array([specs[i].frequencies for i in rows])
+            A = np.array([specs[i].phases for i in rows])
+            values = np.zeros((len(rows), ts.size))
+            for j in range(C.shape[1]):
+                values += C[:, j, None] * np.sin(W[:, j, None] * ts + A[:, j, None])
+        else:
+            values = np.polynomial.polynomial.polyval(ts, C.T)
+        out[rows] = values
+    return out
 
 
 def input_jet(spec: InputSpec, order: int) -> np.ndarray:
@@ -190,7 +203,7 @@ def sample_on_grid(specs: list[InputSpec], m: int, T: float) -> np.ndarray:
     if m < 1:
         raise DomainError("grid degree m must be >= 1")
     ts = np.linspace(0.0, T, m + 1)
-    return np.array([_eval_array(spec, ts) for spec in specs]).reshape(-1, m + 1)
+    return _eval_array(specs, ts)
 
 
 def estimate_modulus(values: np.ndarray, T: float, delta: float) -> float:

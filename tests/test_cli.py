@@ -161,6 +161,8 @@ class TestConfigLoading:
     TOO_LARGE = {
         "huge_N": ("generate", "N", lambda doc: doc.update(N=1e300)),
         "huge_k": ("generate", "k", lambda doc: doc.update(k=1e300)),
+        # the output lift of k = 20 takes 21 samples, past the conditioning limit
+        "k_20": ("generate", "k", lambda doc: doc.update(k=20)),
         "huge_grid_size": ("generate", "sim.grid_size",
                            lambda doc: doc["sim"].update(grid_size=1e30)),
         "huge_m_terms": ("generate", "ensemble.m_terms",
@@ -336,6 +338,14 @@ class TestGenerate:
         for pair, v, z in zip(saved["pairs"], direct.v, direct.z):
             assert pair["v"] == pytest.approx(v)
             assert pair["z"] == pytest.approx(z)
+
+    def test_largest_k_runs_without_warning(self, tmp_path):
+        # pytest turns warnings into errors (pyproject.toml), so a
+        # conditioning warning from the k+1-sample output lift fails this
+        doc = base_doc(tmp_path / "run")
+        doc["k"], doc["N"] = 19, 4
+        assert main(["generate", "--config", write_config(tmp_path, doc)]) == 0
+        assert json.loads((tmp_path / "run" / "dataset.json").read_text())["k"] == 19
 
     def test_writes_input_specs(self, tmp_path):
         path = write_config(tmp_path, base_doc(tmp_path / "run"))

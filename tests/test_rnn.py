@@ -214,10 +214,14 @@ class TestBatchedSimulate:
 
     @pytest.mark.parametrize("name", BATCH_SYSTEMS)
     def test_mixed_input_kinds(self, name):
+        # the stage values are evaluated in groups of one kind and term
+        # count; the two 2-term Fourier inputs share a group across others
         inputs = [
             InputSpec("fourier", [0.5, -0.2], [2.0, 1.1], [0.3, 1.0]),
             InputSpec("polynomial", [0.2, -0.4, 0.3]),
+            InputSpec("fourier", [0.3, 0.1, -0.25], [1.4, 2.9, 0.7], [2.0, 0.5, 4.1]),
             const_input(-0.7),
+            InputSpec("fourier", [-0.4, 0.35], [0.8, 2.4], [1.5, 3.0]),
         ]
         self.check_rows(name, inputs)
 

@@ -16,6 +16,7 @@ from jetsid import (
     sample_on_grid,
 )
 from jetsid.bernstein import bernstein_eval
+from jetsid.rnn import bibo_probes
 
 from oracles import brute_modulus, eval_closed_form, sympy_input_derivatives
 
@@ -154,6 +155,30 @@ class TestSampleOnGrid:
         for row, spec in zip(batch, specs):
             assert np.array_equal(row, sample_on_grid([spec], 7, 1.0)[0])
         assert sample_on_grid([], 7, 1.0).shape == (0, 8)
+
+    def test_interleaved_kinds_and_term_counts(self):
+        # inputs are evaluated in groups of one kind and term count; each
+        # row must still land in its input's place, bit for bit its batch
+        # of one
+        specs = [
+            fourier([0.7], [1.3], [0.2]),
+            poly([0.1, -0.6, 0.45]),
+            fourier([0.3, -0.2, 0.1], [0.9, 2.2, 3.1], [1.0, 0.4, 5.5]),
+            bibo_probes(0.8, 1, 1.7, rng_seed=3)[0],
+            poly([-0.25]),
+            fourier([-0.5], [2.6], [4.0]),
+            fourier([0.05, 0.4, -0.3], [1.7, 0.6, 2.9], [2.2, 0.0, 3.3]),
+            poly([0.3, 0.2, -0.1]),
+        ]
+        ts = np.linspace(0.0, 1.7, 13)
+        batch = sample_on_grid(specs, 12, 1.7)
+        assert batch.shape == (len(specs), 13)
+        for row, spec in zip(batch, specs):
+            assert np.array_equal(row, sample_on_grid([spec], 12, 1.7)[0])
+            if spec.kind == "fourier":
+                assert np.array_equal(row, eval_closed_form(spec, ts))
+            else:
+                assert np.abs(row - eval_closed_form(spec, ts)).max() <= 1e-14
 
     def test_round_trip_with_eval(self):
         spec = fourier([0.4, 0.3], [1.2, 2.7], [0.1, 1.4])
