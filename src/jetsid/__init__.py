@@ -66,7 +66,6 @@ from .signals import (
     EnsembleConfig,
     InputSpec,
     estimate_modulus,
-    input_jet,
     sample_ensemble,
     sample_on_grid,
 )

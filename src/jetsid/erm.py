@@ -162,24 +162,35 @@ def empirical_risk(params: RnnParams, dataset: JetDataset) -> float:
     """Mean over the pairs of the sample loss: the largest mismatch
     |poly(output_jet(params, v) - z)(t_j)| between the predicted and the
     target output polynomial over the grid t_j = j*T/k, j=1..k."""
-    return _risk_forward(_flatten(params), dataset.v, dataset.z, params.n, dataset.k,
-                         dataset.T)[0]
+    return float(_risk_forward(_flatten(params)[None], dataset.v, dataset.z, params.n,
+                               dataset.k, dataset.T)[0][0])
 
 
-def _split(theta: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
-    """Views A, b, c, xi of flat weights theta = (A row by row, b, c, xi)."""
+def _split(thetas: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """Views A (L, n, n) and b, c, xi (L, n) of an (L, P) stack of flat
+    weights, each row theta = (A row by row, b, c, xi)."""
     nn = n * n
-    return theta[:nn].reshape(n, n), theta[nn:nn + n], theta[nn + n:nn + 2 * n], theta[nn + 2 * n:]
+    return (thetas[:, :nn].reshape(len(thetas), n, n), thetas[:, nn:nn + n],
+            thetas[:, nn + n:nn + 2 * n], thetas[:, nn + 2 * n:])
 
 
-def _risk_forward(theta, v, z, n, k, T) -> tuple[float, tuple]:
-    """`empirical_risk` at flat weights theta, and the tape that
-    `_risk_backward` turns into its gradient."""
-    A, b, c, xi = _split(theta, n)
+def _risk_forward(thetas, v, z, n, k, T) -> tuple[np.ndarray, tuple]:
+    """`empirical_risk` at each row of an (L, P) stack of flat weights,
+    as an (L,) array, and the stacked tape whose `_tape_row` slices
+    `_risk_backward` turns into gradients.  Each row's risk and tape
+    equal bit for bit those of a stack of one."""
+    A, b, c, xi = _split(thetas, n)
     y, series = _jet_and_series(A, b, c, xi, v)
     t = np.arange(1, k + 1) * (T / k)
-    mismatch = jet_poly_eval(y - z, t)
-    return float(np.abs(mismatch).max(axis=1).mean()), (A, c, t, mismatch, series)
+    L, N = y.shape[:2]
+    mismatch = jet_poly_eval((y - z).reshape(L * N, k + 1), t).reshape(L, N, k)
+    return np.abs(mismatch).max(axis=2).mean(axis=1), (A, c, t, mismatch, series)
+
+
+def _tape_row(tape: tuple, i: int) -> tuple:
+    """The tape of row i of a stacked `_risk_forward`."""
+    A, c, t, mismatch, (u, *series) = tape
+    return A[i], c[i], t, mismatch[i], (u, *(s[:, i] for s in series))
 
 
 def _risk_backward(tape: tuple) -> np.ndarray:
@@ -228,8 +239,8 @@ def risk_and_grad(theta: np.ndarray, v: np.ndarray, z: np.ndarray, n: int, k: in
     horizon T, and its exact gradient in theta (a subgradient where a
     sample's largest mismatch is attained at more than one node), for
     about two risk evaluations' work.  No argument is checked."""
-    risk, tape = _risk_forward(theta, v, z, n, k, T)
-    return risk, _risk_backward(tape)
+    risks, tape = _risk_forward(theta[None], v, z, n, k, T)
+    return float(risks[0]), _risk_backward(_tape_row(tape, 0))
 
 
 _FEASIBLE_SLACK = 1.0 + 1e-12
@@ -237,7 +248,10 @@ _FEASIBLE_SLACK = 1.0 + 1e-12
 
 def is_feasible(params: RnnParams, M: float) -> bool:
     """All four norms within the budget, up to roundoff slack."""
-    return all(v <= M * _FEASIBLE_SLACK for v in params.norms().values())
+    # a norm whose square overflows reads inf, which is outside any budget
+    with np.errstate(over="ignore"):
+        norms = params.norms()
+    return all(v <= M * _FEASIBLE_SLACK for v in norms.values())
 
 
 def project_feasible(params: RnnParams, M: float) -> RnnParams:
@@ -251,20 +265,35 @@ def project_feasible(params: RnnParams, M: float) -> RnnParams:
         raise ConfigError(f"M must be positive, got {M}")
     if is_feasible(params, M):
         return params
-    return _unflatten(_project(_flatten(params), params.n, M), params.n)
+    return _unflatten(_project(_flatten(params)[None], params.n, M)[0], params.n)
 
 
-def _project(theta: np.ndarray, n: int, M: float) -> np.ndarray:
-    """`project_feasible` on flat weights, as a new array."""
-    A, *vectors = _split(theta, n)
-    if float(np.linalg.svd(A, compute_uv=False).max()) > M * _FEASIBLE_SLACK:
-        U, s, Vt = np.linalg.svd(A)
-        A = (U * np.minimum(s, M)) @ Vt
-    parts = [A.ravel()]
-    for v in vectors:
-        nrm = math.sqrt(v @ v)
-        parts.append(v if nrm <= M * _FEASIBLE_SLACK else v * (M / nrm))
-    return np.concatenate(parts)
+def _project(thetas: np.ndarray, n: int, M: float) -> np.ndarray:
+    """`project_feasible` on each row of an (L, P) stack of flat weights,
+    as a new array whose rows equal bit for bit those of a stack of one."""
+    L, nn = len(thetas), n * n
+    A = _split(thetas, n)[0]
+    bound = M * _FEASIBLE_SLACK
+    clip = np.linalg.svd(A, compute_uv=False).max(axis=1) > bound
+    if clip.any():
+        U, s, Vt = np.linalg.svd(A[clip])
+        A = A.copy()
+        A[clip] = (U * np.minimum(s, M)[:, None]) @ Vt
+    # b, c, xi of each row, and their norms sqrt(v @ v) from (1, n) @ (n, 1)
+    # products, which match v @ v bit for bit
+    vecs = thetas[:, nn:].reshape(L, 3, n)
+    with np.errstate(over="ignore"):
+        nrm = np.sqrt((vecs[..., None, :] @ vecs[..., None])[..., 0, 0])
+    huge = np.isinf(nrm)
+    if huge.any():
+        # v @ v overflowed: |v| = m |v / m| with m the largest |entry|
+        top = np.abs(vecs[huge]).max(axis=1)
+        unit = vecs[huge] / top[:, None]
+        nrm[huge] = top * np.sqrt((unit[:, None, :] @ unit[..., None])[:, 0, 0])
+    out = nrm > bound
+    vecs = vecs.copy()
+    vecs[out] *= (M / nrm[out])[:, None]
+    return np.concatenate([A.reshape(L, nn), vecs.reshape(L, 3 * n)], axis=1)
 
 
 def _flatten(params: RnnParams) -> np.ndarray:
@@ -272,7 +301,7 @@ def _flatten(params: RnnParams) -> np.ndarray:
 
 
 def _unflatten(theta: np.ndarray, n: int) -> RnnParams:
-    return RnnParams(*_split(theta, n))
+    return RnnParams(*(part[0] for part in _split(theta[None], n)))
 
 
 def _random_init(config: TrainConfig, rng: np.random.Generator) -> RnnParams:
@@ -318,30 +347,44 @@ def _descend(
     """Projected subgradient descent from one starting point, on flat
     weights, with the gradient of `risk_and_grad`.
 
-    Steps are accepted only if the risk strictly decreases; the returned
-    trajectory is the accepted-risk sequence (nonincreasing).  An
-    accepted step costs one forward and one backward sweep, a rejected
-    step size one forward sweep.
+    Each step takes the first of the step sizes step_size * 2^-i,
+    i < _MAX_HALVINGS, whose projected candidate strictly lowers the
+    risk; the returned trajectory is the accepted-risk sequence
+    (nonincreasing).  The ladder is tried in stacked batches: the first
+    holds as many step sizes as the previous step needed (one at the
+    start), each later one the next step size alone.  A step costs one
+    backward sweep and, per batch, one stacked forward sweep and one
+    stacked projection; the candidates past the accepted one are the only
+    work that halving one trial at a time would not do, and the accepted
+    step is the same.
     """
     n, M = config.n, config.M
     data = (dataset.v, dataset.z, n, dataset.k, dataset.T)
-    theta = _project(_flatten(start), n, M)
-    risk, tape = _risk_forward(theta, *data)
+    ladder = [config.step_size]
+    for _ in range(_MAX_HALVINGS - 1):
+        ladder.append(ladder[-1] * 0.5)
+    ladder = np.array(ladder)[:, None]
+    theta = _project(_flatten(start)[None], n, M)
+    risks, tape = _risk_forward(theta, *data)
+    theta, risk, tape = theta[0], float(risks[0]), _tape_row(tape, 0)
     trajectory = [risk]
+    batch = 1
     for _ in range(config.max_iters):
         grad = _risk_backward(tape)
         if not (np.isfinite(grad).all() and grad.any()):
             break
-        alpha = config.step_size
-        for _ in range(_MAX_HALVINGS):
-            cand = _project(theta - alpha * grad, n, M)
-            cand_risk, cand_tape = _risk_forward(cand, *data)
-            if cand_risk < risk:
+        edges = [0, *range(batch, _MAX_HALVINGS + 1)]
+        for first, stop in zip(edges, edges[1:]):
+            cands = _project(theta - ladder[first:stop] * grad, n, M)
+            cand_risks, cand_tape = _risk_forward(cands, *data)
+            lower = np.flatnonzero(cand_risks < risk)
+            if lower.size:
                 break
-            alpha *= 0.5
         else:
             break
-        theta, risk, tape = cand, cand_risk, cand_tape
+        i = int(lower[0])
+        batch = first + i + 1
+        theta, risk, tape = cands[i], float(cand_risks[i]), _tape_row(cand_tape, i)
         trajectory.append(risk)
         if trajectory[-2] - trajectory[-1] < config.tolerance:
             break

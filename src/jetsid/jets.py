@@ -103,36 +103,52 @@ def output_jet(params: RnnParams, input_jet: np.ndarray, k: int) -> np.ndarray:
     V = np.asarray(input_jet, dtype=float)
     if V.ndim != 2 or V.shape[1] != k:
         raise ShapeError(f"input jets have shape {V.shape}, expected (N, {k}) (order {k - 1})")
-    return _jet_and_series(params.A, params.b, params.c, params.xi, V)[0]
+    return _jet_and_series(params.A[None], params.b[None], params.c[None], params.xi[None],
+                           V)[0][0]
 
 
 def _jet_and_series(A: np.ndarray, b: np.ndarray, c: np.ndarray, xi: np.ndarray,
                     V: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """The (N, k+1) output jets of the (N, k) input jets V, unchecked, and
-    the series (u, X, ARG, S, W) of the recurrence behind them: u holds
-    the input's Taylor coefficients, shape (k, N), and X, ARG, S, W the
-    state's, shapes (k+1, N, n), (k, N, n), (k, N, n), (k, N, n)."""
-    (N, k), n = V.shape, A.shape[0]
+    """The output jets of the (N, k) input jets V under each of L weight
+    sets, stacked as A (L, n, n) and b, c, xi (L, n): an (L, N, k+1)
+    array, unchecked, and the series (u, X, ARG, S, W) of the recurrence
+    behind them.  u holds the input's Taylor coefficients, shape (k, N),
+    and X, ARG, S, W the states', shapes (k+1, L, N, n), (k, L, N, n),
+    (k, L, N, n), (k, L, N, n).  Each weight set's jets and series equal
+    bit for bit those it gives in a stack of one."""
+    (N, k), (L, n) = V.shape, b.shape
+    if N * n == 1 < L:
+        # numpy sums the products below over their first axis in order, but
+        # pairwise when the other axes hold one element: run each weight set
+        # alone, as in a stack of one
+        rows = [_jet_and_series(A[i:i + 1], b[i:i + 1], c[i:i + 1], xi[i:i + 1], V)
+                for i in range(L)]
+        series = [np.concatenate(s, axis=1) for s in zip(*(r[1][1:] for r in rows))]
+        return np.concatenate([r[0] for r in rows]), (rows[0][1][0], *series)
     facts = np.array([math.factorial(ell) for ell in range(k + 1)])
     u = V.T / facts[:k, None]
 
-    X = np.zeros((k + 1, N, n))
-    S = np.zeros((k, N, n))
-    W = np.zeros((k, N, n))
-    ARG = np.zeros((k, N, n))
-    X[0] = xi
+    X = np.empty((k + 1, L, N, n))
+    S = np.empty((k, L, N, n))
+    W = np.empty((k, L, N, n))
+    ARG = np.empty((k, L, N, n))
+    # jARG[i] = i * ARG[i] for i >= 1, so that each term of S_j is one product
+    jARG = np.empty((k, L, N, n))
+    X[0] = xi[:, None]
+    At, b = A.transpose(0, 2, 1), b[:, None]
     for j in range(k):
-        ARG[j] = X[j] @ A.T + u[j][:, None] * b
+        # one (N, n) @ (n, n) product per weight set, as in a stack of one
+        ARG[j] = X[j] @ At + u[j][:, None] * b
         if j == 0:
             S[0] = np.tanh(ARG[0])
         else:
-            weights = np.arange(j, 0, -1)[:, None, None]
-            S[j] = (W[:j] * (weights * ARG[j:0:-1])).sum(axis=0) / j
+            jARG[j] = j * ARG[j]
+            S[j] = (W[:j] * jARG[j:0:-1]).sum(axis=0) / j
         W[j] = -(S[: j + 1] * S[j::-1]).sum(axis=0)
         if j == 0:
             W[0] += 1.0
         X[j + 1] = S[j] / (j + 1)
-    y_coeffs = X @ c
+    y_coeffs = (X @ c[:, :, None])[..., 0]
     # entry 0 is c.xi by definition; the direct dot keeps it bit-exact
-    y_coeffs[0] = c @ xi
-    return (y_coeffs * facts[:, None]).T, (u, X, ARG, S, W)
+    y_coeffs[0] = (c[:, None, :] @ xi[:, :, None])[:, 0]
+    return (y_coeffs * facts[:, None, None]).transpose(1, 2, 0), (u, X, ARG, S, W)

@@ -142,22 +142,6 @@ def _eval_array(specs: list[InputSpec], ts: np.ndarray) -> np.ndarray:
     return out
 
 
-def input_jet(spec: InputSpec, order: int) -> np.ndarray:
-    """Exact derivatives (u(0), u'(0), ..., u^(order)(0)) of the input."""
-    if order < 0:
-        raise DomainError("order must be >= 0")
-    derivs = np.zeros(order + 1)
-    if spec.kind == FOURIER:
-        c, w, a = spec.coefficients, spec.frequencies, spec.phases
-        for ell in range(order + 1):
-            derivs[ell] = np.sum(c * w**ell * np.sin(a + ell * math.pi / 2.0))
-    else:
-        c = spec.coefficients
-        for ell in range(min(order, c.size - 1) + 1):
-            derivs[ell] = math.factorial(ell) * c[ell]
-    return derivs
-
-
 def _draw_spec(config: EnsembleConfig, rng: np.random.Generator) -> InputSpec:
     T = config.horizon_T
     if config.kind == FOURIER:

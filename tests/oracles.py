@@ -30,6 +30,23 @@ def eval_closed_form(spec, t):
     return out
 
 
+def input_jet(spec, order):
+    """Exact derivatives (u(0), u'(0), ..., u^(order)(0)) of an InputSpec,
+    from the derivatives of its closed form."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    derivs = np.zeros(order + 1)
+    if spec.kind == "fourier":
+        c, w, a = spec.coefficients, spec.frequencies, spec.phases
+        for ell in range(order + 1):
+            derivs[ell] = np.sum(c * w**ell * np.sin(a + ell * math.pi / 2.0))
+    else:
+        c = spec.coefficients
+        for ell in range(min(order, c.size - 1) + 1):
+            derivs[ell] = math.factorial(ell) * c[ell]
+    return derivs
+
+
 def brute_bernstein(values, T, t):
     """Direct binomial-sum evaluation of the Bernstein polynomial."""
     m = len(values) - 1

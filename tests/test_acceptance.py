@@ -22,7 +22,6 @@ from jetsid import (
     erm_risk_bound,
     estimate_modulus,
     fixed_model_risk_bound,
-    input_jet,
     io_lipschitz_bound,
     jet_poly_eval,
     linear_modulus,
@@ -42,7 +41,8 @@ from jetsid import (
 from jetsid.cli import main
 from jetsid.signals import EnsembleConfig, InputSpec
 
-from oracles import brute_bernstein, eval_closed_form, fd_output_derivatives, jet_to_bernstein
+from oracles import (brute_bernstein, eval_closed_form, fd_output_derivatives, input_jet,
+                     jet_to_bernstein)
 
 T = 1.0
 ENSEMBLE = EnsembleConfig("fourier", 2, 0.8, 2.0, T, rng_seed=424242)

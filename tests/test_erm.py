@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from jetsid import (
     sample_size_check,
     train,
 )
+from jetsid import erm
 from jetsid.signals import EnsembleConfig, InputSpec
 
 from oracles import (GROUND_TRUTH_RHS, difference_gradient, eval_closed_form,
@@ -216,6 +218,12 @@ class TestProjectFeasible:
         assert out.b == pytest.approx([1.0])
         big = scalar_params(b=-4.0)
         assert project_feasible(big, 1.0).b == pytest.approx([-1.0])
+        # b @ b overflows; the direction must survive, not collapse to 0
+        huge = RnnParams(np.zeros((2, 2)), [1e200, 1e200], [0.0, -1e300], [0.5, 0.0])
+        out = project_feasible(huge, 1.0)
+        assert out.b == pytest.approx([0.5**0.5, 0.5**0.5], rel=1e-15)
+        assert np.array_equal(out.c, [0.0, -1.0])
+        assert np.array_equal(out.xi, [0.5, 0.0])
 
     def test_singular_value_clipping(self):
         M = 0.7
@@ -403,3 +411,95 @@ class TestDatasetSerialization:
     def test_nonfinite_entry_rejected(self):
         with pytest.raises(DomainError):
             JetDataset([[0.0, np.nan]], [[0.0, 0.0, 0.0]], 2, 1.0)
+
+
+class TestDescentPinned:
+    """Descents recorded when each step size was tried by its own forward
+    sweep, halving one trial at a time: an accepted step that moves, or a
+    reordered operation in the jet map, the loss or the projection, changes
+    a bit here."""
+
+    PINNED = Path(__file__).with_name("descent_pinned.json")
+    TEACHER2 = RnnParams([[0.3, -0.4], [0.2, 0.1]], [0.8, -0.3], [0.5, 0.4], [0.1, -0.2])
+    # outside the M = 0.5 budget, so descent pushes candidates onto its boundary
+    TEACHER3 = RnnParams([[-1.24, -0.79, 0.9], [0.25, -1.22, -0.2], [-0.06, -1.02, 0.7]],
+                         [-1.16, -0.33, 0.05], [-0.28, 0.35, 0.95], [0.46, -0.22, 0.15])
+    CASES = {
+        "n1_k2": (TEACHER, 12, 2, dict(M=1.0, n=1, restarts=1, max_iters=25, rng_seed=1)),
+        "n2_k4_two_restarts": (TEACHER2, 16, 4,
+                               dict(M=1.0, n=2, restarts=2, max_iters=20, rng_seed=11)),
+        "n3_k8_projected": (TEACHER3, 12, 8, dict(M=0.5, n=3, restarts=1, max_iters=15,
+                                                  rng_seed=2, step_size=1.0)),
+        # stops when all 20 halvings of the last step are rejected
+        "n1_k3_ladder_exhausted": (TEACHER, 8, 3, dict(M=1.0, n=1, restarts=1, max_iters=60,
+                                                       rng_seed=0, tolerance=0.0)),
+        "n1_k3_tolerance": (TEACHER, 8, 3, dict(M=1.0, n=1, restarts=1, max_iters=60,
+                                                rng_seed=0, tolerance=1e-4)),
+    }
+
+    @classmethod
+    def run(cls, case):
+        teacher, n_inputs, k, cfg = cls.CASES[case]
+        ens = EnsembleConfig("fourier", 2, 0.8, 2.0, 1.0, rng_seed=9)
+        ds = build_teacher_dataset(sample_ensemble(ens, n_inputs), teacher, k, 1.0)
+        result = train(ds, TrainConfig(**cfg))
+        return {"trajectory": [x.hex() for x in result.trajectory],
+                "weights": [float(x).hex() for x in flat(result.params)],
+                "best_restart": result.best_restart}
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_bit_identical_to_recorded_descent(self, case):
+        assert self.run(case) == json.loads(self.PINNED.read_text())[case]
+
+
+class TestStackedKernels:
+    """Each row of a stacked forward sweep and projection against the same
+    weights in a stack of one, bit for bit."""
+
+    @staticmethod
+    def rows(n, L, rng):
+        """L flat weight rows cycling through: inside the M = 1 budget; A
+        of spectral norm 2 and b, c, xi of norm 2 (all clipped); only b and
+        xi outside the budget."""
+        out = []
+        for i in range(L):
+            A = rng.uniform(-1, 1, (n, n))
+            b, c, xi = rng.uniform(-1, 1, (3, n))
+            kind = i % 3
+            A *= (0.5 if kind != 1 else 2.0) / np.linalg.norm(A, 2)
+            b, c, xi = (v * scale / np.linalg.norm(v) for v, scale in
+                        zip((b, c, xi), ((0.5, 0.5, 0.5), (2.0, 2.0, 2.0), (3.0, 0.5, 1.5))[kind]))
+            out.append(np.concatenate([A.ravel(), b, c, xi]))
+        return np.array(out)
+
+    @staticmethod
+    def same_bits(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("N", [1, 6])
+    @pytest.mark.parametrize("L", [1, 3, 7])
+    @pytest.mark.parametrize("k", [2, 4, 12])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_rows_match_batch_of_one(self, n, k, L, N):
+        rng = np.random.default_rng(1000 * n + 10 * k + L + N)
+        thetas = self.rows(n, L, rng)
+        V, Z = rng.uniform(-1, 1, (N, k)), rng.uniform(-1, 1, (N, k + 1))
+        risks, tape = erm._risk_forward(thetas, V, Z, n, k, 1.0)
+        projected = erm._project(thetas, n, 1.0)
+        assert risks.shape == (L,) and projected.shape == thetas.shape
+        for i, theta in enumerate(thetas):
+            one_risks, one_tape = erm._risk_forward(theta[None], V, Z, n, k, 1.0)
+            assert self.same_bits(risks[i], one_risks[0])
+            row, one = erm._tape_row(tape, i), erm._tape_row(one_tape, 0)
+            *arrays, (u, X, ARG, S, W) = row
+            *one_arrays, one_series = one
+            for got, want in zip([*arrays, u, X, ARG, S, W], [*one_arrays, *one_series]):
+                assert self.same_bits(got, want)
+            assert self.same_bits(projected[i], erm._project(theta[None], n, 1.0)[0])
+        if L > 1:
+            # both sides of the budget: rows 0 (inside) and 1 (A clipped, b, c, xi rescaled)
+            inside, outside = (erm._unflatten(projected[i], n).norms() for i in (0, 1))
+            assert np.array_equal(projected[0], thetas[0])
+            assert all(v < 0.6 for v in inside.values())
+            assert all(v == pytest.approx(1.0, rel=1e-12) for v in outside.values())

@@ -17,7 +17,7 @@ from jetsid import (
 from jetsid.erm import project_feasible
 from jetsid.signals import InputSpec, sample_on_grid
 
-from oracles import eval_closed_form, fd_output_derivatives, scalar_output_jet
+from oracles import eval_closed_form, fd_output_derivatives, input_jet, scalar_output_jet
 
 EPS = np.finfo(float).eps
 
@@ -84,8 +84,6 @@ class TestOutputJet:
         w = rng.uniform(0.3, 2.5, 2)
         a = rng.uniform(0.0, 2 * math.pi, 2)
         spec = InputSpec("fourier", c, w, a)
-        from jetsid.signals import input_jet
-
         jet = jet_of(params, input_jet(spec, 3), 4)
         fd = fd_output_derivatives(params, lambda t: float(eval_closed_form(spec, t)))
         for ell in range(5):

@@ -1,0 +1,99 @@
+"""The names the benchmark's tracer (perfbench/spans.py) reads from jetsid.
+
+The tracer wraps functions by name and counts work from their arguments and
+results; a helper it cannot find is skipped without a word, so a rename
+would zero a count rather than fail.  spans.py is read with `ast` here,
+never imported or edited.
+"""
+
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
+import pytest
+
+import jetsid
+from jetsid import RnnParams, TrainConfig, build_teacher_dataset, erm, sample_ensemble, train
+from jetsid.signals import EnsembleConfig
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+TREE = ast.parse(SPANS.read_text())
+
+
+def assigned(name):
+    """The literal value assigned to a module-level or local `name`."""
+    for node in ast.walk(TREE):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no assignment to {name} in {SPANS}")
+
+
+def function(name):
+    return next(node for node in ast.walk(TREE)
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def resolve(span):
+    """The jetsid function behind a span name `module.function`."""
+    module, _, attr = span.partition(".")
+    return getattr(importlib.import_module(f"jetsid.{module}"), attr)
+
+
+def argument_reads():
+    """(span name, position, parameter name) for every `args[i] if len(args)
+    > i else kwargs[name]` (or `kwargs.get(name)`) in a work counter."""
+    reads = []
+    for branch in ast.walk(function("_work_counter")):
+        if not (isinstance(branch, ast.If) and isinstance(branch.test, ast.Compare)):
+            continue
+        span = branch.test.comparators[0].value
+        for body in branch.body:
+            for node in ast.walk(body):
+                if not (isinstance(node, ast.IfExp) and isinstance(node.body, ast.Subscript)
+                        and isinstance(node.body.value, ast.Name)
+                        and node.body.value.id == "args"):
+                    continue
+                fallback = node.orelse
+                key = (fallback.slice if isinstance(fallback, ast.Subscript)
+                       else fallback.args[0])
+                reads.append((span, node.body.slice.value, key.value))
+    return reads
+
+
+@pytest.mark.parametrize("module, path, span", assigned("EXTRA"))
+def test_extra_helpers_resolve(module, path, span):
+    owner = importlib.import_module(f"jetsid.{module}")
+    *parents, attr = path.split(".")
+    for part in parents:
+        owner = getattr(owner, part)
+    assert inspect.getattr_static(owner, attr, None) is not None, f"{span} is gone"
+
+
+def test_counted_arguments_keep_their_names_and_places():
+    reads = argument_reads()
+    assert ("jets.output_jet", 1, "input_jet") in reads
+    for span, position, name in reads:
+        params = list(inspect.signature(resolve(span)).parameters)
+        assert params[position] == name, (span, params)
+
+
+def test_rk4_step_count_reads_simulate_arguments_in_order():
+    names = list(assigned("names"))
+    assert list(inspect.signature(jetsid.simulate).parameters)[:len(names)] == names
+
+
+def test_descend_returns_params_trajectory_stationary():
+    # the tracer counts erm.train.iters as len(result[1]) - 1 of each descent
+    ens = EnsembleConfig("fourier", 2, 0.8, 2.0, 1.0, rng_seed=9)
+    teacher = RnnParams([[0.3]], [0.8], [0.5], [0.1])
+    ds = build_teacher_dataset(sample_ensemble(ens, 8), teacher, 3, 1.0)
+    config = TrainConfig(M=1.0, n=1, restarts=1, max_iters=5)
+    start = RnnParams([[0.1]], [0.2], [0.3], [0.0])
+    result = erm._descend(ds, config, start)
+    assert isinstance(result, tuple) and len(result) == 3
+    params, trajectory, stationary = result
+    assert isinstance(params, RnnParams) and stationary is False
+    assert tuple(trajectory) == train(ds, config, init=start).trajectory
+    assert len(trajectory) - 1 == 5

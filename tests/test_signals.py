@@ -11,14 +11,13 @@ from jetsid import (
     InputSpec,
     ShapeError,
     estimate_modulus,
-    input_jet,
     sample_ensemble,
     sample_on_grid,
 )
 from jetsid.bernstein import bernstein_eval
 from jetsid.rnn import bibo_probes
 
-from oracles import brute_modulus, eval_closed_form, sympy_input_derivatives
+from oracles import brute_modulus, eval_closed_form, input_jet, sympy_input_derivatives
 
 PI = math.pi
 
