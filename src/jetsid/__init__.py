@@ -60,6 +60,7 @@ from .rnn import (
     output_sup_bound,
     rk4_substeps,
     simulate,
+    simulate_runs,
     system_from_config,
 )
 from .signals import (

@@ -21,6 +21,9 @@ from .errors import DomainError, ShapeError
 # jet extraction is only supported up to this many samples.
 MAX_WELL_CONDITIONED_K = 20
 
+# l! for every l whose factorial is a finite double
+_FACTORIALS = np.array([float(math.factorial(ell)) for ell in range(171)])
+
 
 def _decasteljau(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Evaluate the Bernstein forms with coefficients `coeffs`, an
@@ -94,11 +97,16 @@ def jet_poly_eval(jets: np.ndarray, t) -> np.ndarray:
     each row of an (N, m+1) array of jets, at the times t (a scalar or
     an array): an (N, len(t)) array."""
     derivs = np.asarray(jets, dtype=float)
-    if derivs.ndim != 2:
-        raise ShapeError(f"expected an (N, m+1) array of jets, got shape {derivs.shape}")
-    factorials = np.array([math.factorial(ell) for ell in range(derivs.shape[1])])
-    return np.polynomial.polynomial.polyval(np.atleast_1d(np.asarray(t, dtype=float)),
-                                            (derivs / factorials).T)
+    if derivs.ndim != 2 or derivs.shape[1] > _FACTORIALS.size:
+        raise ShapeError(f"expected an (N, m+1) array of jets with m < {_FACTORIALS.size}, "
+                         f"got shape {derivs.shape}")
+    x = np.atleast_1d(np.asarray(t, dtype=float))
+    # Horner in the operations and order of numpy's polyval
+    coeffs = (derivs / _FACTORIALS[:derivs.shape[1]]).T[..., None]
+    y = coeffs[-1] + x * 0
+    for c in coeffs[-2::-1]:
+        y = c + y * x
+    return y
 
 
 def bernstein_error_bound(omega: Callable[[float], float], k: int, T: float) -> float:

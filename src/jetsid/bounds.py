@@ -19,7 +19,7 @@ from .bernstein import bernstein_eval, jet_poly_eval
 from .erm import _snap_grid, input_jets, sample_size_check
 from .errors import DomainError, PreconditionError
 from .jets import RnnParams, output_jet
-from .rnn import SimConfig, System, _exp_growth, simulate
+from .rnn import SimConfig, System, _exp_growth, simulate_runs
 from .signals import InputSpec, estimate_modulus
 
 Modulus = Callable[[float], float]
@@ -226,7 +226,8 @@ def probe_risk_and_gap(
     grid, `sim`'s grid snapped to k*round((grid_size-1)/k)+1 points so
     the lift's nodes are grid points.  `gain_probes` ride in
     the ground-truth batch only; their outputs follow the probes' in
-    `truth`, which makes one ground-truth and one model simulation.
+    `truth`.  The ground truth and the model step together in one
+    `simulate_runs` loop.
     """
     dense, per_node = _snap_grid(sim, k)
     ts = np.linspace(0.0, T, dense.grid_size)
@@ -234,8 +235,8 @@ def probe_risk_and_gap(
     specs = list(specs)
     P = len(specs)
     predicted = jet_poly_eval(output_jet(params, input_jets(specs, k, T), k), ts)
-    y_true = simulate(ground_truth, specs + list(gain_probes), T, dense)
-    y_model = simulate(params, specs, T, dense)
+    y_true, y_model = simulate_runs([(ground_truth, specs + list(gain_probes)), (params, specs)],
+                                    T, dense)
     risks = np.abs(y_model - y_true[:P]).max(axis=1)
     gaps = np.abs(predicted - bernstein_eval(y_true[:P, ::per_node], ts, T)).max(axis=1)
     return ProbeRuns(risks, gaps, y_true)

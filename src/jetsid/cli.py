@@ -275,13 +275,13 @@ def _score(config: ExperimentConfig, system: System, model: RnnParams,
            dataset: JetDataset) -> _Score:
     """Held-out risk and the bound report of a model trained on `dataset`.
 
-    The one scoring path of `evaluate` and of `sweep` points, in two
-    simulations: one ground-truth batch and one model batch.  Probes
-    come from the eval seed stream.  The output modulus is the declared
-    one, else the envelope of the first 8 probe outputs; gamma is the
-    declared one, else the largest |y| over `bibo_probes` run in the
-    same ground-truth batch.  `timings` holds the wall time of each
-    stage, keyed as in timings.json.
+    The one scoring path of `evaluate` and of `sweep` points, in one RK4
+    loop that steps a ground-truth batch and a model batch together
+    (`probe_risk_and_gap`).  Probes come from the eval seed stream.  The
+    output modulus is the declared one, else the envelope of the first 8
+    probe outputs; gamma is the declared one, else the largest |y| over
+    `bibo_probes` run in the same ground-truth batch.  `timings` holds
+    the wall time of each stage, keyed as in timings.json.
     """
     t0 = time.perf_counter()
     Lbar_star = empirical_risk(model, dataset)
@@ -363,11 +363,13 @@ def cmd_evaluate(config: ExperimentConfig, model_path=None) -> Path:
     changed seed is caught.
     Held-out inputs come from a seed stream distinct from the training
     ensemble seed; both input lists are recorded so the separation can
-    be audited.  Makes two simulations (see `_score`).  Wall-clock
-    timings go to timings.json so report.json stays byte-identical
-    across reruns: `dataset_and_risk` covers reading the model, log and
-    dataset plus the training risk, `held_out_probes` the two
-    simulations, and `bounds` the moduli and the bound calculators.
+    be audited.  Runs one RK4 loop (see `_score`).  Wall-clock timings
+    go to timings.json so report.json stays byte-identical across
+    reruns: `dataset_and_risk` covers reading the model, log and dataset
+    plus the training risk, `held_out_probes` drawing the held-out and
+    gain probes and `probe_risk_and_gap` (their jets and predicted
+    outputs, the RK4 loop of the ground truth and the model, the risks
+    and gaps), and `bounds` the moduli and the bound calculators.
     """
     out = _out_dir(config)
     t0 = time.perf_counter()

@@ -19,7 +19,7 @@ import numpy as np
 from .bernstein import bernstein_jet, jet_poly_eval
 from .errors import (MAX_COUNT, MAX_STATES, ConfigBlock, ConfigError, DomainError, ShapeError,
                      read_json, whole_number, write_json)
-from .jets import RnnParams, _jet_and_series, output_jet
+from .jets import RnnParams, _jet_and_series, _vector_norms, output_jet
 from .rnn import SimConfig, System, simulate
 from .signals import InputSpec, sample_on_grid
 
@@ -248,10 +248,7 @@ _FEASIBLE_SLACK = 1.0 + 1e-12
 
 def is_feasible(params: RnnParams, M: float) -> bool:
     """All four norms within the budget, up to roundoff slack."""
-    # a norm whose square overflows reads inf, which is outside any budget
-    with np.errstate(over="ignore"):
-        norms = params.norms()
-    return all(v <= M * _FEASIBLE_SLACK for v in norms.values())
+    return all(v <= M * _FEASIBLE_SLACK for v in params.norms().values())
 
 
 def project_feasible(params: RnnParams, M: float) -> RnnParams:
@@ -279,17 +276,9 @@ def _project(thetas: np.ndarray, n: int, M: float) -> np.ndarray:
         U, s, Vt = np.linalg.svd(A[clip])
         A = A.copy()
         A[clip] = (U * np.minimum(s, M)[:, None]) @ Vt
-    # b, c, xi of each row, and their norms sqrt(v @ v) from (1, n) @ (n, 1)
-    # products, which match v @ v bit for bit
+    # b, c, xi of each row
     vecs = thetas[:, nn:].reshape(L, 3, n)
-    with np.errstate(over="ignore"):
-        nrm = np.sqrt((vecs[..., None, :] @ vecs[..., None])[..., 0, 0])
-    huge = np.isinf(nrm)
-    if huge.any():
-        # v @ v overflowed: |v| = m |v / m| with m the largest |entry|
-        top = np.abs(vecs[huge]).max(axis=1)
-        unit = vecs[huge] / top[:, None]
-        nrm[huge] = top * np.sqrt((unit[:, None, :] @ unit[..., None])[:, 0, 0])
+    nrm = _vector_norms(vecs)
     out = nrm > bound
     vecs = vecs.copy()
     vecs[out] *= (M / nrm[out])[:, None]

@@ -59,12 +59,8 @@ class RnnParams:
 
     def norms(self) -> dict[str, float]:
         """Spectral norm of A and Euclidean norms of b, c, xi."""
-        return {
-            "A": float(np.linalg.norm(self.A, 2)),
-            "b": float(np.linalg.norm(self.b)),
-            "c": float(np.linalg.norm(self.c)),
-            "xi": float(np.linalg.norm(self.xi)),
-        }
+        b, c, xi = _vector_norms(np.stack([self.b, self.c, self.xi])).tolist()
+        return {"A": float(np.linalg.norm(self.A, 2)), "b": b, "c": c, "xi": xi}
 
     def to_json_dict(self) -> dict:
         return {
@@ -84,6 +80,20 @@ class RnnParams:
             c=np.asarray(doc["c"], dtype=float),
             xi=np.asarray(doc["xi"], dtype=float),
         )
+
+
+def _vector_norms(vecs: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of an (..., n) array, each sqrt(v @ v)
+    from a (1, n) @ (n, 1) product, which matches v @ v bit for bit; where
+    v @ v overflows, m |v / m| with m the largest |entry|."""
+    with np.errstate(over="ignore"):
+        nrm = np.sqrt((vecs[..., None, :] @ vecs[..., None])[..., 0, 0])
+    huge = np.isinf(nrm)
+    if huge.any():
+        top = np.abs(vecs[huge]).max(axis=1)
+        unit = vecs[huge] / top[:, None]
+        nrm[huge] = top * np.sqrt((unit[:, None, :] @ unit[..., None])[:, 0, 0])
+    return nrm
 
 
 def output_jet(params: RnnParams, input_jet: np.ndarray, k: int) -> np.ndarray:

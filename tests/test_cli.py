@@ -201,7 +201,7 @@ class TestConfigLoading:
                                       "evaluate_without_dataset", "evaluate_without_inputs",
                                       "evaluate_seed_mismatch", *DATASET_MISMATCH,
                                       *BAD_CONFIG, *BAD_FIELDS, *OVERFLOW, *TOO_LARGE, *BAD_DATASET,
-                                      *BAD_MODEL_N, *BAD_LOG])
+                                      *BAD_MODEL_N, *BAD_LOG, "huge_model_norm"])
     def test_bad_input_file_exits_2(self, tmp_path, capsys, case):
         from jetsid import EnsembleConfig, build_teacher_dataset
 
@@ -225,6 +225,11 @@ class TestConfigLoading:
             if case in self.BAD_MODEL_N:
                 without_n["n"] = self.BAD_MODEL_N[case]
             bad.write_text(json.dumps(without_n))
+        elif case == "huge_model_norm":
+            # b @ b overflows a float, |b| = 1.41e200 does not
+            bad, command = run / "model.json", "evaluate"
+            huge = RnnParams(0.1 * np.eye(2), [1e200, 1e200], [0.5, 0.5], [0.0, 0.0])
+            bad.write_text(json.dumps(huge.to_json_dict()))
         elif case == "init_without_n":
             (run / "dataset.json").write_text(json.dumps(dataset))
             bad, command = run / "init.json", "train"
@@ -274,6 +279,8 @@ class TestConfigLoading:
             assert self.BAD_FIELDS[case][0] in err
         if case in self.TOO_LARGE:
             assert f"{self.TOO_LARGE[case][1]} must be <= " in err
+        if case == "huge_model_norm":
+            assert "violates the norm budget" in err and "'b': 1.41421356237309" in err
 
     @settings(database=None, derandomize=True)
     @given(
@@ -497,22 +504,22 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("system", ["linear", "duffing"])
     def test_simulation_count(self, tmp_path, monkeypatch, system):
-        # evaluate makes one ground-truth and one model simulation; a full
-        # sweep point adds the dataset build
+        # evaluate steps the ground truth and the model in one RK4 loop; a
+        # full sweep point adds the dataset build's loop
         import jetsid.bounds
         import jetsid.cli
         import jetsid.erm
         import jetsid.rnn
 
         calls = []
-        real = jetsid.rnn.simulate
+        real = jetsid.rnn.simulate_runs
 
         def counting(*args, **kwargs):
-            calls.append(args[1])
+            calls.append(args[0])
             return real(*args, **kwargs)
 
         for mod in (jetsid.cli, jetsid.bounds, jetsid.erm, jetsid.rnn):
-            monkeypatch.setattr(mod, "simulate", counting, raising=False)
+            monkeypatch.setattr(mod, "simulate_runs", counting, raising=False)
         doc = base_doc(tmp_path / "run")
         doc["ground_truth"] = {"kind": "named", "name": system, "params": {}}
         doc["sweep"] = {"param": "k", "values": [4], "mode": "full"}
@@ -521,11 +528,11 @@ class TestEvaluate:
         assert main(["train", "--config", path]) == 0
         calls.clear()
         assert main(["evaluate", "--config", path]) == 0
-        assert len(calls) == 2
+        assert [len(runs) for runs in calls] == [2]
         calls.clear()
         assert main(["sweep", "--config", path]) == 0
         assert read_rows(tmp_path / "run" / "sweep.csv")[0]["error"] == ""
-        assert len(calls) == 3
+        assert [len(runs) for runs in calls] == [1, 2]
 
     # the bound report's CSV header, in the order every row file writes it
     BOUND_COLUMNS = [

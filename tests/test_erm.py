@@ -224,6 +224,11 @@ class TestProjectFeasible:
         assert out.b == pytest.approx([0.5**0.5, 0.5**0.5], rel=1e-15)
         assert np.array_equal(out.c, [0.0, -1.0])
         assert np.array_equal(out.xi, [0.5, 0.0])
+        # the norms are finite though b @ b and c @ c overflow
+        norms = huge.norms()
+        assert norms["b"] == pytest.approx(2**0.5 * 1e200, rel=1e-15)
+        assert (norms["A"], norms["c"], norms["xi"]) == (0.0, 1e300, 0.5)
+        assert not is_feasible(huge, 1e250)
 
     def test_singular_value_clipping(self):
         M = 0.7

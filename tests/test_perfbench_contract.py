@@ -97,3 +97,13 @@ def test_descend_returns_params_trajectory_stationary():
     assert isinstance(params, RnnParams) and stationary is False
     assert tuple(trajectory) == train(ds, config, init=start).trajectory
     assert len(trajectory) - 1 == 5
+
+
+def test_rk4_stepper_is_a_traced_public_function():
+    # the tracer wraps every public function a jetsid module defines; the
+    # RK4 loop runs in simulate_runs, whose span keeps its time in rnn.self_s
+    # whether it is entered through simulate or directly
+    stepper = jetsid.rnn.simulate_runs
+    assert inspect.isfunction(stepper) and stepper.__module__ == "jetsid.rnn"
+    assert not stepper.__name__.startswith("_")
+    assert "simulate_runs" in inspect.getsource(jetsid.rnn.simulate)

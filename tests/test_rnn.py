@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from jetsid import (
     output_sup_bound,
     rk4_substeps,
     simulate,
+    simulate_runs,
     system_from_config,
 )
 from jetsid.erm import build_dataset, project_feasible
@@ -235,6 +238,9 @@ class TestBatchedSimulate:
         # sampled values are not an input: only closed-form InputSpecs are
         with pytest.raises(ConfigError, match="unsupported input type ndarray"):
             simulate(scalar_params(), [np.array([0.0, 0.5, 1.0])], 1.0, FAST)
+        # every run of a loop is checked
+        with pytest.raises(ConfigError, match="at least one input"):
+            simulate_runs([(scalar_params(), [const_input(0.5)]), (scalar_params(), [])], 1.0, FAST)
 
     def test_one_dim_gain_rejected(self):
         # a (n,) gain broadcasts against the batch axis when B == n, so
@@ -269,10 +275,68 @@ class TestBatchedSimulate:
                 simulate(blowup, inputs, 1.0, cfg)
             with pytest.raises(DivergenceError) as dataset:
                 build_dataset(inputs, blowup, 4, 1.0, cfg)
+            # the same batch as the second run of a loop whose first run stays finite
+            with pytest.raises(DivergenceError) as second:
+                simulate_runs([(GROUND_TRUTHS["linear"](), inputs), (blowup, inputs)], 1.0, cfg)
         assert 0.0 < batch.value.time < 1.0
-        assert batch.value.time == alone.value.time
-        assert "sample 2" in str(batch.value)
+        assert batch.value.time == alone.value.time == second.value.time
+        assert "system square, sample 2" in str(batch.value)
+        assert str(second.value) == str(batch.value)
         assert "sample 2" in str(dataset.value)
+
+    @pytest.mark.parametrize("grid", [GRID, SimConfig()], ids=["substeps32", "default"])
+    def test_runs_match_runs_alone(self, grid):
+        # runs of every state count and batch width in one loop; the first
+        # two share their input list, as a ground truth and its model do
+        runs = []
+        for r, name in enumerate(["duffing", "rnn2", "linear", "rnn8", "tanh_affine", "rnn1"]):
+            ens = EnsembleConfig("fourier", 2, 0.8, 2.0, 1.0, rng_seed=60 + r)
+            inputs = runs[0][1] if r == 1 else sample_ensemble(ens, r + 1)
+            runs.append((batch_case(name)[0], inputs))
+        together = simulate_runs(runs, 1.0, grid)
+        assert len(together) == len(runs)
+        for (system, inputs), y in zip(runs, together):
+            assert np.array_equal(y, simulate(system, inputs, 1.0, grid))
+
+
+class TestSimulatePinned:
+    """Outputs recorded when every RK4 stage built fresh arrays: a reordered
+    operation in the stepper, the right-hand sides or the stage inputs
+    changes a bit here.  The default grid is pinned at every 4th point,
+    the 16-substep grid at every point."""
+
+    PINNED = Path(__file__).with_name("simulate_pinned.json")
+    # a horizon whose step is not a power of 2, so that h / 6 and h * (1 / 6) differ
+    T = 2.5
+    GRIDS = {"default": SimConfig(), "substeps16": SimConfig(step=2.5 / 256, grid_size=17)}
+    SYSTEMS = ["rnn1", "rnn2", "rnn8", "linear", "tanh_affine", "duffing"]
+
+    @classmethod
+    def system(cls, name):
+        if name in GROUND_TRUTHS:
+            return GROUND_TRUTHS[name]()
+        n = int(name[3:])
+        rng = np.random.default_rng(100 + n)
+        A, b, c, xi = (rng.uniform(-1, 1, shape) / n for shape in [(n, n), n, n, n])
+        return RnnParams(A, b, c, xi)
+
+    @classmethod
+    def inputs(cls):
+        ens = EnsembleConfig("fourier", 3, 0.8, 2.0, cls.T, rng_seed=17)
+        return sample_ensemble(ens, 2) + [InputSpec("polynomial", [0.3, -0.5, 0.2])]
+
+    @classmethod
+    def run(cls, name, grid):
+        y = simulate(cls.system(name), cls.inputs(), cls.T, cls.GRIDS[grid])
+        if grid == "default":
+            y = y[:, ::4]
+        return [[float(v).hex() for v in row] for row in y]
+
+    @pytest.mark.parametrize("grid", list(GRIDS))
+    @pytest.mark.parametrize("name", SYSTEMS)
+    def test_bit_identical_to_recorded_run(self, name, grid):
+        assert rk4_substeps(self.T, self.GRIDS["substeps16"]) == 16
+        assert self.run(name, grid) == json.loads(self.PINNED.read_text())[f"{name}-{grid}"]
 
 
 class TestCertificates:
