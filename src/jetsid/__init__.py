@@ -22,6 +22,7 @@ from .bounds import (
     linear_modulus,
     probe_risk_and_gap,
     rademacher_bound,
+    sample_size_check,
     sandwich_error_bound,
     vc_dimension_bound,
 )
@@ -35,7 +36,6 @@ from .erm import (
     is_feasible,
     project_feasible,
     risk_and_grad,
-    sample_size_check,
     train,
 )
 from .errors import (
@@ -54,7 +54,6 @@ from .rnn import (
     GROUND_TRUTHS,
     ControlAffineSystem,
     SimConfig,
-    bibo_gain_estimate,
     io_lipschitz_bound,
     output_modulus_bound,
     output_sup_bound,

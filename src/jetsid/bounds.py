@@ -15,11 +15,11 @@ from typing import Callable, NamedTuple, Sequence, get_type_hints
 
 import numpy as np
 
-from .bernstein import bernstein_eval, jet_poly_eval
-from .erm import _snap_grid, input_jets, sample_size_check
-from .errors import DomainError, PreconditionError
+from .bernstein import bernstein_error_bound, bernstein_eval, jet_poly_eval
+from .erm import _snap_grid, input_jets
+from .errors import ConfigError, DomainError, PreconditionError
 from .jets import RnnParams, output_jet
-from .rnn import SimConfig, System, _exp_growth, simulate_runs
+from .rnn import SimConfig, System, _exp_growth, io_lipschitz_bound, simulate_runs
 from .signals import InputSpec, estimate_modulus
 
 Modulus = Callable[[float], float]
@@ -106,8 +106,8 @@ def fixed_model_risk_bound(
     nrm = params.norms()
     growth = _exp_growth(nrm["A"], T, "fixed-model bound e^(||A|| T)")
     return FixedModelBound(
-        output_modulus_term=2.0 * omega_Y(T / math.sqrt(k)),
-        input_modulus_term=2.0 * nrm["c"] * nrm["b"] * growth * omega_U(2.0 * T / math.sqrt(k)),
+        output_modulus_term=bernstein_error_bound(omega_Y, k, T),
+        input_modulus_term=2.0 * io_lipschitz_bound(params, T) * omega_U(2.0 * T / math.sqrt(k)),
         jet_truncation_term=nrm["c"] * T * growth * math.sqrt(params.n / k),
         bernstein_gap_term=bernstein_gap_expectation,
     )
@@ -155,7 +155,7 @@ def erm_risk_bound(
     estimation = c_abs * range_bound(M, n, T, gamma_R) * math.sqrt(
         (capacity * math.log(N) + math.log(1.0 / delta)) / N)
     return ErmRiskBound(
-        output_modulus_term=4.0 * omega_Y(T / math.sqrt(k)),
+        output_modulus_term=2.0 * bernstein_error_bound(omega_Y, k, T),
         input_modulus_term=input_modulus,
         jet_truncation_term=3.0 * M * T * growth * math.sqrt(n / k),
         approximation_error=Lbar_star_estimate,
@@ -178,6 +178,20 @@ def vc_dimension_bound(n: int, k: int) -> int:
     return math.ceil(2.0 * k * (3.0 * n**6 + 5.0 * n**3 * math.log2(k)))
 
 
+class SampleSizeCheck(NamedTuple):
+    ok: bool
+    threshold: int
+
+
+def sample_size_check(N: int, n: int, k: int) -> SampleSizeCheck:
+    """Whether N reaches the capacity bound `vc_dimension_bound(n, k)`,
+    k(6 n^6 + 10 n^3 log2 k), and that threshold."""
+    if n < 1 or k < 1:
+        raise ConfigError("n and k must be >= 1")
+    threshold = vc_dimension_bound(n, k)
+    return SampleSizeCheck(N >= threshold, threshold)
+
+
 def rademacher_bound(B: float, vc: int, N: int, c_abs: float = 1.0) -> float:
     """Rademacher average bound c_abs * B * sqrt(vc * ln N / N)."""
     if B < 0:
@@ -195,8 +209,7 @@ def sandwich_error_bound(
     2*lip*omega_u(2T/sqrt(k)) + 2*omega_gu(T/sqrt(k))."""
     if k < 2:
         raise PreconditionError(f"k must be >= 2, got {k}")
-    sk = math.sqrt(k)
-    return 2.0 * lip * omega_u(2.0 * T / sk) + 2.0 * omega_gu(T / sk)
+    return 2.0 * lip * omega_u(2.0 * T / math.sqrt(k)) + bernstein_error_bound(omega_gu, k, T)
 
 
 class ProbeRuns(NamedTuple):

@@ -38,10 +38,7 @@ from .errors import (
     ConfigBlock,
     ConfigError,
     DivergenceError,
-    DomainError,
     JetsidError,
-    PreconditionError,
-    ShapeError,
     read_json,
     whole_number,
     write_json,
@@ -198,23 +195,17 @@ def _out_dir(config: ExperimentConfig) -> Path:
     return path
 
 
-def _declared_output_modulus(config: ExperimentConfig, system: System):
-    """Analytic output modulus handle, or None when not declared."""
-    R = config.ensemble.R
+def _declared(config: ExperimentConfig, system: System
+              ) -> tuple[bounds_mod.Modulus | None, float | None]:
+    """The analytic output modulus handle and the output sup bound
+    gamma(R) of the ground truth, each None when it declares none."""
+    R, T = config.ensemble.R, config.T
     if isinstance(system, RnnParams):
-        return bounds_mod.linear_modulus(output_modulus_bound(system, config.T, 1.0))
-    if system.output_lipschitz is not None:
-        return bounds_mod.linear_modulus(system.output_lipschitz(R))
-    return None
-
-
-def _declared_gamma(config: ExperimentConfig, system: System) -> float | None:
-    """Declared output sup bound gamma(R), or None when not declared."""
-    if isinstance(system, RnnParams):
-        return output_sup_bound(system, config.T)
-    if system.gamma_bound is not None:
-        return system.gamma_bound(config.ensemble.R, config.T)
-    return None
+        return (bounds_mod.linear_modulus(output_modulus_bound(system, T, 1.0)),
+                output_sup_bound(system, T))
+    slope, gamma = system.output_lipschitz, system.gamma_bound
+    return (None if slope is None else bounds_mod.linear_modulus(slope(R)),
+            None if gamma is None else gamma(R, T))
 
 
 def _bound_report(
@@ -272,8 +263,9 @@ class _Score(NamedTuple):
 
 
 def _score(config: ExperimentConfig, system: System, model: RnnParams,
-           dataset: JetDataset) -> _Score:
-    """Held-out risk and the bound report of a model trained on `dataset`.
+           Lbar_star: float) -> _Score:
+    """Held-out risk and the bound report of a model whose training risk
+    is `Lbar_star`.
 
     The one scoring path of `evaluate` and of `sweep` points, in one RK4
     loop that steps a ground-truth batch and a model batch together
@@ -281,14 +273,13 @@ def _score(config: ExperimentConfig, system: System, model: RnnParams,
     output modulus is the declared one, else the envelope of the first 8
     probe outputs; gamma is the declared one, else the largest |y| over
     `bibo_probes` run in the same ground-truth batch.  `timings` holds
-    the wall time of each stage, keyed as in timings.json.
+    the wall time of the `held_out_probes` and `bounds` stages, keyed as
+    in timings.json.
     """
     t0 = time.perf_counter()
-    Lbar_star = empirical_risk(model, dataset)
-    t1 = time.perf_counter()
     eval_seed = derive_seed(config.rng_seed, _STREAM_EVAL)
     eval_specs = sample_ensemble(config.ensemble.reseeded(eval_seed), config.probe_count)
-    gamma = _declared_gamma(config, system)
+    omega_Y, gamma = _declared(config, system)
     gain_probes = []
     if gamma is None:
         gain_probes = bibo_probes(config.ensemble.R, config.probe_count, config.T,
@@ -297,12 +288,11 @@ def _score(config: ExperimentConfig, system: System, model: RnnParams,
         model, system, eval_specs, config.k, config.T, config.sim, gain_probes=gain_probes,
     )
     risk_se = float(risks.std(ddof=1) / math.sqrt(risks.size)) if risks.size > 1 else 0.0
-    t2 = time.perf_counter()
+    t1 = time.perf_counter()
     P = len(eval_specs)
     gamma_probes = None
     if gamma is None:
         gamma, gamma_probes = float(np.abs(truth[P:]).max()), len(gain_probes)
-    omega_Y = _declared_output_modulus(config, system)
     moduli_source = "analytic"
     if omega_Y is None:
         omega_Y = bounds_mod.empirical_modulus(truth[:min(8, P)], config.T)
@@ -310,11 +300,7 @@ def _score(config: ExperimentConfig, system: System, model: RnnParams,
     gap_mean = float(gaps.mean())
     report = _bound_report(config, model.n, gap_mean, Lbar_star, model, omega_Y,
                            moduli_source, gamma, gamma_probes)
-    timings = {
-        "dataset_and_risk": t1 - t0,
-        "held_out_probes": t2 - t1,
-        "bounds": time.perf_counter() - t2,
-    }
+    timings = {"held_out_probes": t1 - t0, "bounds": time.perf_counter() - t1}
     return _Score(eval_seed, eval_specs, float(risks.mean()), risk_se, gap_mean, report, timings)
 
 
@@ -366,10 +352,11 @@ def cmd_evaluate(config: ExperimentConfig, model_path=None) -> Path:
     be audited.  Runs one RK4 loop (see `_score`).  Wall-clock timings
     go to timings.json so report.json stays byte-identical across
     reruns: `dataset_and_risk` covers reading the model, log and dataset
-    plus the training risk, `held_out_probes` drawing the held-out and
-    gain probes and `probe_risk_and_gap` (their jets and predicted
-    outputs, the RK4 loop of the ground truth and the model, the risks
-    and gaps), and `bounds` the moduli and the bound calculators.
+    and the model's training risk on that dataset, `held_out_probes`
+    the declared constants, drawing the held-out and gain probes and
+    `probe_risk_and_gap` (their jets and predicted outputs, the RK4 loop
+    of the ground truth and the model, the risks and gaps), and `bounds`
+    the moduli and the bound calculators.
     """
     out = _out_dir(config)
     t0 = time.perf_counter()
@@ -401,10 +388,10 @@ def cmd_evaluate(config: ExperimentConfig, model_path=None) -> Path:
         raise ConfigError(f"input list {inputs_path} differs from the {config.N} inputs the "
                           f"config draws at seed {config.rng_seed}")
     system = config.system()
+    Lbar_star = empirical_risk(model, dataset)
     setup_s = time.perf_counter() - t0
 
-    score = _score(config, system, model, dataset)
-    score.timings["dataset_and_risk"] += setup_s
+    score = _score(config, system, model, Lbar_star)
 
     report = {
         "config": config.to_json_dict(),
@@ -428,7 +415,7 @@ def cmd_evaluate(config: ExperimentConfig, model_path=None) -> Path:
     row = {"k": config.k, "N": config.N, "risk": score.risk, "risk_se": score.risk_se}
     row.update(score.bounds.to_flat_dict())
     _write_csv(out / "report_row.csv", list(row), [row])
-    write_json(out / "timings.json", score.timings)
+    write_json(out / "timings.json", {"dataset_and_risk": setup_s, **score.timings})
     print(f"wrote {out / 'report.json'} risk={score.risk:.6g} "
           f"fixed-model bound={score.bounds.fixed_model.total:.6g}")
     return out / "report.json"
@@ -441,14 +428,12 @@ def _closed_form_report(config: ExperimentConfig) -> bounds_mod.BoundReport:
     budget (all four norms equal to M), i.e. the worst case over the
     model class, with the gap term left at zero.
     """
-    system = config.system()
-    omega_Y = _declared_output_modulus(config, system)
+    omega_Y, gamma = _declared(config, config.system())
     if omega_Y is None:
         raise ConfigError(
             f"ground truth {config.ground_truth.get('name')!r} declares no output "
             "modulus handle; calculator mode needs one (use linear, tanh_affine, or rnn)"
         )
-    gamma = _declared_gamma(config, system)
     if gamma is None:
         raise ConfigError("calculator mode needs a declared output sup bound")
     n, M = config.train.n, config.train.M
@@ -476,11 +461,12 @@ def _sweep_point(config: ExperimentConfig, param: str, value, mode: str, index: 
             specs = sample_ensemble(point.ensemble, point.N)
             system = point.system()
             dataset = build_dataset(specs, system, point.k, point.T, point.sim)
-            score = _score(point, system, train(dataset, point.train).params, dataset)
+            result = train(dataset, point.train)
+            score = _score(point, system, result.params, result.risk)
             report = score.bounds
             row["risk"], row["risk_se"] = score.risk, score.risk_se
         row.update(report.to_flat_dict())
-    except (ConfigError, PreconditionError, ShapeError, DomainError, DivergenceError) as exc:
+    except JetsidError as exc:
         row["error"] = str(exc)
     return row
 
@@ -563,12 +549,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (ConfigError, PreconditionError, ShapeError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return 3
+    except JetsidError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -303,19 +302,6 @@ def _random_init(config: TrainConfig, rng: np.random.Generator) -> RnnParams:
         xi=rng.uniform(-scale, scale, n),
     )
     return project_feasible(raw, config.M)
-
-
-class SampleSizeCheck(NamedTuple):
-    ok: bool
-    threshold: int
-
-
-def sample_size_check(N: int, n: int, k: int) -> SampleSizeCheck:
-    """Whether N reaches k(6 n^6 + 10 n^3 log2 k) and that threshold."""
-    if n < 1 or k < 1:
-        raise ConfigError("n and k must be >= 1")
-    threshold = math.ceil(k * (6.0 * n**6 + 10.0 * n**3 * math.log2(k)))
-    return SampleSizeCheck(N >= threshold, threshold)
 
 
 @dataclass(frozen=True)

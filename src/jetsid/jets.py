@@ -6,17 +6,18 @@ exactly (up to roundoff) by propagating truncated Taylor series of the
 state through the integration recurrence, using the tanh derivative
 identity s' = (1 - s^2) a' instead of symbolic differentiation.
 
-Factorials up to k! are formed without an overflow guard; k <= 20 keeps
-everything comfortably inside double precision.
+Factorials up to k! are read from the table of `jet_poly_eval`, exact
+floats up to 22!; k <= 20 keeps everything comfortably inside double
+precision.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .bernstein import _FACTORIALS
 from .errors import DomainError, ShapeError, whole_number
 
 
@@ -135,7 +136,7 @@ def _jet_and_series(A: np.ndarray, b: np.ndarray, c: np.ndarray, xi: np.ndarray,
                 for i in range(L)]
         series = [np.concatenate(s, axis=1) for s in zip(*(r[1][1:] for r in rows))]
         return np.concatenate([r[0] for r in rows]), (rows[0][1][0], *series)
-    facts = np.array([math.factorial(ell) for ell in range(k + 1)])
+    facts = _FACTORIALS[:k + 1]
     u = V.T / facts[:k, None]
 
     X = np.empty((k + 1, L, N, n))

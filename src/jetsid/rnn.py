@@ -11,7 +11,7 @@ model from its weight norms alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -52,10 +52,9 @@ class ControlAffineSystem:
     (n, B) array, one column per input, and return 2-d arrays that
     broadcast to (n, B), such as an (n, 1) column for a constant gain.
 
-    Shipped instances declare Lipschitz constants of their right-hand
-    side, and, where available in closed form, a slope for the output
-    modulus of continuity (as a function of the input amplitude R) and
-    an output sup-norm bound (function of R and T).
+    Shipped instances declare, where available in closed form, a slope
+    for the output modulus of continuity (as a function of the input
+    amplitude R) and an output sup-norm bound (function of R and T).
     """
 
     name: str
@@ -63,10 +62,8 @@ class ControlAffineSystem:
     input_gain: Callable[[np.ndarray], np.ndarray]
     h: np.ndarray
     xi0: np.ndarray
-    lipschitz: dict[str, float] = field(default_factory=dict)
     output_lipschitz: Callable[[float], float] | None = None
     gamma_bound: Callable[[float, float], float] | None = None
-    params: dict[str, float] = field(default_factory=dict)
 
     @property
     def n(self) -> int:
@@ -143,7 +140,8 @@ def simulate_runs(runs: Sequence[tuple[System, list | tuple]], T: float,
     The runs share the horizon and the grid.  Their states are stacked in
     one flat array, so the RK4 combinations and the finiteness check are
     made once per step for all runs, and every update is made in place in
-    preallocated buffers.  Each run takes the same IEEE
+    preallocated buffers.  An input object that several runs share is
+    evaluated at the stage times once.  Each run takes the same IEEE
     operations as alone, so its outputs are bit-identical to `simulate`
     of that run; a divergence names the first bad run's system and input.
     """
@@ -164,17 +162,19 @@ def simulate_runs(runs: Sequence[tuple[System, list | tuple]], T: float,
     h = T / (g - 1) / sub
     nsteps = (g - 1) * sub
     stage_times = np.arange(2 * nsteps + 1) * (h / 2.0)
-    u_all = _eval_array([u for _, inputs in runs for u in inputs], stage_times).T
+    distinct = {id(u): u for _, inputs in runs for u in inputs}
+    row = {key: i for i, key in enumerate(distinct)}
+    u_all = _eval_array(list(distinct.values()), stage_times).T
 
     buf = np.empty((6, sum(system.n * len(inputs) for system, inputs in runs)))
     x, xs, k1, k2, k3, k4 = buf
     readout, stages = [], ([], [], [], [])
-    col = end = 0
+    end = 0
     for system, inputs in runs:
         B = len(inputs)
-        xi, hvec, rhs = _run(system, np.ascontiguousarray(u_all[:, col:col + B]))
+        xi, hvec, rhs = _run(system, np.ascontiguousarray(u_all[:, [row[id(u)] for u in inputs]]))
         xr, xsr, *kr = buf[:, end:end + xi.size * B].reshape(6, xi.size, B)
-        col, end = col + B, end + xi.size * B
+        end += xi.size * B
         xr[...] = xi[:, None]
         for stage, xin, k in zip(stages, (xr, xsr, xsr, xsr), kr):
             stage.append((rhs, xin, k))
@@ -276,23 +276,6 @@ def bibo_probes(R: float, count: int, T: float, rng_seed: int) -> list[InputSpec
     return probes
 
 
-def bibo_gain_estimate(
-    system: System,
-    R: float,
-    probe_count: int,
-    T: float,
-    rng_seed: int,
-    config: SimConfig = SimConfig(),
-) -> float:
-    """Monte-Carlo lower estimate of the worst output sup norm over ||u|| <= R.
-
-    The largest |y| over the outputs of `bibo_probes`.  A lower bound by
-    construction; report it together with probe_count.
-    """
-    probes = bibo_probes(R, probe_count, T, rng_seed)
-    return float(np.abs(simulate(system, probes, T, config)).max())
-
-
 def _finite(system: str, **params: float) -> tuple[float, ...]:
     """The scalar parameters of a shipped system as floats; a ConfigError
     naming the first that is not finite."""
@@ -319,10 +302,8 @@ def _make_linear(decay: float = 1.0, xi0: float = 0.0) -> ControlAffineSystem:
         input_gain=lambda x: _UNIT_GAIN,
         h=np.array([1.0]),
         xi0=np.array([x0]),
-        lipschitz={"x": a, "u": 1.0, "h": 1.0},
         output_lipschitz=lambda R: a * abs(x0) + 2.0 * R,
         gamma_bound=lambda R, T: gamma(R, T),
-        params={"decay": a, "xi0": x0},
     )
 
 
@@ -334,11 +315,8 @@ def _make_tanh_affine(xi0: float = 0.0) -> ControlAffineSystem:
         input_gain=lambda x: 1.0 / (1.0 + x**2),
         h=np.array([1.0]),
         xi0=np.array([x0]),
-        # |d/dx 1/(1+x^2)| peaks at 3*sqrt(3)/8 < 0.65
-        lipschitz={"x": 1.65, "u": 1.0, "h": 1.0},
         output_lipschitz=lambda R: 1.0 + R,
         gamma_bound=lambda R, T: abs(x0) + T * (1.0 + R),
-        params={"xi0": x0},
     )
 
 
@@ -362,12 +340,8 @@ def _make_duffing(
         input_gain=lambda x: gain_column,
         h=np.array([1.0, 0.0]),
         xi0=x0,
-        # tanh(x)^3 has slope at most 2/3
-        lipschitz={"x": math.sqrt(1.0 + (d + s + 2.0 * b / 3.0) ** 2), "u": 1.0, "h": 1.0},
         output_lipschitz=None,
         gamma_bound=None,
-        params={"damping": d, "stiffness": s, "saturation": b,
-                "xi0": [float(v) for v in x0]},
     )
 
 

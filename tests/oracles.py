@@ -3,7 +3,9 @@
 Everything here is deliberately written from scratch (direct summation,
 brute-force enumeration, its own RK4 stepper, canonical finite-difference
 stencils, symbolic differentiation) so the oracles share no code path
-with the package under test.
+with the package under test.  The exception is `bibo_gain_estimate`, the
+separate-run reference for the gamma that scoring takes from the same
+probes inside its one RK4 loop.
 """
 
 from __future__ import annotations
@@ -11,6 +13,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from jetsid import simulate
+from jetsid.rnn import bibo_probes
 
 
 def eval_closed_form(spec, t):
@@ -247,3 +252,11 @@ def difference_gradient(risk, theta, step=1e-5, central=False):
         down[i] -= h
         grad[i] = (risk(up) - risk(down)) / (2.0 * h) if central else (risk(up) - base) / h
     return grad
+
+
+def bibo_gain_estimate(system, R, probe_count, T, rng_seed, config):
+    """Monte-Carlo lower estimate of the worst output sup norm over
+    ||u|| <= R: the largest |y| over the outputs of `bibo_probes`,
+    simulated in a run of their own."""
+    probes = bibo_probes(R, probe_count, T, rng_seed)
+    return float(np.abs(simulate(system, probes, T, config)).max())

@@ -470,8 +470,9 @@ class TestEvaluate:
         # grid: gamma is bibo_gain_estimate's, and the modulus that of a
         # separate run of the first min(8, probe_count) probes
         import jetsid.cli as cli
-        from jetsid import bibo_gain_estimate, simulate
+        from jetsid import simulate
         from jetsid.bounds import empirical_modulus
+        from oracles import bibo_gain_estimate
 
         doc = base_doc(tmp_path / "run")
         doc["ground_truth"] = {"kind": "named", "name": "duffing", "params": {}}
@@ -533,6 +534,29 @@ class TestEvaluate:
         assert main(["sweep", "--config", path]) == 0
         assert read_rows(tmp_path / "run" / "sweep.csv")[0]["error"] == ""
         assert [len(runs) for runs in calls] == [1, 2]
+
+    def test_shared_probes_evaluated_once(self, tmp_path, monkeypatch):
+        # the held-out probes ride in the ground-truth run and the model run,
+        # and their stage values are computed once: 16 probes and 16 gain
+        # probes, not 16 + 16 + 16 rows
+        import jetsid.rnn
+
+        rows = []
+        real = jetsid.rnn._eval_array
+
+        def counting(specs, ts):
+            rows.append(len(specs))
+            return real(specs, ts)
+
+        doc = base_doc(tmp_path / "run")
+        doc["ground_truth"] = {"kind": "named", "name": "duffing", "params": {}}
+        doc["probe_count"] = 16
+        path = write_config(tmp_path, doc)
+        assert main(["generate", "--config", path]) == 0
+        assert main(["train", "--config", path]) == 0
+        monkeypatch.setattr(jetsid.rnn, "_eval_array", counting)
+        assert main(["evaluate", "--config", path]) == 0
+        assert rows == [32]
 
     # the bound report's CSV header, in the order every row file writes it
     BOUND_COLUMNS = [

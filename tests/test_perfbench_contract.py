@@ -1,9 +1,11 @@
-"""The names the benchmark's tracer (perfbench/spans.py) reads from jetsid.
+"""The names the benchmark (perfbench/spans.py and perfbench/workloads.py)
+reads from jetsid.
 
 The tracer wraps functions by name and counts work from their arguments and
 results; a helper it cannot find is skipped without a word, so a rename
-would zero a count rather than fail.  spans.py is read with `ast` here,
-never imported or edited.
+would zero a count rather than fail.  A name the workloads read that is gone
+would only show as a crashed benchmark setup.  Both files are read with
+`ast` here, never imported or edited.
 """
 
 import ast
@@ -14,11 +16,13 @@ from pathlib import Path
 import pytest
 
 import jetsid
+import jetsid.cli
 from jetsid import RnnParams, TrainConfig, build_teacher_dataset, erm, sample_ensemble, train
 from jetsid.signals import EnsembleConfig
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 TREE = ast.parse(SPANS.read_text())
+WORKLOADS = ast.parse(SPANS.with_name("workloads.py").read_text())
 
 
 def assigned(name):
@@ -107,3 +111,26 @@ def test_rk4_stepper_is_a_traced_public_function():
     assert inspect.isfunction(stepper) and stepper.__module__ == "jetsid.rnn"
     assert not stepper.__name__.startswith("_")
     assert "simulate_runs" in inspect.getsource(jetsid.rnn.simulate)
+
+
+def test_workload_reads_exist():
+    # every jetsid.<name> and jetsid.cli.<name> the workloads read
+    reads = {(ast.unparse(node.value), node.attr) for node in ast.walk(WORKLOADS)
+             if isinstance(node, ast.Attribute)
+             and ast.unparse(node.value) in ("jetsid", "jetsid.cli")}
+    assert ("jetsid", "empirical_risk") in reads and ("jetsid.cli", "main") in reads
+    missing = [f"{owner}.{name}" for owner, name in sorted(reads)
+               if not hasattr(importlib.import_module(owner), name)]
+    assert not missing, f"perfbench/workloads.py reads names jetsid lacks: {missing}"
+
+
+def test_stopwatch_names_are_public_functions():
+    spans = [span for node in ast.walk(WORKLOADS)
+             if isinstance(node, ast.Call) and ast.unparse(node.func) == "Stopwatch"
+             for span in ast.literal_eval(node.args[0])]
+    assert "bounds.probe_risk_and_gap" in spans
+    for span in spans:
+        module, _, name = span.partition(".")
+        fn = getattr(importlib.import_module(f"jetsid.{module}"), name, None)
+        assert inspect.isfunction(fn) and fn.__module__ == f"jetsid.{module}", span
+        assert not name.startswith("_"), span

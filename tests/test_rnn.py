@@ -14,7 +14,6 @@ from jetsid import (
     RnnParams,
     ShapeError,
     SimConfig,
-    bibo_gain_estimate,
     estimate_modulus,
     io_lipschitz_bound,
     output_modulus_bound,
@@ -25,9 +24,10 @@ from jetsid import (
     system_from_config,
 )
 from jetsid.erm import build_dataset, project_feasible
+from jetsid.rnn import bibo_probes
 from jetsid.signals import EnsembleConfig, InputSpec, sample_ensemble
 
-from oracles import GROUND_TRUTH_RHS, eval_closed_form, rk4
+from oracles import GROUND_TRUTH_RHS, bibo_gain_estimate, eval_closed_form, rk4
 
 
 def scalar_params(A=0.0, b=1.0, c=1.0, xi=0.0):
@@ -404,7 +404,7 @@ class TestBiboGain:
 
     def test_probe_count_validation(self):
         with pytest.raises(ConfigError):
-            bibo_gain_estimate(scalar_params(), 1.0, 0, 1.0, 0)
+            bibo_probes(1.0, 0, 1.0, 0)
 
 
 class TestGroundTruthLibrary:
@@ -413,7 +413,6 @@ class TestGroundTruthLibrary:
         for name, factory in GROUND_TRUTHS.items():
             system = factory()
             assert system.name == name
-            assert system.lipschitz  # declared constants present
 
     def test_tanh_affine_certificates_hold(self):
         system = GROUND_TRUTHS["tanh_affine"]()
@@ -432,7 +431,8 @@ class TestGroundTruthLibrary:
         system = system_from_config(
             {"kind": "named", "name": "linear", "params": {"decay": 2.0, "xi0": 0.5}}
         )
-        assert system.params == {"decay": 2.0, "xi0": 0.5}
+        assert system.xi0.tolist() == [0.5]
+        assert system.drift(np.array([[1.5]])).tolist() == [[-3.0]]
         rnn = system_from_config({"kind": "rnn", "params": scalar_params().to_json_dict()})
         assert isinstance(rnn, RnnParams)
         with pytest.raises(ConfigError):
