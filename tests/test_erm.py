@@ -429,6 +429,10 @@ class TestDescentPinned:
     # outside the M = 0.5 budget, so descent pushes candidates onto its boundary
     TEACHER3 = RnnParams([[-1.24, -0.79, 0.9], [0.25, -1.22, -0.2], [-0.06, -1.02, 0.7]],
                          [-1.16, -0.33, 0.05], [-0.28, 0.35, 0.95], [0.46, -0.22, 0.15])
+    # inside the M = 1 budget; at rng_seed 21 the first two of three random
+    # starts fall outside it (A of spectral norm 1.06) and the third inside
+    TEACHER8 = RnnParams(0.03 * (np.arange(64).reshape(8, 8) % 7 - 3), 0.1 * (np.arange(8) % 5 - 2),
+                         0.1 * (np.arange(8) % 3 - 1), 0.05 * (np.arange(8) % 4 - 1.5))
     CASES = {
         "n1_k2": (TEACHER, 12, 2, dict(M=1.0, n=1, restarts=1, max_iters=25, rng_seed=1)),
         "n2_k4_two_restarts": (TEACHER2, 16, 4,
@@ -440,6 +444,8 @@ class TestDescentPinned:
                                                        rng_seed=0, tolerance=0.0)),
         "n1_k3_tolerance": (TEACHER, 8, 3, dict(M=1.0, n=1, restarts=1, max_iters=60,
                                                 rng_seed=0, tolerance=1e-4)),
+        "n8_k12_three_restarts": (TEACHER8, 24, 12,
+                                  dict(M=1.0, n=8, restarts=3, max_iters=8, rng_seed=21)),
     }
 
     @classmethod
