@@ -109,6 +109,8 @@ class TrainConfig(ConfigBlock):
 def input_jets(inputs: list[InputSpec], k: int, T: float) -> np.ndarray:
     """(N, k) input jets of order k-1, one row per input: the jet of the
     degree-(k-1) lift of its samples at i*T/(k-1)."""
+    if k < 2:
+        raise ConfigError(f"k must be >= 2, got {k}")
     return bernstein_jet(sample_on_grid(inputs, k - 1, T), k, T)
 
 
@@ -135,10 +137,8 @@ def build_dataset(
     All inputs are simulated in one batch; a DivergenceError names the
     first diverging `sample <idx>`.
     """
-    if k < 2:
-        raise ConfigError(f"k must be >= 2, got {k}")
-    dense, per_node = _snap_grid(sim, k)
     v = input_jets(inputs, k, T)
+    dense, per_node = _snap_grid(sim, k)
     y_dense = simulate(ground_truth, list(inputs), T, dense)
     return JetDataset(v, bernstein_jet(y_dense[:, ::per_node], k + 1, T), k, T)
 
@@ -151,8 +151,6 @@ def build_teacher_dataset(
     Because the jet map is exact, a student equal to the teacher attains
     empirical risk 0 on such data (up to roundoff).
     """
-    if k < 2:
-        raise ConfigError(f"k must be >= 2, got {k}")
     v = input_jets(inputs, k, T)
     return JetDataset(v, output_jet(teacher, v, k), k, T)
 
@@ -293,15 +291,10 @@ def _unflatten(theta: np.ndarray, n: int) -> RnnParams:
 
 
 def _random_init(config: TrainConfig, rng: np.random.Generator) -> RnnParams:
+    """Weights uniform in [-M/sqrt(n), M/sqrt(n)], left to `_descend` to project."""
     n = config.n
     scale = config.M / math.sqrt(n)
-    raw = RnnParams(
-        A=rng.uniform(-scale, scale, (n, n)),
-        b=rng.uniform(-scale, scale, n),
-        c=rng.uniform(-scale, scale, n),
-        xi=rng.uniform(-scale, scale, n),
-    )
-    return project_feasible(raw, config.M)
+    return _unflatten(rng.uniform(-scale, scale, n * (n + 3)), n)
 
 
 @dataclass(frozen=True)
@@ -370,27 +363,18 @@ def train(dataset: JetDataset, config: TrainConfig, init: RnnParams | None = Non
     """Approximate risk minimizer over the norm-budget set.
 
     Runs `config.restarts` independent descents (the first from `init`
-    when given, the rest from random feasible points) and returns the
-    best final risk; ties break toward the lowest restart index.
+    when given, the rest from random points) and returns the best final
+    risk; ties break toward the lowest restart index.
     """
     if init is not None and init.n != config.n:
         raise ShapeError(f"init model has n={init.n}, train.n is {config.n}")
     children = np.random.SeedSequence(config.rng_seed).spawn(config.restarts)
-    best: tuple[RnnParams, list[float], bool] | None = None
-    best_risk = math.inf
-    best_idx = -1
-    for idx, child in enumerate(children):
-        if idx == 0 and init is not None:
-            start = init
-        else:
-            start = _random_init(config, np.random.default_rng(child))
-        params, traj, stationary = _descend(dataset, config, start)
-        if traj[-1] < best_risk:
-            best = (params, traj, stationary)
-            best_risk = traj[-1]
-            best_idx = idx
-    assert best is not None
-    params, traj, stationary = best
+    starts = (init if idx == 0 and init is not None
+              else _random_init(config, np.random.default_rng(child))
+              for idx, child in enumerate(children))
+    best_idx, (params, traj, stationary) = min(
+        enumerate(_descend(dataset, config, start) for start in starts),
+        key=lambda run: run[1][1][-1])
     return TrainResult(
         params=params,
         trajectory=tuple(traj),
