@@ -86,9 +86,13 @@ def bernstein_jet(samples: np.ndarray, k: int, T: float) -> np.ndarray:
     m = k - 1
     derivs = np.empty(vals.shape)
     diff = vals
-    for ell in range(k):
-        derivs[:, ell] = math.perm(m, ell) * diff[:, 0] / T**ell
-        diff = np.diff(diff, axis=-1)
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            for ell in range(k):
+                derivs[:, ell] = math.perm(m, ell) * diff[:, 0] / T**ell
+                diff = np.diff(diff, axis=-1)
+    except (OverflowError, FloatingPointError):
+        raise DomainError(f"the order-{m} jet over horizon {T:.6g} leaves the float range") from None
     return derivs
 
 

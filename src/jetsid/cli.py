@@ -40,6 +40,7 @@ from .errors import (
     DivergenceError,
     JetsidError,
     read_json,
+    real_number,
     whole_number,
     write_json,
 )
@@ -124,14 +125,8 @@ class ExperimentConfig(ConfigBlock):
                                        ("probe_count", 1, MAX_COUNT), ("rng_seed", 0, None)):
             object.__setattr__(self, name,
                                whole_number(name, getattr(self, name), minimum, maximum))
-        for name in ("T", "delta", "c_abs"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if not 0.0 < self.delta < 1.0:
-            raise ConfigError(f"delta must lie in (0, 1), got {self.delta}")
-        for name in ("T", "c_abs"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise ConfigError(f"{name} must be finite and positive, got {v}")
+        for name, below in (("T", None), ("delta", 1), ("c_abs", None)):
+            object.__setattr__(self, name, real_number(name, getattr(self, name), 0, below))
         if self.ensemble.horizon_T != self.T:
             raise ConfigError(
                 f"ensemble horizon_T={self.ensemble.horizon_T} != experiment T={self.T}"

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bernstein import bernstein_jet, jet_poly_eval
 from .errors import (MAX_COUNT, MAX_STATES, ConfigBlock, ConfigError, DomainError, ShapeError,
-                     read_json, whole_number, write_json)
+                     read_json, real_number, whole_number, write_json)
 from .jets import RnnParams, _jet_and_series, _vector_norms, output_jet
 from .rnn import SimConfig, System, simulate
 from .signals import InputSpec, sample_on_grid
@@ -36,10 +36,8 @@ class JetDataset:
     def __post_init__(self):
         v = np.asarray(self.v, dtype=float)
         z = np.asarray(self.z, dtype=float)
-        if self.k < 2:
-            raise ConfigError(f"k must be >= 2, got {self.k}")
-        if not (math.isfinite(self.T) and self.T > 0):
-            raise ConfigError(f"T must be finite and positive, got {self.T}")
+        object.__setattr__(self, "k", whole_number("k", self.k, 2))
+        object.__setattr__(self, "T", real_number("T", self.T, 0))
         N = v.shape[0] if v.ndim else 0
         if N < 1:
             raise ConfigError("dataset needs at least one pair")
@@ -66,7 +64,7 @@ class JetDataset:
     @staticmethod
     def from_json_dict(doc: dict) -> "JetDataset":
         v, z = (np.array([p[key] for p in doc["pairs"]], dtype=float) for key in ("v", "z"))
-        ds = JetDataset(v, z, whole_number("k", doc["k"]), float(doc["T"]))
+        ds = JetDataset(v, z, doc["k"], doc["T"])
         if ds.N != whole_number("N", doc["N"]):
             raise ConfigError(f"N field {doc['N']} != {ds.N} pairs")
         return ds
@@ -98,12 +96,10 @@ class TrainConfig(ConfigBlock):
                                        ("max_iters", 0, MAX_COUNT), ("rng_seed", 0, None)):
             object.__setattr__(self, name, whole_number(f"train.{name}", getattr(self, name),
                                                         minimum, maximum))
-        for name in ("M", "step_size"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise ConfigError(f"train.{name} must be finite and positive, got {v}")
-        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
-            raise ConfigError(f"train.tolerance must be finite and >= 0, got {self.tolerance}")
+        for name, above in (("M", 0), ("step_size", 0), ("tolerance", None)):
+            object.__setattr__(self, name, real_number(f"train.{name}", getattr(self, name), above))
+        if self.tolerance < 0:
+            raise ConfigError(f"train.tolerance must be >= 0, got {self.tolerance}")
 
 
 def input_jets(inputs: list[InputSpec], k: int, T: float) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, the whole-number check
-that integer config fields go through, and the JSON format of every file
+"""Exception types shared across the package, the checks that integer
+and real config fields go through, and the JSON format of every file
 the package reads or writes: `ConfigBlock`, the codec of the config
 dataclasses, and `read_json`/`write_json`, the one reader and writer.
 
@@ -13,6 +13,7 @@ OSError.
 import dataclasses
 import json
 import numbers
+import sys
 from typing import Callable, ClassVar
 
 
@@ -72,6 +73,23 @@ def whole_number(field: str, value, minimum: int | None = None,
     if maximum is not None and value > maximum:
         raise ConfigError(f"{field} must be <= {maximum}, got {value!r}")
     return int(value)
+
+
+def real_number(field: str, value, above: float | None = None,
+                below: float | None = None) -> float:
+    """`value` as a float; ConfigError naming `field` unless it is a finite
+    real number (a bool or a string is not) strictly between `above` and
+    `below`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{field} must be a real number, got {value!r}")
+    # also catches an integer too large for a float
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{field} must be finite, got {value!r}")
+    if above is not None and not value > above:
+        raise ConfigError(f"{field} must be > {above}, got {value!r}")
+    if below is not None and not value < below:
+        raise ConfigError(f"{field} must be < {below}, got {value!r}")
+    return float(value)
 
 
 class ConfigBlock:

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import (MAX_COUNT, ConfigBlock, ConfigError, DivergenceError, DomainError, ShapeError,
-                     whole_number)
+                     real_number, whole_number)
 from .jets import RnnParams
 from .signals import FOURIER, InputSpec, _eval_array
 
@@ -40,8 +40,8 @@ class SimConfig(ConfigBlock):
     def __post_init__(self):
         object.__setattr__(self, "grid_size",
                            whole_number("sim.grid_size", self.grid_size, 2, MAX_COUNT))
-        if self.step is not None and not (math.isfinite(self.step) and self.step > 0):
-            raise ConfigError(f"sim.step must be finite and positive, got {self.step}")
+        if self.step is not None:
+            object.__setattr__(self, "step", real_number("sim.step", self.step, 0))
 
 
 @dataclass(frozen=True)
@@ -112,9 +112,10 @@ def rk4_substeps(T: float, config: SimConfig = SimConfig()) -> int:
     """RK4 steps per interval of the dense output grid of `simulate`: the
     requested step (T/256 when `config.step` is None) snapped to an
     integer subdivision of the grid spacing T/(grid_size-1), at least 1.
-    `simulate` takes (grid_size-1) times as many steps per input."""
+    `simulate` takes (grid_size-1) times as many steps per input, at most
+    MAX_COUNT; a larger count may read as MAX_COUNT + 1."""
     h_req = config.step if config.step is not None else T / 256.0
-    return max(1, round(T / (config.grid_size - 1) / h_req))
+    return max(1, round(min(T / (config.grid_size - 1) / h_req, MAX_COUNT + 1)))
 
 
 def simulate(system: System, input_u: list | tuple, T: float,
@@ -161,6 +162,8 @@ def simulate_runs(runs: Sequence[tuple[System, list | tuple]], T: float,
     sub = rk4_substeps(T, config)
     h = T / (g - 1) / sub
     nsteps = (g - 1) * sub
+    if nsteps > MAX_COUNT:
+        raise ConfigError(f"sim.step {config.step} takes over {MAX_COUNT} RK4 steps on [0, {T}]")
     stage_times = np.arange(2 * nsteps + 1) * (h / 2.0)
     distinct = {id(u): u for _, inputs in runs for u in inputs}
     row = {key: i for i, key in enumerate(distinct)}
@@ -278,11 +281,9 @@ def bibo_probes(R: float, count: int, T: float, rng_seed: int) -> list[InputSpec
 
 def _finite(system: str, **params: float) -> tuple[float, ...]:
     """The scalar parameters of a shipped system as floats; a ConfigError
-    naming the first that is not finite."""
-    for name, value in params.items():
-        if not math.isfinite(float(value)):
-            raise ConfigError(f"ground_truth {system} {name} must be finite, got {value!r}")
-    return tuple(float(v) for v in params.values())
+    naming the first that is not a finite real number."""
+    return tuple(real_number(f"ground_truth {system} {name}", value)
+                 for name, value in params.items())
 
 
 _UNIT_GAIN = np.ones((1, 1))
@@ -325,9 +326,9 @@ def _make_duffing(
     xi0: tuple[float, float] = (0.0, 0.0),
 ) -> ControlAffineSystem:
     d, s, b = _finite("duffing", damping=damping, stiffness=stiffness, saturation=saturation)
-    x0 = np.asarray(xi0, dtype=float)
-    if x0.shape != (2,) or not np.isfinite(x0).all():
-        raise ConfigError(f"ground_truth duffing xi0 must be two finite numbers, got {xi0!r}")
+    if not (isinstance(xi0, (list, tuple)) and len(xi0) == 2):
+        raise ConfigError(f"ground_truth duffing xi0 must be two numbers, got {xi0!r}")
+    x0 = np.array([real_number("ground_truth duffing xi0", v) for v in xi0])
 
     def drift(x):
         return np.array([x[1], -d * x[1] - s * x[0] - b * np.tanh(x[0]) ** 3])
@@ -359,6 +360,8 @@ def system_from_config(doc: dict) -> System:
     the shipped systems; {"kind": "rnn", "params": {...}} loads
     recurrent-model weights used as a teacher.
     """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"ground_truth must be a JSON object, got {type(doc).__name__}")
     unknown = set(doc) - {"kind", "name", "params"}
     if unknown:
         raise ConfigError(f"unknown ground_truth fields: {sorted(unknown)}")

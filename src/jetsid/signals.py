@@ -13,7 +13,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bernstein import _sample_rows
-from .errors import MAX_COUNT, ConfigBlock, ConfigError, DomainError, ShapeError, whole_number
+from .errors import (MAX_COUNT, ConfigBlock, ConfigError, DomainError, ShapeError, real_number,
+                     whole_number)
 
 FOURIER = "fourier"
 POLYNOMIAL = "polynomial"
@@ -101,12 +102,10 @@ class EnsembleConfig(ConfigBlock):
         if self.kind not in (FOURIER, POLYNOMIAL):
             raise ConfigError(f"unknown ensemble kind {self.kind!r}")
         for name in ("R", "L", "horizon_T", "coef_scale"):
-            v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0):
-                raise ConfigError(f"{name} must be finite and positive, got {v}")
+            object.__setattr__(self, name, real_number(f"ensemble.{name}", getattr(self, name), 0))
         for name in ("freq_range", "phase_range"):
-            lo, hi = pair = tuple(float(x) for x in getattr(self, name))
-            if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
+            lo, hi = pair = tuple(real_number(f"ensemble.{name}", x) for x in getattr(self, name))
+            if not lo <= hi:
                 raise ConfigError(f"bad {name} {pair}")
             object.__setattr__(self, name, pair)
 

@@ -1,8 +1,12 @@
 import ast
+import contextlib
+import copy
 import csv
+import io
 import json
 import math
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +19,8 @@ from jetsid import RnnParams, build_dataset, sample_ensemble
 from jetsid.cli import (ExperimentConfig, cmd_generate, config_from_dict, derive_seed,
                         load_config, main)
 from jetsid.errors import ConfigError, write_json
+
+from test_cli_pinned import DUFFING, SWEEP_LINEAR_K
 
 
 def base_doc(out_dir):
@@ -124,6 +130,13 @@ class TestConfigLoading:
             params={"xi0": math.nan})),
         "infinite_linear_xi0": ("bounds", lambda doc: doc["ground_truth"].update(
             params={"xi0": -math.inf})),
+        # a real field takes neither a bool nor a string
+        "train_M_true": ("train", lambda doc: doc["train"].update(M=True)),
+        "delta_string": ("bounds", lambda doc: doc.update(delta="0.1")),
+        "linear_decay_string": ("bounds", lambda doc: doc["ground_truth"].update(
+            params={"decay": "2"})),
+        "sim_step_true": ("generate", lambda doc: doc["sim"].update(step=True)),
+        "ground_truth_empty_list": ("bounds", lambda doc: doc.update(ground_truth=[])),
     }
     # unknown and missing fields of each config block, with the message
     # naming the block (sim has no required field)
@@ -141,6 +154,8 @@ class TestConfigLoading:
         "unknown_sweep_field": ("unknown sweep fields", lambda doc: doc.update(
             sweep={"param": "k", "values": [2], "mystery": 1})),
         "missing_sweep_param": ("missing sweep fields", lambda doc: doc.update(sweep={"values": [2]})),
+        "ground_truth_string": ("ground_truth must be a JSON object",
+                                lambda doc: doc.update(ground_truth="linear")),
     }
     # configs whose certificates overflow a float, with the growth factor or
     # term the error must name: e^(MT) at M = 1e300 or T = 1e300, an rnn
@@ -168,6 +183,14 @@ class TestConfigLoading:
         "huge_m_terms": ("generate", "ensemble.m_terms",
                          lambda doc: doc["ensemble"].update(m_terms=1e300)),
         "huge_train_n": ("bounds", "train.n", lambda doc: doc["train"].update(n=1e30)),
+    }
+    # configs that load but that the command refuses when it runs, with the
+    # text the error must hold: T^2 in the input jets of k = 3 overflows a
+    # float, and a step of 1e-12 takes 6.4e10 RK4 steps
+    REFUSED_AT_RUN = {
+        "huge_T_generate": ("generate", "horizon 1e+160", lambda doc: doc.update(T=1e160)),
+        "tiny_sim_step": ("generate", "sim.step 1e-12 takes over",
+                          lambda doc: doc["sim"].update(step=1e-12)),
     }
     # edits of a valid dataset.json document
     BAD_DATASET = {
@@ -200,7 +223,8 @@ class TestConfigLoading:
     @pytest.mark.parametrize("case", ["corrupt_dataset", "model_without_n", "init_without_n",
                                       "evaluate_without_dataset", "evaluate_without_inputs",
                                       "evaluate_seed_mismatch", *DATASET_MISMATCH,
-                                      *BAD_CONFIG, *BAD_FIELDS, *OVERFLOW, *TOO_LARGE, *BAD_DATASET,
+                                      *BAD_CONFIG, *BAD_FIELDS, *OVERFLOW, *TOO_LARGE,
+                                      *REFUSED_AT_RUN, *BAD_DATASET,
                                       *BAD_MODEL_N, *BAD_LOG, "huge_model_norm"])
     def test_bad_input_file_exits_2(self, tmp_path, capsys, case):
         from jetsid import EnsembleConfig, build_teacher_dataset
@@ -258,8 +282,8 @@ class TestConfigLoading:
             (run / "model.json").write_text(json.dumps(model.to_json_dict()))
             bad, command = run / "training_log.csv", "evaluate"
             bad.write_text(self.BAD_LOG[case])
-        elif case in self.TOO_LARGE:
-            command, _, edit = self.TOO_LARGE[case]
+        elif case in self.TOO_LARGE or case in self.REFUSED_AT_RUN:
+            command, _, edit = {**self.TOO_LARGE, **self.REFUSED_AT_RUN}[case]
             edit(doc)
             bad = tmp_path / "config.json"
         else:
@@ -272,7 +296,9 @@ class TestConfigLoading:
         assert main([command, "--config", path, *extra]) == code
         err = capsys.readouterr().err
         assert err.startswith(prefix)
-        assert (self.OVERFLOW[case][0] if case in self.OVERFLOW else bad.name) in err
+        named = {**{name: text for name, (text, _) in self.OVERFLOW.items()},
+                 **{name: text for name, (_, text, _) in self.REFUSED_AT_RUN.items()}}
+        assert named.get(case, bad.name) in err
         if case in self.DATASET_MISMATCH:
             assert f"{self.DATASET_MISMATCH[case][0]}=" in err
         if case in self.BAD_FIELDS:
@@ -322,6 +348,64 @@ class TestConfigLoading:
             assert echo["sweep"] == {"mode": "full", **sweep}
         assert config_from_dict(echo) == c
         assert ExperimentConfig.from_json_dict(echo) == c
+
+
+class TestConfigFuzz:
+    """No config ends in a traceback: every edit of one or two fields of a
+    valid config, each set to an edge value of some JSON type or deleted, makes
+    `bounds`, `generate` and `sweep` exit 0, 2, 3 or 4, and a command that
+    exits 0 writes JSON without NaN or Infinity."""
+
+    # the benchmark's identify_duffing and sweep_linear_k configs, shrunk so
+    # that each command takes milliseconds, as resolved echoes: every field,
+    # defaults included, is there to edit
+    ECHOES = [config_from_dict(dict(doc, N=4, probe_count=2, sim={"grid_size": 33},
+                                    sweep={"param": "k", "values": [2, 3],
+                                           "mode": "bounds_only"})).to_json_dict()
+              for doc in (DUFFING, SWEEP_LINEAR_K)]
+    DELETE = object()
+    VALUES = [0, -1, 1e300, -1e300, 1e-300, math.nan, math.inf, -math.inf, "", "x", None, [],
+              [1], {}, 10**30, True, DELETE]
+
+    @staticmethod
+    def draw_field(data, node):
+        """A field or list entry of a JSON document, as its container and
+        key: a top-level field, or, by a coin flip at each level, one
+        nested in it, so that each of the few top-level fields is often
+        drawn."""
+        while True:
+            key = data.draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                            else range(len(node))))
+            if not (isinstance(node[key], (dict, list)) and node[key] and data.draw(st.booleans())):
+                return node, key
+            node = node[key]
+
+    @staticmethod
+    def reject_constant(name):
+        raise ValueError(f"{name} in JSON output")
+
+    @settings(database=None, derandomize=True, max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_no_traceback(self, data):
+        doc = json.loads(json.dumps(data.draw(st.sampled_from(self.ECHOES))))
+        for _ in range(data.draw(st.integers(1, 2))):
+            container, key = self.draw_field(data, doc)
+            value = data.draw(st.sampled_from(self.VALUES))
+            if value is self.DELETE:
+                del container[key]
+            else:
+                container[key] = copy.deepcopy(value)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_config(Path(tmp), doc)
+            for command in ("bounds", "generate", "sweep"):
+                out = Path(tmp) / command
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    code = main([command, "--config", path, "--out", str(out)])
+                assert code in (0, 2, 3, 4)
+                if code == 0:
+                    for written in out.glob("*.json"):
+                        json.loads(written.read_text(), parse_constant=self.reject_constant)
 
 
 class TestGenerate:
