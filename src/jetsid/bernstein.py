@@ -92,7 +92,7 @@ def bernstein_jet(samples: np.ndarray, k: int, T: float) -> np.ndarray:
                 derivs[:, ell] = math.perm(m, ell) * diff[:, 0] / T**ell
                 diff = np.diff(diff, axis=-1)
     except (OverflowError, FloatingPointError):
-        raise DomainError(f"the order-{m} jet over horizon {T:.6g} leaves the float range") from None
+        raise DomainError(f"order-{m} jet over horizon {T:.6g} leaves the float range") from None
     return derivs
 
 

@@ -54,7 +54,7 @@ class DivergenceError(JetsidError, RuntimeError):
 # Upper limits of the size fields of a config, so that no size is too
 # large to allocate: the state count train.n, and every count (N,
 # probe_count, sim.grid_size, ensemble.m_terms, train.restarts,
-# train.max_iters).  The jet order k stops at
+# train.max_iters, RK4 steps per input).  The jet order k stops at
 # bernstein.MAX_WELL_CONDITIONED_K - 1, as its output lift takes k+1
 # samples.
 MAX_STATES = 1000

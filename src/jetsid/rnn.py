@@ -279,20 +279,12 @@ def bibo_probes(R: float, count: int, T: float, rng_seed: int) -> list[InputSpec
     return probes
 
 
-def _finite(system: str, **params: float) -> tuple[float, ...]:
-    """The scalar parameters of a shipped system as floats; a ConfigError
-    naming the first that is not a finite real number."""
-    return tuple(real_number(f"ground_truth {system} {name}", value)
-                 for name, value in params.items())
-
-
 _UNIT_GAIN = np.ones((1, 1))
 
 
 def _make_linear(decay: float = 1.0, xi0: float = 0.0) -> ControlAffineSystem:
-    a, x0 = _finite("linear", decay=decay, xi0=xi0)
-    if not a > 0:
-        raise ConfigError("linear system needs decay > 0")
+    a = real_number("ground_truth linear decay", decay, 0)
+    x0 = real_number("ground_truth linear xi0", xi0)
 
     def gamma(R: float, T: float) -> float:
         return max(abs(x0), R / a)
@@ -309,7 +301,7 @@ def _make_linear(decay: float = 1.0, xi0: float = 0.0) -> ControlAffineSystem:
 
 
 def _make_tanh_affine(xi0: float = 0.0) -> ControlAffineSystem:
-    (x0,) = _finite("tanh_affine", xi0=xi0)
+    x0 = real_number("ground_truth tanh_affine xi0", xi0)
     return ControlAffineSystem(
         name="tanh_affine",
         drift=lambda x: -np.tanh(x),
@@ -325,7 +317,8 @@ def _make_duffing(
     damping: float = 0.5, stiffness: float = 1.0, saturation: float = 1.0,
     xi0: tuple[float, float] = (0.0, 0.0),
 ) -> ControlAffineSystem:
-    d, s, b = _finite("duffing", damping=damping, stiffness=stiffness, saturation=saturation)
+    d, s, b = (real_number(f"ground_truth duffing {name}", value) for name, value in
+               (("damping", damping), ("stiffness", stiffness), ("saturation", saturation)))
     if not (isinstance(xi0, (list, tuple)) and len(xi0) == 2):
         raise ConfigError(f"ground_truth duffing xi0 must be two numbers, got {xi0!r}")
     x0 = np.array([real_number("ground_truth duffing xi0", v) for v in xi0])

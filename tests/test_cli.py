@@ -136,10 +136,13 @@ class TestConfigLoading:
         "linear_decay_string": ("bounds", lambda doc: doc["ground_truth"].update(
             params={"decay": "2"})),
         "sim_step_true": ("generate", lambda doc: doc["sim"].update(step=True)),
+        "duffing_xi0_strings": ("generate", lambda doc: doc["ground_truth"].update(
+            name="duffing", params={"xi0": ["0.1", "0.2"]})),
         "ground_truth_empty_list": ("bounds", lambda doc: doc.update(ground_truth=[])),
     }
     # unknown and missing fields of each config block, with the message
-    # naming the block (sim has no required field)
+    # naming the block (sim has no required field), and last two fields
+    # of the wrong type, with the message naming the field
     BAD_FIELDS = {
         "unknown_top_field": ("unknown config fields", lambda doc: doc.update(mystery=1)),
         "missing_top_field": ("missing config fields", lambda doc: doc.pop("delta")),
@@ -156,6 +159,9 @@ class TestConfigLoading:
         "missing_sweep_param": ("missing sweep fields", lambda doc: doc.update(sweep={"values": [2]})),
         "ground_truth_string": ("ground_truth must be a JSON object",
                                 lambda doc: doc.update(ground_truth="linear")),
+        # a string in a real field is refused naming the field, not by numpy
+        "ensemble_R_string": ("ensemble.R must be a real number",
+                              lambda doc: doc["ensemble"].update(R="0.8")),
     }
     # configs whose certificates overflow a float, with the growth factor or
     # term the error must name: e^(MT) at M = 1e300 or T = 1e300, an rnn
@@ -186,11 +192,15 @@ class TestConfigLoading:
     }
     # configs that load but that the command refuses when it runs, with the
     # text the error must hold: T^2 in the input jets of k = 3 overflows a
-    # float, and a step of 1e-12 takes 6.4e10 RK4 steps
+    # float, T^-2 does, a step of 1e-12 takes 6.4e10 RK4 steps, and the
+    # smallest subnormal step makes the step ratio itself overflow
     REFUSED_AT_RUN = {
         "huge_T_generate": ("generate", "horizon 1e+160", lambda doc: doc.update(T=1e160)),
+        "tiny_T_generate": ("generate", "horizon 1e-300", lambda doc: doc.update(T=1e-300)),
         "tiny_sim_step": ("generate", "sim.step 1e-12 takes over",
                           lambda doc: doc["sim"].update(step=1e-12)),
+        "subnormal_sim_step": ("generate", "sim.step 5e-324 takes over",
+                               lambda doc: doc["sim"].update(step=5e-324)),
     }
     # edits of a valid dataset.json document
     BAD_DATASET = {
@@ -201,6 +211,7 @@ class TestConfigLoading:
         "fractional_dataset_k": lambda ds: ds.update(k=3.5),
         "negative_dataset_T": lambda ds: ds.update(T=-1.0),
         "nan_dataset_T": lambda ds: ds.update(T=math.nan),
+        "string_dataset_T": lambda ds: ds.update(T="1.0"),
     }
     # model.json edits that `int()` would read as n=1
     BAD_MODEL_N = {"fractional_model_n": 1.5, "string_model_n": "1"}
