@@ -141,8 +141,8 @@ class TestConfigLoading:
         "ground_truth_empty_list": ("bounds", lambda doc: doc.update(ground_truth=[])),
     }
     # unknown and missing fields of each config block, with the message
-    # naming the block (sim has no required field), and last two fields
-    # of the wrong type, with the message naming the field
+    # naming the block (sim has no required field), then two fields of the
+    # wrong type, with the message naming the field
     BAD_FIELDS = {
         "unknown_top_field": ("unknown config fields", lambda doc: doc.update(mystery=1)),
         "missing_top_field": ("missing config fields", lambda doc: doc.pop("delta")),
@@ -192,8 +192,9 @@ class TestConfigLoading:
     }
     # configs that load but that the command refuses when it runs, with the
     # text the error must hold: T^2 in the input jets of k = 3 overflows a
-    # float, T^-2 does, a step of 1e-12 takes 6.4e10 RK4 steps, and the
-    # smallest subnormal step makes the step ratio itself overflow
+    # float at T = 1e160 and underflows to 0 at T = 1e-300, a step of 1e-12
+    # takes 6.4e10 RK4 steps, and the smallest subnormal step makes the
+    # step ratio itself overflow
     REFUSED_AT_RUN = {
         "huge_T_generate": ("generate", "horizon 1e+160", lambda doc: doc.update(T=1e160)),
         "tiny_T_generate": ("generate", "horizon 1e-300", lambda doc: doc.update(T=1e-300)),
