@@ -14,6 +14,7 @@ Exit codes: 0 success, 2 validation error, 3 numerical divergence,
 from __future__ import annotations
 
 import argparse
+import csv
 import math
 import sys
 import time
@@ -165,21 +166,12 @@ def load_config(path, seed_override: int | None = None,
     return read_json(path, "config", lambda doc: config_from_dict(doc, seed_override, out_override))
 
 
-def _csv_cell(v) -> str:
-    if v is None or v == "":
-        return ""
-    if isinstance(v, (bool, np.bool_)):
-        return str(bool(v)).lower()
-    if isinstance(v, float):
-        return repr(float(v))
-    return str(v)
-
-
 def _write_csv(path: Path, columns: list[str], rows: list[dict]) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_csv_cell(row.get(c)) for c in columns) + "\n")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([str(v).lower() if isinstance(v, bool) else v
+                          for v in map(row.get, columns)] for row in rows)
 
 
 def _out_dir(config: ExperimentConfig) -> Path:
@@ -364,11 +356,11 @@ def cmd_evaluate(config: ExperimentConfig, model_path=None) -> Path:
     log_path = out / "training_log.csv"
     trajectory: list[float] = []
     if log_path.exists():
-        try:
-            rows = [line.split(",") for line in log_path.read_text().splitlines()[1:]]
-            trajectory = [float(row[1]) for row in rows]
-        except (ValueError, IndexError) as exc:
-            raise ConfigError(f"training log {log_path} is malformed: {exc}") from exc
+        with open(log_path, newline="") as fh:
+            try:
+                trajectory = [float(row["risk"]) for row in csv.DictReader(fh)]
+            except (csv.Error, KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(f"training log {log_path} is malformed: {exc!r}") from exc
         if not trajectory:
             raise ConfigError(f"training log {log_path} has no rows")
     dataset_path = out / "dataset.json"

@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bernstein import bernstein_jet, jet_poly_eval
-from .errors import (MAX_COUNT, MAX_STATES, ConfigBlock, ConfigError, DomainError, ShapeError,
-                     read_json, real_number, whole_number, write_json)
+from .errors import (MAX_COUNT, MAX_STATES, ConfigBlock, ConfigError, ShapeError, read_json,
+                     real_array, real_number, whole_number, write_json)
 from .jets import RnnParams, _jet_and_series, _vector_norms, output_jet
 from .rnn import SimConfig, System, simulate
 from .signals import InputSpec, sample_on_grid
@@ -25,8 +25,8 @@ from .signals import InputSpec, sample_on_grid
 
 @dataclass(frozen=True)
 class JetDataset:
-    """N jet pairs, one per row: input jets v of order k-1, shape (N, k),
-    and output jets z of order k, shape (N, k+1)."""
+    """N jet pairs of finite reals, one per row: input jets v of order k-1,
+    shape (N, k), and output jets z of order k, shape (N, k+1)."""
 
     v: np.ndarray
     z: np.ndarray
@@ -34,8 +34,7 @@ class JetDataset:
     T: float
 
     def __post_init__(self):
-        v = np.asarray(self.v, dtype=float)
-        z = np.asarray(self.z, dtype=float)
+        v, z = real_array("v", self.v), real_array("z", self.z)
         object.__setattr__(self, "k", whole_number("k", self.k, 2))
         object.__setattr__(self, "T", real_number("T", self.T, 0))
         N = v.shape[0] if v.ndim else 0
@@ -44,8 +43,6 @@ class JetDataset:
         if v.shape != (N, self.k) or z.shape != (N, self.k + 1):
             raise ShapeError(f"jet arrays of shapes {v.shape}, {z.shape}, expected "
                              f"({N}, {self.k}), ({N}, {self.k + 1})")
-        if not (np.isfinite(v).all() and np.isfinite(z).all()):
-            raise DomainError("dataset contains nonfinite jet entries")
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "z", z)
 
@@ -63,7 +60,7 @@ class JetDataset:
 
     @staticmethod
     def from_json_dict(doc: dict) -> "JetDataset":
-        v, z = (np.array([p[key] for p in doc["pairs"]], dtype=float) for key in ("v", "z"))
+        v, z = ([p[key] for p in doc["pairs"]] for key in ("v", "z"))
         ds = JetDataset(v, z, doc["k"], doc["T"])
         if ds.N != whole_number("N", doc["N"]):
             raise ConfigError(f"N field {doc['N']} != {ds.N} pairs")

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, the checks that integer
-and real config fields go through, and the JSON format of every file
+"""Exception types shared across the package, the checks that config
+fields and real arrays go through, and the JSON format of every file
 the package reads or writes: `ConfigBlock`, the codec of the config
 dataclasses, and `read_json`/`write_json`, the one reader and writer.
 
@@ -15,6 +15,8 @@ import json
 import numbers
 import sys
 from typing import Callable, ClassVar
+
+import numpy as np
 
 
 class JetsidError(Exception):
@@ -90,6 +92,24 @@ def real_number(field: str, value, above: float | None = None,
     if below is not None and not value < below:
         raise ConfigError(f"{field} must be < {below}, got {value!r}")
     return float(value)
+
+
+def real_array(field: str, value) -> np.ndarray:
+    """`value`, a number or equal-length lists of them, as a float ndarray;
+    ConfigError naming `field` unless each entry is a real number (a bool,
+    a string or null is not), DomainError unless each is finite."""
+    if not (isinstance(value, np.ndarray) and value.dtype.kind in "iuf"):
+        value = np.asarray(value, dtype=object)
+        bad = [x for x in value.flat if isinstance(x, bool) or not isinstance(x, numbers.Real)]
+        if bad:
+            raise ConfigError(f"{field} must hold real numbers only, got {bad[0]!r}")
+    try:
+        array = np.asarray(value, dtype=float)
+    except OverflowError:  # an integer too large for a float
+        array = np.array(np.inf)
+    if not np.isfinite(array).all():
+        raise DomainError(f"{field} contains nonfinite entries")
+    return array
 
 
 class ConfigBlock:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bernstein import _FACTORIALS
-from .errors import DomainError, ShapeError, whole_number
+from .errors import DomainError, ShapeError, real_array, whole_number
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,7 @@ class RnnParams:
 
     Feasibility for a norm budget M (spectral norm of A and Euclidean
     norms of b, c, xi all <= M) is checked separately; the dataclass
-    itself only requires finite entries of consistent shape.
+    itself only requires n >= 1 and finite real entries of matching shape.
     """
 
     A: np.ndarray
@@ -36,23 +36,16 @@ class RnnParams:
     xi: np.ndarray
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        b = np.atleast_1d(np.asarray(self.b, dtype=float))
-        c = np.atleast_1d(np.asarray(self.c, dtype=float))
-        xi = np.atleast_1d(np.asarray(self.xi, dtype=float))
+        A = np.atleast_2d(real_array("A", self.A))
         n = A.shape[0]
-        if A.shape != (n, n):
-            raise ShapeError(f"A must be square, got {A.shape}")
-        for name, v in (("b", b), ("c", c), ("xi", xi)):
+        if n < 1 or A.shape != (n, n):
+            raise ShapeError(f"A must be square with at least one row, got {A.shape}")
+        object.__setattr__(self, "A", A)
+        for name in ("b", "c", "xi"):
+            v = np.atleast_1d(real_array(name, getattr(self, name)))
             if v.shape != (n,):
                 raise ShapeError(f"{name} must have shape ({n},), got {v.shape}")
-        for name, v in (("A", A), ("b", b), ("c", c), ("xi", xi)):
-            if not np.isfinite(v).all():
-                raise DomainError(f"{name} contains nonfinite entries")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "xi", xi)
+            object.__setattr__(self, name, v)
 
     @property
     def n(self) -> int:
@@ -75,12 +68,7 @@ class RnnParams:
     @staticmethod
     def from_json_dict(doc: dict) -> "RnnParams":
         n = whole_number("n", doc["n"])
-        return RnnParams(
-            A=np.asarray(doc["A"], dtype=float).reshape(n, n),
-            b=np.asarray(doc["b"], dtype=float),
-            c=np.asarray(doc["c"], dtype=float),
-            xi=np.asarray(doc["xi"], dtype=float),
-        )
+        return RnnParams(real_array("A", doc["A"]).reshape(n, n), doc["b"], doc["c"], doc["xi"])
 
 
 def _vector_norms(vecs: np.ndarray) -> np.ndarray:

@@ -61,15 +61,6 @@ class InputSpec:
             "phases": None if self.phases is None else self.phases.tolist(),
         }
 
-    @staticmethod
-    def from_json_dict(doc: dict) -> "InputSpec":
-        return InputSpec(
-            kind=doc["kind"],
-            coefficients=np.asarray(doc["coefficients"], dtype=float),
-            frequencies=None if doc.get("frequencies") is None else np.asarray(doc["frequencies"], dtype=float),
-            phases=None if doc.get("phases") is None else np.asarray(doc["phases"], dtype=float),
-        )
-
 
 @dataclass(frozen=True)
 class EnsembleConfig(ConfigBlock):

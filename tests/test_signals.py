@@ -271,12 +271,11 @@ def brute_bernstein_local(values, T, t):
 class TestSerialization:
     def test_input_spec_json(self):
         spec = fourier([0.25, -0.5], [1.0, 2.0], [0.3, 0.4])
-        doc = json.loads(json.dumps(spec.to_json_dict()))
-        back = InputSpec.from_json_dict(doc)
-        assert np.array_equal(back.coefficients, spec.coefficients)
-        assert np.array_equal(back.frequencies, spec.frequencies)
-        poly_back = InputSpec.from_json_dict(poly([1.0, 2.0]).to_json_dict())
-        assert poly_back.frequencies is None
+        assert json.loads(json.dumps(spec.to_json_dict())) == {
+            "kind": "fourier", "coefficients": [0.25, -0.5], "frequencies": [1.0, 2.0],
+            "phases": [0.3, 0.4]}
+        poly_doc = poly([1.0, 2.0]).to_json_dict()
+        assert poly_doc["frequencies"] is None and poly_doc["phases"] is None
 
     def test_ensemble_config_strict(self):
         doc = make_config().to_json_dict()
