@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bernstein import bernstein_jet, jet_poly_eval
-from .errors import (MAX_COUNT, MAX_STATES, ConfigBlock, ConfigError, ShapeError, read_json,
-                     real_array, real_number, whole_number, write_json)
+from .errors import (MAX_COUNT, MAX_STATES, ConfigBlock, ConfigError, DomainError, ShapeError,
+                     read_json, real_array, real_number, whole_number, write_json)
 from .jets import RnnParams, _jet_and_series, _vector_norms, output_jet
 from .rnn import SimConfig, System, simulate
 from .signals import InputSpec, sample_on_grid
@@ -164,6 +164,14 @@ def _split(thetas: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
             thetas[:, nn + n:nn + 2 * n], thetas[:, nn + 2 * n:])
 
 
+def _out_of_float_range(kind: str, flag: int):
+    """The `np.errstate` callback of the risk and its gradient: an overflow
+    or an invalid operation, as on jet pairs too large for the jet map or
+    the loss grid, is a DomainError."""
+    raise DomainError(f"the risk on these jet pairs leaves the float range ({kind})")
+
+
+@np.errstate(over="call", invalid="call", call=_out_of_float_range)
 def _risk_forward(thetas, v, z, n, k, T) -> tuple[np.ndarray, tuple]:
     """`empirical_risk` at each row of an (L, P) stack of flat weights,
     as an (L,) array, and the stacked tape whose `_tape_row` slices
@@ -183,6 +191,7 @@ def _tape_row(tape: tuple, i: int) -> tuple:
     return A[i], c[i], t, mismatch[i], (u, *(s[:, i] for s in series))
 
 
+@np.errstate(over="call", invalid="call", call=_out_of_float_range)
 def _risk_backward(tape: tuple) -> np.ndarray:
     """Gradient of the risk from its forward tape, by the adjoint of the
     Taylor recurrence of `jets._jet_and_series`.
