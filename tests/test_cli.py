@@ -20,7 +20,7 @@ from jetsid.cli import (ExperimentConfig, cmd_generate, config_from_dict, derive
                         load_config, main)
 from jetsid.errors import ConfigError, write_json
 
-from test_cli_pinned import DUFFING, SWEEP_LINEAR_K
+from test_cli_pinned import DUFFING, SWEEP_LINEAR_K, TEACHER_FIT
 
 
 def base_doc(out_dir):
@@ -139,6 +139,8 @@ class TestConfigLoading:
         "duffing_xi0_strings": ("generate", lambda doc: doc["ground_truth"].update(
             name="duffing", params={"xi0": ["0.1", "0.2"]})),
         "ground_truth_empty_list": ("bounds", lambda doc: doc.update(ground_truth=[])),
+        "rnn_truth_A_bool": ("bounds", lambda doc: doc.update(ground_truth={
+            "kind": "rnn", "params": {"A": [True], "b": [1.0], "c": [1.0], "xi": [0.0], "n": 1}})),
     }
     # unknown and missing fields of each config block, with the message
     # naming the block (sim has no required field), then two fields of the
@@ -213,9 +215,25 @@ class TestConfigLoading:
         "negative_dataset_T": lambda ds: ds.update(T=-1.0),
         "nan_dataset_T": lambda ds: ds.update(T=math.nan),
         "string_dataset_T": lambda ds: ds.update(T="1.0"),
+        "dataset_v_string": lambda ds: ds["pairs"][0]["v"].__setitem__(1, "0.3"),
+        "dataset_z_bool": lambda ds: ds["pairs"][1]["z"].__setitem__(0, True),
     }
-    # model.json edits that `int()` would read as n=1
-    BAD_MODEL_N = {"fractional_model_n": 1.5, "string_model_n": "1"}
+    # edits of a valid model.json document: `int()` would read the two
+    # bad n as 1, numpy the string and the bool as numbers, and n = 0 was
+    # refused only after the RK4 loop
+    BAD_MODEL = {
+        "model_without_n": lambda m: m.pop("n"),
+        "fractional_model_n": lambda m: m.update(n=1.5),
+        "string_model_n": lambda m: m.update(n="1"),
+        "model_A_string": lambda m: m.update(A=["0.3"]),
+        "model_b_bool": lambda m: m.update(b=[True]),
+        "model_n_zero": lambda m: m.update(A=[], b=[], c=[], xi=[], n=0),
+    }
+    # the same kind of edit made to an --init file
+    BAD_INIT = {
+        "init_without_n": lambda m: m.pop("n"),
+        "init_xi_string": lambda m: m.update(xi=["0.1"]),
+    }
     BAD_LOG = {
         "log_not_numeric": "iter,risk\n0,abc\n",
         "log_header_only": "iter,risk\n",
@@ -232,12 +250,11 @@ class TestConfigLoading:
     # a missing file evaluate reads is an I/O error (exit 4)
     EXIT_4 = ("evaluate_without_dataset", "evaluate_without_inputs")
 
-    @pytest.mark.parametrize("case", ["corrupt_dataset", "model_without_n", "init_without_n",
-                                      "evaluate_without_dataset", "evaluate_without_inputs",
-                                      "evaluate_seed_mismatch", *DATASET_MISMATCH,
-                                      *BAD_CONFIG, *BAD_FIELDS, *OVERFLOW, *TOO_LARGE,
-                                      *REFUSED_AT_RUN, *BAD_DATASET,
-                                      *BAD_MODEL_N, *BAD_LOG, "huge_model_norm"])
+    @pytest.mark.parametrize("case", ["corrupt_dataset", "evaluate_without_dataset",
+                                      "evaluate_without_inputs", "evaluate_seed_mismatch",
+                                      *DATASET_MISMATCH, *BAD_CONFIG, *BAD_FIELDS, *OVERFLOW,
+                                      *TOO_LARGE, *REFUSED_AT_RUN, *BAD_DATASET, *BAD_MODEL,
+                                      *BAD_INIT, *BAD_LOG, "huge_model_norm"])
     def test_bad_input_file_exits_2(self, tmp_path, capsys, case):
         from jetsid import EnsembleConfig, build_teacher_dataset
 
@@ -245,7 +262,7 @@ class TestConfigLoading:
         run.mkdir()
         doc = base_doc(run)
         model = RnnParams([[0.3]], [0.8], [0.5], [0.1])
-        without_n = {key: v for key, v in model.to_json_dict().items() if key != "n"}
+        model_doc = model.to_json_dict()
         ens = EnsembleConfig("fourier", 2, 0.8, 2.0, 1.0, rng_seed=5)
         dataset = build_teacher_dataset(sample_ensemble(ens, 2), model, 3, 1.0).to_json_dict()
         extra = []
@@ -256,20 +273,22 @@ class TestConfigLoading:
             self.BAD_DATASET[case](dataset)
             bad, command = run / "dataset.json", "train"
             bad.write_text(json.dumps(dataset))
-        elif case == "model_without_n" or case in self.BAD_MODEL_N:
+        elif case in self.BAD_MODEL:
+            # every other file evaluate reads is valid
+            cmd_generate(config_from_dict(doc))
+            self.BAD_MODEL[case](model_doc)
             bad, command = run / "model.json", "evaluate"
-            if case in self.BAD_MODEL_N:
-                without_n["n"] = self.BAD_MODEL_N[case]
-            bad.write_text(json.dumps(without_n))
+            bad.write_text(json.dumps(model_doc))
         elif case == "huge_model_norm":
             # b @ b overflows a float, |b| = 1.41e200 does not
             bad, command = run / "model.json", "evaluate"
             huge = RnnParams(0.1 * np.eye(2), [1e200, 1e200], [0.5, 0.5], [0.0, 0.0])
             bad.write_text(json.dumps(huge.to_json_dict()))
-        elif case == "init_without_n":
+        elif case in self.BAD_INIT:
+            self.BAD_INIT[case](model_doc)
             (run / "dataset.json").write_text(json.dumps(dataset))
             bad, command = run / "init.json", "train"
-            bad.write_text(json.dumps(without_n))
+            bad.write_text(json.dumps(model_doc))
             extra = ["--init", str(bad)]
         elif case == "evaluate_without_dataset" or case in self.DATASET_MISMATCH:
             # a missing dataset is an I/O error (exit 4), a mismatched one exits 2
@@ -368,13 +387,14 @@ class TestConfigFuzz:
     `bounds`, `generate` and `sweep` exit 0, 2, 3 or 4, and a command that
     exits 0 writes JSON without NaN or Infinity."""
 
-    # the benchmark's identify_duffing and sweep_linear_k configs, shrunk so
-    # that each command takes milliseconds, as resolved echoes: every field,
-    # defaults included, is there to edit
+    # the benchmark's identify_duffing and sweep_linear_k configs and an rnn
+    # teacher's, shrunk so that each command takes milliseconds, as resolved
+    # echoes: every field, defaults and the teacher's arrays included, is
+    # there to edit
     ECHOES = [config_from_dict(dict(doc, N=4, probe_count=2, sim={"grid_size": 33},
                                     sweep={"param": "k", "values": [2, 3],
                                            "mode": "bounds_only"})).to_json_dict()
-              for doc in (DUFFING, SWEEP_LINEAR_K)]
+              for doc in (DUFFING, SWEEP_LINEAR_K, TEACHER_FIT)]
     DELETE = object()
     VALUES = [0, -1, 1e300, -1e300, 1e-300, math.nan, math.inf, -math.inf, "", "x", None, [],
               [1], {}, 10**30, True, DELETE]
@@ -418,6 +438,85 @@ class TestConfigFuzz:
                 if code == 0:
                     for written in out.glob("*.json"):
                         json.loads(written.read_text(), parse_constant=self.reject_constant)
+
+
+class TestFileFuzz:
+    """No file that `generate` and `train` write ends in a traceback when it
+    is edited: every edit of one or two fields or entries of dataset.json,
+    model.json (read by `evaluate`, and by `train` as --init) and
+    train_inputs.json, or of cells of training_log.csv, each set to a value
+    of `TestConfigFuzz.VALUES` or deleted, makes `evaluate` and `train` exit
+    0, 2, 3 or 4.  JSON they write at exit 0 holds no NaN or Infinity, and a
+    bool or a string in an A, b, c, xi, v or z array never exits 0."""
+
+    ARRAYS = {"A", "b", "c", "xi", "v", "z"}
+
+    @pytest.fixture(scope="class")
+    def written(self, tmp_path_factory):
+        """The config of a tiny generate -> train run and the four files it
+        leaves, parsed: the JSON documents, and the log as a list of rows."""
+        run = tmp_path_factory.mktemp("written")
+        config = write_config(run, TestConfigFuzz.ECHOES[0])
+        with contextlib.redirect_stdout(io.StringIO()):
+            for command in ("generate", "train"):
+                assert main([command, "--config", config, "--out", str(run)]) == 0
+        docs = {name: json.loads((run / name).read_text())
+                for name in ("dataset.json", "model.json", "train_inputs.json")}
+        with open(run / "training_log.csv", newline="") as fh:
+            docs["training_log.csv"] = list(csv.reader(fh))
+        return config, docs
+
+    @classmethod
+    def text_in_array(cls, node, in_array=False) -> bool:
+        """Whether a bool or a string sits in an A, b, c, xi, v or z array
+        of a JSON document, or is one."""
+        if isinstance(node, dict):
+            return any(cls.text_in_array(v, key in cls.ARRAYS) for key, v in node.items())
+        if isinstance(node, list):
+            return any(cls.text_in_array(v, in_array) for v in node)
+        return in_array and isinstance(node, (bool, str))
+
+    @settings(database=None, derandomize=True, max_examples=250, deadline=None)
+    @given(data=st.data())
+    def test_no_traceback(self, written, data):
+        config, docs = written
+        docs = copy.deepcopy(docs)
+        for _ in range(data.draw(st.integers(1, 2))):
+            name = data.draw(st.sampled_from([name for name in sorted(docs) if docs[name]]))
+            if name == "training_log.csv":
+                container = data.draw(st.sampled_from([row for row in docs[name] if row]))
+                key = data.draw(st.sampled_from(range(len(container))))
+            else:
+                container, key = TestConfigFuzz.draw_field(data, docs[name])
+            value = data.draw(st.sampled_from(TestConfigFuzz.VALUES))
+            if value is TestConfigFuzz.DELETE:
+                del container[key]
+            else:
+                container[key] = copy.deepcopy(value)
+        with tempfile.TemporaryDirectory() as tmp:
+            run = Path(tmp)
+            for name, doc in docs.items():
+                if name == "training_log.csv":
+                    with open(run / name, "w", newline="") as fh:
+                        csv.writer(fh, lineterminator="\n").writerows(doc)
+                else:
+                    (run / name).write_text(json.dumps(doc))
+            codes = []
+            for argv, outputs in (
+                    (["evaluate", "--out", str(run)], ["report.json", "timings.json"]),
+                    (["train", "--out", str(run / "train"), "--dataset", str(run / "dataset.json"),
+                      "--init", str(run / "model.json")], ["train/model.json"])):
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    code = main([*argv, "--config", config])
+                assert code in (0, 2, 3, 4)
+                if code == 0:
+                    for output in outputs:
+                        json.loads((run / output).read_text(),
+                                   parse_constant=TestConfigFuzz.reject_constant)
+                codes.append(code)
+        if any(self.text_in_array(docs[name]) for name in ("dataset.json", "model.json")):
+            assert 0 not in codes
 
 
 class TestGenerate:
@@ -531,6 +630,14 @@ class TestEvaluate:
         # end-to-end: held-out risk sits inside the fixed-model certificate
         slack = 3.0 * report["risk_standard_error"]
         assert report["empirical_risk"] <= fm["total"] + slack
+
+    def test_log_columns_swapped(self, tmp_path):
+        # the log is read by its header, whatever the column order
+        path, _ = self.run_pipeline(tmp_path)
+        (tmp_path / "run" / "training_log.csv").write_text("risk,iter\n0.5,0\n0.25,1\n")
+        assert main(["evaluate", "--config", path]) == 0
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert report["loss_trajectory"] == [0.5, 0.25]
 
     def test_held_out_inputs_disjoint(self, tmp_path):
         _, report = self.run_pipeline(tmp_path)
@@ -694,11 +801,15 @@ class TestEvaluate:
 class TestSweep:
     def test_bounds_only_k_sweep_monotone(self, tmp_path):
         doc = base_doc(tmp_path / "run")
-        doc["sweep"] = {"param": "k", "values": [2, 4, 8, 16], "mode": "bounds_only"}
+        doc["sweep"] = {"param": "k", "values": [2, 4, 8, 16, 25], "mode": "bounds_only"}
         path = write_config(tmp_path, doc)
         assert main(["sweep", "--config", path]) == 0
         rows = read_rows(tmp_path / "run" / "sweep.csv")
-        assert [r["error"] for r in rows] == [""] * 4
+        # the failed point's error holds a comma, quoted so that its row
+        # keeps one cell per column
+        assert [r["error"] for r in rows] == [""] * 4 + ["k must be <= 19, got 25"]
+        assert not any(None in r for r in rows)
+        rows = rows[:4]
         for col in (
             "fixed_model.output_modulus_term",
             "fixed_model.input_modulus_term",

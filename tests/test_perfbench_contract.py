@@ -1,14 +1,15 @@
 """The names the benchmark (perfbench/spans.py and perfbench/workloads.py)
-reads from jetsid.
+reads from jetsid, and the literal documents the workloads load.
 
 The tracer wraps functions by name and counts work from their arguments and
 results; a helper it cannot find is skipped without a word, so a rename
-would zero a count rather than fail.  A name the workloads read that is gone
-would only show as a crashed benchmark setup.  Both files are read with
-`ast` here, never imported or edited.
+would zero a count rather than fail.  A name the workloads read that is gone,
+or a document a reader refuses, would only show as a crashed benchmark
+setup.  Both files are read with `ast` here, never imported or edited.
 """
 
 import ast
+import copy
 import importlib
 import inspect
 from pathlib import Path
@@ -32,6 +33,26 @@ def assigned(name):
                 isinstance(t, ast.Name) and t.id == name for t in node.targets):
             return ast.literal_eval(node.value)
     raise AssertionError(f"no assignment to {name} in {SPANS}")
+
+
+def workload_literal(scope, name):
+    """The value assigned to `name` in class `scope` of workloads.py, or at
+    module level when `scope` is None, each name in it replaced by the
+    literal assigned to it in that class or at module level."""
+    def literals(body):
+        return {target.id: node.value for node in body if isinstance(node, ast.Assign)
+                for target in node.targets if isinstance(target, ast.Name)}
+
+    names = literals(WORKLOADS.body)
+    if scope is not None:
+        names.update(literals(next(node for node in WORKLOADS.body if isinstance(
+            node, ast.ClassDef) and node.name == scope).body))
+
+    class Inline(ast.NodeTransformer):
+        def visit_Name(self, node):
+            return self.visit(names[node.id])
+
+    return ast.literal_eval(Inline().visit(copy.deepcopy(names[name])))
 
 
 def function(name):
@@ -134,3 +155,15 @@ def test_stopwatch_names_are_public_functions():
         fn = getattr(importlib.import_module(f"jetsid.{module}"), name, None)
         assert inspect.isfunction(fn) and fn.__module__ == f"jetsid.{module}", span
         assert not name.startswith("_"), span
+
+
+def test_workload_documents_load():
+    # the documents the workloads hand to the readers, as setup does
+    assert RnnParams.from_json_dict(workload_literal("TeacherFit", "TEACHER")).n == 2
+    assert TrainConfig.from_json_dict(workload_literal("TeacherFit", "TRAIN")).restarts == 2
+    ensemble = dict(workload_literal(None, "FOURIER"), horizon_T=workload_literal(None, "T"),
+                    rng_seed=1)
+    assert EnsembleConfig.from_json_dict(ensemble).m_terms == 2
+    for scope in ("IdentifyDuffing", "SweepLinearK"):
+        config = jetsid.cli.config_from_dict(workload_literal(scope, "CONFIG"))
+        assert config.ensemble.kind == "fourier", scope
