@@ -416,13 +416,11 @@ def _closed_form_report(config: ExperimentConfig) -> bounds_mod.BoundReport:
     model class, with the gap term left at zero.
     """
     omega_Y, gamma = _declared(config, config.system())
-    if omega_Y is None:
+    if omega_Y is None or gamma is None:
         raise ConfigError(
             f"ground truth {config.ground_truth.get('name')!r} declares no output "
             "modulus handle; calculator mode needs one (use linear, tanh_affine, or rnn)"
         )
-    if gamma is None:
-        raise ConfigError("calculator mode needs a declared output sup bound")
     n, M = config.train.n, config.train.M
     unit = np.zeros(n)
     unit[0] = M

@@ -285,10 +285,6 @@ _UNIT_GAIN = np.ones((1, 1))
 def _make_linear(decay: float = 1.0, xi0: float = 0.0) -> ControlAffineSystem:
     a = real_number("ground_truth linear decay", decay, 0)
     x0 = real_number("ground_truth linear xi0", xi0)
-
-    def gamma(R: float, T: float) -> float:
-        return max(abs(x0), R / a)
-
     return ControlAffineSystem(
         name="linear",
         drift=lambda x: -a * x,
@@ -296,7 +292,7 @@ def _make_linear(decay: float = 1.0, xi0: float = 0.0) -> ControlAffineSystem:
         h=np.array([1.0]),
         xi0=np.array([x0]),
         output_lipschitz=lambda R: a * abs(x0) + 2.0 * R,
-        gamma_bound=lambda R, T: gamma(R, T),
+        gamma_bound=lambda R, T: max(abs(x0), R / a),
     )
 
 

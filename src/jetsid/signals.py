@@ -137,26 +137,20 @@ def _draw_spec(config: EnsembleConfig, rng: np.random.Generator) -> InputSpec:
     if config.kind == FOURIER:
         c = rng.uniform(-config.coef_scale, config.coef_scale, config.m_terms)
         w = rng.uniform(config.freq_range[0], config.freq_range[1], config.m_terms)
-        a = rng.uniform(config.phase_range[0], config.phase_range[1], config.m_terms)
-        s_amp = np.abs(c).sum()
-        s_slope = np.abs(c * w).sum()
-        scale = 1.0
-        if s_amp > 0:
-            scale = min(scale, config.R / s_amp)
-        if s_slope > 0:
-            scale = min(scale, config.L / s_slope)
-        return InputSpec(FOURIER, c * scale, w, a)
-    c = rng.uniform(-config.coef_scale, config.coef_scale, config.m_terms + 1)
-    powers = T ** np.arange(config.m_terms + 1)
-    s_amp = np.abs(c) @ powers
-    degrees = np.arange(1, config.m_terms + 1)
-    s_slope = (degrees * np.abs(c[1:])) @ (T ** (degrees - 1))
+        rest = (w, rng.uniform(config.phase_range[0], config.phase_range[1], config.m_terms))
+        s_amp, s_slope = np.abs(c).sum(), np.abs(c * w).sum()
+    else:
+        c = rng.uniform(-config.coef_scale, config.coef_scale, config.m_terms + 1)
+        degrees = np.arange(1, config.m_terms + 1)
+        rest = ()
+        s_amp = np.abs(c) @ (T ** np.arange(config.m_terms + 1))
+        s_slope = (degrees * np.abs(c[1:])) @ (T ** (degrees - 1))
     scale = 1.0
     if s_amp > 0:
         scale = min(scale, config.R / s_amp)
     if s_slope > 0:
         scale = min(scale, config.L / s_slope)
-    return InputSpec(POLYNOMIAL, c * scale)
+    return InputSpec(config.kind, c * scale, *rest)
 
 
 def sample_ensemble(config: EnsembleConfig, N: int) -> list[InputSpec]:
@@ -182,7 +176,8 @@ def sample_on_grid(specs: list[InputSpec], m: int, T: float) -> np.ndarray:
 
 def estimate_modulus(values: np.ndarray, T: float, delta: float) -> float:
     """Largest |u(t1)-u(t2)| over grid pairs with |t1-t2| <= delta, over
-    every row of a (B, m+1) array of signals sampled at i*T/m.
+    every row of a (B, m+1) array of signals sampled at i*T/m: the largest
+    range (max - min) of a window of the grid points that delta spans.
 
     A lower bound on the true common modulus of continuity; nondecreasing
     in delta, exactly 0 at delta=0.  delta above the horizon clamps to it.
@@ -190,14 +185,7 @@ def estimate_modulus(values: np.ndarray, T: float, delta: float) -> float:
     if delta < 0:
         raise DomainError(f"delta must be >= 0, got {delta}")
     vals = _sample_rows(values, T)
-    if delta == 0:
-        return 0.0
-    delta = min(delta, T)
     m = vals.shape[1] - 1
-    h = T / m
-    max_lag = int(math.floor(delta / h * (1.0 + 1e-12) + 1e-12))
-    best = 0.0
-    for lag in range(1, max_lag + 1):
-        best = max(best, float(np.abs(vals[:, lag:] - vals[:, :-lag]).max()))
-    return best
-
+    max_lag = int(math.floor(min(delta, T) / (T / m) * (1.0 + 1e-12) + 1e-12))
+    windows = np.lib.stride_tricks.sliding_window_view(vals, max_lag + 1, axis=1)
+    return float(np.ptp(windows, axis=2).max())
