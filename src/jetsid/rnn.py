@@ -133,6 +133,7 @@ def simulate(system: System, input_u: list | tuple, T: float,
     return simulate_runs([(system, input_u)], T, config)[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def simulate_runs(runs: Sequence[tuple[System, list | tuple]], T: float,
                   config: SimConfig = SimConfig()) -> list[np.ndarray]:
     """`simulate` of several (system, inputs) runs in one RK4 loop, one
@@ -145,6 +146,8 @@ def simulate_runs(runs: Sequence[tuple[System, list | tuple]], T: float,
     evaluated at the stage times once.  Each run takes the same IEEE
     operations as alone, so its outputs are bit-identical to `simulate`
     of that run; a divergence names the first bad run's system and input.
+    Overflow and invalid operations on the way to it raise no warning: the
+    finiteness check after every step reports them.
     """
     for _, inputs in runs:
         if not isinstance(inputs, (list, tuple)):

@@ -39,6 +39,14 @@ def base_doc(out_dir):
     }
 
 
+def diverging_doc(out_dir):
+    # negative damping makes the Duffing state overflow a float near t = 14
+    doc = base_doc(out_dir)
+    doc["ground_truth"] = {"kind": "named", "name": "duffing", "params": {"damping": -60.0}}
+    doc["T"], doc["N"] = 20.0, 2
+    return doc
+
+
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -164,6 +172,14 @@ class TestConfigLoading:
         # a string in a real field is refused naming the field, not by numpy
         "ensemble_R_string": ("ensemble.R must be a real number",
                               lambda doc: doc["ensemble"].update(R="0.8")),
+        "negative_train_tolerance": ("train.tolerance must be >= 0",
+                                     lambda doc: doc["train"].update(tolerance=-1)),
+        "reversed_freq_range": ("bad freq_range",
+                                lambda doc: doc["ensemble"].update(freq_range=[3.0, 0.5])),
+        "unknown_ground_truth_field": ("unknown ground_truth fields",
+                                       lambda doc: doc["ground_truth"].update(extra=1)),
+        "rnn_truth_without_params": ("rnn ground truth needs a params block",
+                                     lambda doc: doc.update(ground_truth={"kind": "rnn"})),
     }
     # configs whose certificates overflow a float, with the growth factor or
     # term the error must name: e^(MT) at M = 1e300 or T = 1e300, an rnn
@@ -204,6 +220,7 @@ class TestConfigLoading:
                           lambda doc: doc["sim"].update(step=1e-12)),
         "subnormal_sim_step": ("generate", "sim.step 5e-324 takes over",
                                lambda doc: doc["sim"].update(step=5e-324)),
+        "no_out_dir": ("generate", "no output directory", lambda doc: doc.pop("out_dir")),
     }
     # edits of a valid dataset.json document
     BAD_DATASET = {
@@ -228,6 +245,8 @@ class TestConfigLoading:
         "model_A_string": lambda m: m.update(A=["0.3"]),
         "model_b_bool": lambda m: m.update(b=[True]),
         "model_n_zero": lambda m: m.update(A=[], b=[], c=[], xi=[], n=0),
+        # an integer too large for a float
+        "model_A_huge_integer": lambda m: m.update(A=[10**400]),
     }
     # the same kind of edit made to an --init file
     BAD_INIT = {
@@ -336,6 +355,8 @@ class TestConfigLoading:
             assert self.BAD_FIELDS[case][0] in err
         if case in self.TOO_LARGE:
             assert f"{self.TOO_LARGE[case][1]} must be <= " in err
+        if case == "model_A_huge_integer":
+            assert "A contains nonfinite entries" in err
         if case == "huge_model_norm":
             assert "violates the norm budget" in err and "'b': 1.41421356237309" in err
 
@@ -548,6 +569,15 @@ class TestGenerate:
         doc["k"], doc["N"] = 19, 4
         assert main(["generate", "--config", write_config(tmp_path, doc)]) == 0
         assert json.loads((tmp_path / "run" / "dataset.json").read_text())["k"] == 19
+
+    def test_divergence_exits_3_with_one_line(self, tmp_path, capsys):
+        # pytest turns warnings into errors, so an overflow warning from the
+        # RK4 loop would escape main as a traceback before the exit-3 line
+        path = write_config(tmp_path, diverging_doc(tmp_path / "run"))
+        assert main(["generate", "--config", path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("divergence: state became nonfinite at t=")
+        assert "(system duffing, sample " in err and err.count("\n") == 1
 
     def test_writes_input_specs(self, tmp_path):
         path = write_config(tmp_path, base_doc(tmp_path / "run"))
@@ -853,6 +883,14 @@ class TestSweep:
         shared = sorted(set(chain) & set(point))
         assert len(shared) == 26
         assert [chain[c] for c in shared] == [point[c] for c in shared]
+
+    def test_diverging_points_fill_error(self, tmp_path):
+        doc = diverging_doc(tmp_path / "run")
+        doc["sweep"] = {"param": "N", "values": [2, 3], "mode": "full"}
+        assert main(["sweep", "--config", write_config(tmp_path, doc)]) == 0
+        rows = read_rows(tmp_path / "run" / "sweep.csv")
+        assert [r["value"] for r in rows] == ["2", "3"]
+        assert all(r["error"].startswith("state became nonfinite at t=") for r in rows)
 
     def test_missing_sweep_block(self, tmp_path):
         path = write_config(tmp_path, base_doc(tmp_path / "run"))

@@ -142,7 +142,7 @@ class TestSimulate:
             h=np.array([1.0]),
             xi0=np.array([0.0]),
         )
-        with pytest.raises(DivergenceError) as info, np.errstate(over="ignore"):
+        with pytest.raises(DivergenceError) as info:
             simulate(blowup, [const_input(0.0)], 2.0, SimConfig(step=1.0 / 256, grid_size=33))
         assert 0.0 < info.value.time <= 2.0
         assert "t=" in str(info.value)
@@ -268,16 +268,15 @@ class TestBatchedSimulate:
         )
         inputs = [const_input(a) for a in (0.1, -0.5, 100.0, 0.3)]
         cfg = SimConfig(step=1.0 / 256, grid_size=33)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DivergenceError) as alone:
-                simulate(blowup, [inputs[2]], 1.0, cfg)
-            with pytest.raises(DivergenceError) as batch:
-                simulate(blowup, inputs, 1.0, cfg)
-            with pytest.raises(DivergenceError) as dataset:
-                build_dataset(inputs, blowup, 4, 1.0, cfg)
-            # the same batch as the second run of a loop whose first run stays finite
-            with pytest.raises(DivergenceError) as second:
-                simulate_runs([(GROUND_TRUTHS["linear"](), inputs), (blowup, inputs)], 1.0, cfg)
+        with pytest.raises(DivergenceError) as alone:
+            simulate(blowup, [inputs[2]], 1.0, cfg)
+        with pytest.raises(DivergenceError) as batch:
+            simulate(blowup, inputs, 1.0, cfg)
+        with pytest.raises(DivergenceError) as dataset:
+            build_dataset(inputs, blowup, 4, 1.0, cfg)
+        # the same batch as the second run of a loop whose first run stays finite
+        with pytest.raises(DivergenceError) as second:
+            simulate_runs([(GROUND_TRUTHS["linear"](), inputs), (blowup, inputs)], 1.0, cfg)
         assert 0.0 < batch.value.time < 1.0
         assert batch.value.time == alone.value.time == second.value.time
         assert "system square, sample 2" in str(batch.value)

@@ -229,7 +229,7 @@ class TestEstimateModulus:
 
     @pytest.mark.parametrize("B", [1, 3, 8])
     def test_batch_is_max_of_rows(self, B):
-        # one pass per lag over the whole batch gives the largest of the
+        # one windowed pass over the whole batch gives the largest of the
         # rows' brute-force moduli, bit for bit
         rng = np.random.default_rng(90 + B)
         for T, m in ((1.0, 16), (2.0, 40), (0.7, 25)):
