@@ -141,8 +141,8 @@ def _draw_spec(config: EnsembleConfig, rng: np.random.Generator) -> InputSpec:
         s_amp, s_slope = np.abs(c).sum(), np.abs(c * w).sum()
     else:
         c = rng.uniform(-config.coef_scale, config.coef_scale, config.m_terms + 1)
-        degrees = np.arange(1, config.m_terms + 1)
         rest = ()
+        degrees = np.arange(1, config.m_terms + 1)
         s_amp = np.abs(c) @ (T ** np.arange(config.m_terms + 1))
         s_slope = (degrees * np.abs(c[1:])) @ (T ** (degrees - 1))
     scale = 1.0
