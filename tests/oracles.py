@@ -3,9 +3,10 @@
 Everything here is deliberately written from scratch (direct summation,
 brute-force enumeration, its own RK4 stepper, canonical finite-difference
 stencils, symbolic differentiation) so the oracles share no code path
-with the package under test.  The exception is `bibo_gain_estimate`, the
+with the package under test.  The exceptions are `bibo_gain_estimate`, the
 separate-run reference for the gamma that scoring takes from the same
-probes inside its one RK4 loop.
+probes inside its one RK4 loop, and `project_reference`, the projection
+with an SVD of every A, which shares the package's vector norms.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 import numpy as np
 
 from jetsid import simulate
+from jetsid.jets import _vector_norms
 from jetsid.rnn import bibo_probes
 
 
@@ -260,3 +262,25 @@ def bibo_gain_estimate(system, R, probe_count, T, rng_seed, config):
     simulated in a run of their own."""
     probes = bibo_probes(R, probe_count, T, rng_seed)
     return float(np.abs(simulate(system, probes, T, config)).max())
+
+
+def project_reference(thetas, n, M):
+    """The norm-budget projection of each row of an (L, P) stack of flat
+    weights (A row by row, b, c, xi), deciding every clip of A from its SVD:
+    the reference for `erm._project`, which skips the SVD where the
+    Frobenius norm certifies A inside the budget.  b, c and xi take the
+    package's `_vector_norms`, so both sides rescale the same rows."""
+    L, nn = len(thetas), n * n
+    A = thetas[:, :nn].reshape(L, n, n)
+    bound = M * (1.0 + 1e-12)
+    clip = np.linalg.svd(A, compute_uv=False).max(axis=1) > bound
+    if clip.any():
+        U, s, Vt = np.linalg.svd(A[clip])
+        A = A.copy()
+        A[clip] = (U * np.minimum(s, M)[:, None]) @ Vt
+    vecs = thetas[:, nn:].reshape(L, 3, n)
+    nrm = _vector_norms(vecs)
+    out = nrm > bound
+    vecs = vecs.copy()
+    vecs[out] *= (M / nrm[out])[:, None]
+    return np.concatenate([A.reshape(L, nn), vecs.reshape(L, 3 * n)], axis=1)

@@ -33,7 +33,7 @@ from jetsid import erm
 from jetsid.signals import EnsembleConfig, InputSpec
 
 from oracles import (GROUND_TRUTH_RHS, difference_gradient, eval_closed_form,
-                     scalar_empirical_risk)
+                     project_reference, scalar_empirical_risk)
 
 EPS = np.finfo(float).eps
 
@@ -249,6 +249,64 @@ class TestProjectFeasible:
             assert is_feasible(once, 1.0)
             for key, val in once.norms().items():
                 assert val <= raw.norms()[key] + 1e-12
+
+    @staticmethod
+    def certificate_rows(n, M, rng):
+        """Flat weight rows on both sides of the Frobenius certificate and of
+        the budget: A inside; ||A||_F just below and just above
+        M * erm._CERTIFIED; a rank-one A (spectral norm = Frobenius norm) at
+        M; spectral norm just above M (1 + 1e-12), which clips; entries of
+        1e200 in A and b, whose norms take the overflow fallback; b and c
+        outside.  Only the last three rows move."""
+        def A_at(norm, ord=None, A=None):
+            A = rng.uniform(-1, 1, (n, n)) if A is None else A
+            return A * (norm / np.linalg.norm(A, ord))
+
+        def vecs(*norms):
+            V = rng.uniform(-1, 1, (3, n))
+            return V * (np.array(norms) / np.linalg.norm(V, axis=1))[:, None]
+
+        edge, inside = M * erm._CERTIFIED, (0.5 * M,) * 3
+        cases = [(A_at(0.5 * M), vecs(*inside)),
+                 (A_at(edge * (1 - 1e-12)), vecs(*inside)),
+                 (A_at(edge * (1 + 1e-12)), vecs(*inside)),
+                 (A_at(M, A=np.outer(*rng.uniform(-1, 1, (2, n)))), vecs(*inside)),
+                 (A_at(M * (1 + 1e-11), 2), vecs(*inside)),
+                 (rng.uniform(-1, 1, (n, n)) * 1e200,
+                  np.vstack([np.full(n, 1e200), vecs(*inside)[1:]])),
+                 (A_at(0.5 * M), vecs(2 * M, 3 * M, 0.5 * M))]
+        return np.array([np.concatenate([A.ravel(), *V]) for A, V in cases])
+
+    @pytest.mark.parametrize("L", [1, 3, 7])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_certificate_matches_svd_of_every_row(self, n, L):
+        M = 0.7
+        rows = self.certificate_rows(n, M, np.random.default_rng(10 * n + L))
+        moved = (project_reference(rows, n, M) != rows).any(axis=1)
+        assert moved.tolist() == [False] * 4 + [True] * 3
+        for first in range(len(rows)):
+            thetas = rows[(first + np.arange(L)) % len(rows)]
+            assert erm._project(thetas, n, M).tobytes() == \
+                project_reference(thetas, n, M).tobytes()
+
+    def test_svd_only_for_rows_in_doubt(self, monkeypatch):
+        M, n = 0.7, 3
+        rows = self.certificate_rows(n, M, np.random.default_rng(5))
+        svd, stacked = np.linalg.svd, []
+
+        def spy(a, *args, **kwargs):
+            stacked.append(len(a))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        inside = rows[[0, 1]]
+        assert erm._project(inside, n, M) is inside
+        # row 6 rescales b and c, but its A is certified
+        erm._project(rows[[0, 1, 6]], n, M)
+        assert stacked == []
+        # rows 2-5 are in doubt, and rows 4 and 5 clip
+        erm._project(rows, n, M)
+        assert stacked == [4, 2]
 
 
 def flat(params):
@@ -507,6 +565,7 @@ class TestStackedKernels:
             *one_arrays, one_series = one
             for got, want in zip([*arrays, u, X, ARG, S, W], [*one_arrays, *one_series]):
                 assert self.same_bits(got, want)
+            assert self.same_bits(erm._risk_backward(row), erm._risk_backward(one))
             assert self.same_bits(projected[i], erm._project(theta[None], n, 1.0)[0])
         if L > 1:
             # both sides of the budget: rows 0 (inside) and 1 (A clipped, b, c, xi rescaled)

@@ -12,6 +12,7 @@ import ast
 import copy
 import importlib
 import inspect
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -122,6 +123,32 @@ def test_descend_returns_params_trajectory_stationary():
     assert isinstance(params, RnnParams) and stationary is False
     assert tuple(trajectory) == train(ds, config, init=start).trajectory
     assert len(trajectory) - 1 == 5
+
+
+def test_train_descends_once_per_restart(monkeypatch):
+    # the tracer reads erm.train.iters from the erm._descend calls, one per
+    # restart: a train that stacked its restarts into one call would change
+    # the count without failing the benchmark
+    ens = EnsembleConfig("fourier", 2, 0.8, 2.0, 1.0, rng_seed=9)
+    teacher = RnnParams([[0.3, -0.2], [0.1, 0.4]], [0.8, -0.5], [0.5, 0.6], [0.1, 0.0])
+    ds = build_teacher_dataset(sample_ensemble(ens, 8), teacher, 3, 1.0)
+    config = TrainConfig(M=1.0, n=2, restarts=3, max_iters=6, rng_seed=4)
+    descend, calls = erm._descend, []
+
+    def spy(dataset, config, start):
+        calls.append((start, descend(dataset, config, start)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(erm, "_descend", spy)
+    result = train(ds, config)
+    assert len(calls) == 3
+    monkeypatch.setattr(erm, "_descend", descend)
+    # each call's accepted steps are those of its restart trained alone
+    alone = [train(ds, replace(config, restarts=1), init=start).trajectory
+             for start, _ in calls]
+    traced = [tuple(traj) for _, (_, traj, _) in calls]
+    assert traced == alone and sum(len(traj) - 1 for traj in traced) > 3
+    assert result.trajectory == alone[result.best_restart]
 
 
 def test_rk4_stepper_is_a_traced_public_function():
