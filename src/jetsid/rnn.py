@@ -48,9 +48,11 @@ class SimConfig(ConfigBlock):
 class ControlAffineSystem:
     """Ground truth dx/dt = f(x) + g(x) u, y = h^T x, x(0) = xi0.
 
-    `drift` and `input_gain` take the states of a batch of inputs as an
-    (n, B) array, one column per input, and return 2-d arrays that
-    broadcast to (n, B), such as an (n, 1) column for a constant gain.
+    `drift` takes the states of a batch of inputs as an (n, B) array, one
+    column per input, and returns a 2-d array that broadcasts to (n, B).
+    `input_gain` is such a function too, or a constant 2-d array that
+    broadcasts to (n, B), such as an (n, 1) column; a constant gain is
+    multiplied into the stage inputs once per run, not at every stage.
 
     Shipped instances declare, where available in closed form, a slope
     for the output modulus of continuity (as a function of the input
@@ -59,7 +61,7 @@ class ControlAffineSystem:
 
     name: str
     drift: Callable[[np.ndarray], np.ndarray]
-    input_gain: Callable[[np.ndarray], np.ndarray]
+    input_gain: Callable[[np.ndarray], np.ndarray] | np.ndarray
     h: np.ndarray
     xi0: np.ndarray
     output_lipschitz: Callable[[float], float] | None = None
@@ -78,7 +80,8 @@ def _run(system: System, u_stage: np.ndarray) -> tuple[np.ndarray, np.ndarray, C
     inputs take the (stages, B) values `u_stage`.  rhs(x, s, out) writes
     stage s into `out` in place: tanh(A x + b u_s) for a model, with the
     b u of every stage formed once, or f(x) + g(x) u_s for a
-    control-affine system."""
+    control-affine system, with the g u of every stage formed once when
+    the gain g is a constant array."""
     if isinstance(system, RnnParams):
         A, bu = system.A, system.b[:, None] * u_stage[:, None, :]
 
@@ -88,23 +91,30 @@ def _run(system: System, u_stage: np.ndarray) -> tuple[np.ndarray, np.ndarray, C
             np.tanh(out, out)
         return system.xi, system.c, rnn
     f, g = system.drift, system.input_gain
-
-    def affine(x, s, out):
-        np.multiply(g(x), u_stage[s], out)
-        out += f(x)
     xi, hvec = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (system.xi0, system.h))
     _check_batch_shapes(system, np.repeat(xi[:, None], u_stage.shape[1], axis=1))
+    if callable(g):
+        def affine(x, s, out):
+            np.multiply(g(x), u_stage[s], out)
+            out += f(x)
+    else:
+        gu = g * u_stage[:, None, :]
+
+        def affine(x, s, out):
+            np.add(f(x), gu[s], out)
     return xi, hvec, affine
 
 
 def _check_batch_shapes(system: ControlAffineSystem, x: np.ndarray) -> None:
     """ShapeError unless drift and input_gain map the (n, B) state to 2-d
-    arrays that broadcast to (n, B); a 1-d (n,) result would broadcast
-    against the batch axis when B == n and silently mix inputs."""
-    for name in ("drift", "input_gain"):
-        shape = np.shape(getattr(system, name)(x))
+    arrays that broadcast to (n, B), or an array input_gain is one; a 1-d
+    (n,) gain would broadcast against the batch axis when B == n and
+    silently mix inputs."""
+    g = system.input_gain
+    for name, value in (("drift", system.drift(x)), ("input_gain", g(x) if callable(g) else g)):
+        shape = np.shape(value)
         if len(shape) != 2 or any(d not in (1, s) for d, s in zip(shape, x.shape)):
-            raise ShapeError(f"system {system.name}: {name} returned shape {shape} for a "
+            raise ShapeError(f"system {system.name}: {name} gives shape {shape} for a "
                              f"state of shape {x.shape}; it must broadcast to (n, B)")
 
 
@@ -291,7 +301,7 @@ def _make_linear(decay: float = 1.0, xi0: float = 0.0) -> ControlAffineSystem:
     return ControlAffineSystem(
         name="linear",
         drift=lambda x: -a * x,
-        input_gain=lambda x: _UNIT_GAIN,
+        input_gain=_UNIT_GAIN,
         h=np.array([1.0]),
         xi0=np.array([x0]),
         output_lipschitz=lambda R: a * abs(x0) + 2.0 * R,
@@ -325,12 +335,10 @@ def _make_duffing(
     def drift(x):
         return np.array([x[1], -d * x[1] - s * x[0] - b * np.tanh(x[0]) ** 3])
 
-    gain_column = np.array([[0.0], [1.0]])
-
     return ControlAffineSystem(
         name="duffing",
         drift=drift,
-        input_gain=lambda x: gain_column,
+        input_gain=np.array([[0.0], [1.0]]),
         h=np.array([1.0, 0.0]),
         xi0=x0,
         output_lipschitz=None,

@@ -771,14 +771,16 @@ class TestEvaluate:
     def test_shared_probes_evaluated_once(self, tmp_path, monkeypatch):
         # the held-out probes ride in the ground-truth run and the model run,
         # and their stage values are computed once: 16 probes and 16 gain
-        # probes, not 16 + 16 + 16 rows
+        # probes, not 16 + 16 + 16 rows, at the 2 * 252 + 1 stage times of
+        # 252 RK4 steps: 4 substeps on each interval of the 64-point grid
+        # that grid_size 65 snaps to at k = 3
         import jetsid.rnn
 
         rows = []
         real = jetsid.rnn._eval_array
 
         def counting(specs, ts):
-            rows.append(len(specs))
+            rows.append((len(specs), len(ts)))
             return real(specs, ts)
 
         doc = base_doc(tmp_path / "run")
@@ -789,7 +791,7 @@ class TestEvaluate:
         assert main(["train", "--config", path]) == 0
         monkeypatch.setattr(jetsid.rnn, "_eval_array", counting)
         assert main(["evaluate", "--config", path]) == 0
-        assert rows == [32]
+        assert rows == [(32, 505)]
 
     # the bound report's CSV header, in the order every row file writes it
     BOUND_COLUMNS = [

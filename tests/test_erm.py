@@ -384,12 +384,22 @@ class TestTrain:
         ens = EnsembleConfig("fourier", 2, 0.8, 2.0, 1.0, rng_seed=9)
         return build_teacher_dataset(sample_ensemble(ens, n_inputs), TEACHER, k, 1.0)
 
-    def test_teacher_init_retains_zero_risk(self):
+    def test_teacher_init_retains_zero_risk(self, monkeypatch):
         ds = self.make_dataset()
         cfg = TrainConfig(M=1.0, n=1, restarts=1, max_iters=20, rng_seed=0)
+        calls = {"_risk_forward": 0, "_risk_backward": 0}
+        for name in calls:
+            real = getattr(erm, name)
+
+            def counting(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(erm, name, counting)
         result = train(ds, cfg, init=TEACHER)
         assert result.risk <= 1e-9
         assert result.stationary  # no descent step can improve on zero
+        # the zero gradient stops the descent before any ladder batch
+        assert calls == {"_risk_forward": 1, "_risk_backward": 1}
 
     def test_trajectory_nonincreasing_and_feasible(self):
         ds = self.make_dataset()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -244,18 +245,20 @@ class TestBatchedSimulate:
 
     def test_one_dim_gain_rejected(self):
         # a (n,) gain broadcasts against the batch axis when B == n, so
-        # the rows would silently mix inputs instead of failing
-        system = ControlAffineSystem(
-            name="flat_gain",
-            drift=lambda x: -x,
-            input_gain=lambda x: np.array([0.0, 1.0]),
-            h=np.array([1.0, 0.0]),
-            xi0=np.array([0.0, 0.0]),
-        )
-        with pytest.raises(ShapeError, match="flat_gain"):
-            simulate(system, [const_input(0.5), const_input(-0.5)], 1.0, FAST)
-        with pytest.raises(ShapeError, match="input_gain"):
-            simulate(system, [const_input(0.5)], 1.0, FAST)
+        # the rows would silently mix inputs instead of failing; a function
+        # or a constant array
+        for gain in (lambda x: np.array([0.0, 1.0]), np.array([0.0, 1.0])):
+            system = ControlAffineSystem(
+                name="flat_gain",
+                drift=lambda x: -x,
+                input_gain=gain,
+                h=np.array([1.0, 0.0]),
+                xi0=np.array([0.0, 0.0]),
+            )
+            with pytest.raises(ShapeError, match="flat_gain"):
+                simulate(system, [const_input(0.5), const_input(-0.5)], 1.0, FAST)
+            with pytest.raises(ShapeError, match="input_gain"):
+                simulate(system, [const_input(0.5)], 1.0, FAST)
 
     def test_divergence_names_input_in_batch(self):
         # dx/dt = x^2 + u blows up before t=1 only for the large input
@@ -296,6 +299,27 @@ class TestBatchedSimulate:
         assert len(together) == len(runs)
         for (system, inputs), y in zip(runs, together):
             assert np.array_equal(y, simulate(system, inputs, 1.0, grid))
+
+    @pytest.mark.parametrize("grid", [GRID, SimConfig()], ids=["substeps32", "default"])
+    @pytest.mark.parametrize("name", ["linear", "duffing"])
+    def test_array_gain_matches_callable_gain(self, name, grid):
+        # a constant array gain is multiplied into the stage inputs once per
+        # run, the same gain returned by a function at every stage; both add
+        # the same products to the same drift
+        folded = GROUND_TRUTHS[name]()
+        gain = folded.input_gain
+        assert isinstance(gain, np.ndarray)
+        twin = dataclasses.replace(folded, input_gain=lambda x: gain)
+        for B in sorted({1, folded.n, 5}):
+            inputs = sample_ensemble(EnsembleConfig("fourier", 2, 0.8, 2.0, 1.0, rng_seed=80 + B), B)
+            assert np.array_equal(simulate(folded, inputs, 1.0, grid),
+                                  simulate(twin, inputs, 1.0, grid))
+        # in one loop with a model run that shares the inputs, as in a held-out score
+        model = batch_case("rnn2")[0]
+        ys, twin_ys = (simulate_runs([(system, inputs), (model, inputs)], 1.0, grid)
+                       for system in (folded, twin))
+        for y, twin_y in zip(ys, twin_ys, strict=True):
+            assert np.array_equal(y, twin_y)
 
 
 class TestSimulatePinned:
@@ -419,6 +443,15 @@ class TestGroundTruthLibrary:
         assert np.abs(y).max() <= system.gamma_bound(0.9, 1.0) + 1e-9
         for delta in (0.1, 0.4):
             assert estimate_modulus(y, 1.0, delta) <= system.output_lipschitz(0.9) * delta + 1e-9
+
+    def test_linear_away_from_unit_decay(self):
+        # decay a = 2: gamma is max(|x0|, R / a), and the step response is
+        # x0 e^(-a t) + (1 - e^(-a t)) / a
+        system = GROUND_TRUTHS["linear"](decay=2.0, xi0=0.1)
+        assert system.gamma_bound(0.8, 1.0) == max(0.1, 0.4)
+        y = simulate(system, [const_input(1.0)], 1.0, SimConfig(grid_size=17))[0]
+        e_at = np.exp(-2.0 * np.linspace(0.0, 1.0, 17))
+        assert np.abs(y - (0.1 * e_at + (1.0 - e_at) / 2.0)).max() <= 1e-9
 
     def test_duffing_runs(self):
         system = GROUND_TRUTHS["duffing"]()
