@@ -23,7 +23,6 @@ from .bounds import (
     probe_risk_and_gap,
     rademacher_bound,
     sample_size_check,
-    sandwich_error_bound,
     vc_dimension_bound,
 )
 from .erm import (
@@ -34,8 +33,6 @@ from .erm import (
     build_teacher_dataset,
     empirical_risk,
     is_feasible,
-    project_feasible,
-    risk_and_grad,
     train,
 )
 from .errors import (

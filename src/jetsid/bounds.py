@@ -201,17 +201,6 @@ def rademacher_bound(B: float, vc: int, N: int, c_abs: float = 1.0) -> float:
     return c_abs * B * math.sqrt(vc * math.log(N) / N)
 
 
-def sandwich_error_bound(
-    lip: float, omega_u: Modulus, omega_gu: Modulus, k: int, T: float
-) -> float:
-    """Uniform error of reconstructing a Lipschitz i/o map through
-    degree-(k-1) input lifting and degree-k output lifting:
-    2*lip*omega_u(2T/sqrt(k)) + 2*omega_gu(T/sqrt(k))."""
-    if k < 2:
-        raise PreconditionError(f"k must be >= 2, got {k}")
-    return 2.0 * lip * omega_u(2.0 * T / math.sqrt(k)) + bernstein_error_bound(omega_gu, k, T)
-
-
 class ProbeRuns(NamedTuple):
     """Per-probe risks and gaps, and the ground-truth outputs on the dense
     grid: a (P + G, grid) array, the P probes' rows, then the G gain

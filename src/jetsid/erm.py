@@ -235,37 +235,12 @@ def _risk_backward(tape: tuple) -> np.ndarray:
     ])
 
 
-def risk_and_grad(theta: np.ndarray, v: np.ndarray, z: np.ndarray, n: int, k: int,
-                  T: float) -> tuple[float, np.ndarray]:
-    """`empirical_risk` of the n-state model with flat weights theta =
-    (A row by row, b, c, xi) on the jet pairs (v, z) of order k and
-    horizon T, and its exact gradient in theta (a subgradient where a
-    sample's largest mismatch is attained at more than one node), for
-    about two risk evaluations' work.  No argument is checked."""
-    risks, tape = _risk_forward(theta[None], v, z, n, k, T)
-    return float(risks[0]), _risk_backward(_tape_row(tape, 0))
-
-
 _FEASIBLE_SLACK = 1.0 + 1e-12
 
 
 def is_feasible(params: RnnParams, M: float) -> bool:
     """All four norms within the budget, up to roundoff slack."""
     return all(v <= M * _FEASIBLE_SLACK for v in params.norms().values())
-
-
-def project_feasible(params: RnnParams, M: float) -> RnnParams:
-    """Euclidean projection onto the norm-budget set.
-
-    Singular values of A are clipped at M (exact projection in the
-    spectral-norm ball); b, c, xi are radially rescaled.  Feasible
-    inputs are returned unchanged, so the map is exactly idempotent.
-    """
-    if not M > 0:
-        raise ConfigError(f"M must be positive, got {M}")
-    if is_feasible(params, M):
-        return params
-    return _unflatten(_project(_flatten(params)[None], params.n, M)[0], params.n)
 
 
 # A row with ||A||_F <= M (1 - 1e-9) is inside the budget, as the spectral
@@ -278,11 +253,13 @@ _CERTIFIED = 1.0 - 1e-9
 
 
 def _project(thetas: np.ndarray, n: int, M: float) -> np.ndarray:
-    """`project_feasible` on each row of an (L, P) stack of flat weights,
-    rows equal bit for bit to those of a stack of one.  When no row moves
-    the stack itself is returned, so the caller hands in an array it does
-    not change afterwards.  Only the A that the Frobenius bound leaves in
-    doubt go through an SVD."""
+    """Euclidean projection onto the norm-budget set of each row of an
+    (L, P) stack of flat weights, rows equal bit for bit to those of a
+    stack of one: the singular values of A are clipped at M (the exact
+    projection onto the spectral-norm ball), and b, c, xi are radially
+    rescaled.  When no row moves the stack itself is returned, so the
+    caller hands in an array it does not change afterwards.  Only the A
+    that the Frobenius bound leaves in doubt go through an SVD."""
     L, nn = len(thetas), n * n
     A = _split(thetas, n)[0]
     bound = M * _FEASIBLE_SLACK
@@ -335,7 +312,8 @@ def _descend(
     dataset: JetDataset, config: TrainConfig, start: RnnParams
 ) -> tuple[RnnParams, list[float], bool]:
     """Projected subgradient descent from one starting point, on flat
-    weights, with the gradient of `risk_and_grad`.
+    weights, with the exact (sub)gradient `_risk_backward` takes from the
+    accepted candidate's forward tape.
 
     Each step takes the first of the step sizes step_size * 2^-i,
     i < _MAX_HALVINGS, whose projected candidate strictly lowers the

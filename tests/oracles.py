@@ -5,8 +5,13 @@ brute-force enumeration, its own RK4 stepper, canonical finite-difference
 stencils, symbolic differentiation) so the oracles share no code path
 with the package under test.  The exceptions are `bibo_gain_estimate`, the
 separate-run reference for the gamma that scoring takes from the same
-probes inside its one RK4 loop, and `project_reference`, the projection
-with an SVD of every A, which shares the package's vector norms.
+probes inside its one RK4 loop; `project_reference`, the projection
+with an SVD of every A, which shares the package's vector norms;
+`risk_and_grad` and `project_feasible`, the one-model views of the
+package's stacked risk, gradient and projection kernels that the tests
+call with a single weight vector or model; and `sandwich_error_bound`, a
+lemma bound no report states, built on the package's
+`bernstein_error_bound`.
 """
 
 from __future__ import annotations
@@ -16,7 +21,12 @@ import math
 import numpy as np
 
 from jetsid import simulate
-from jetsid.jets import _vector_norms
+from jetsid.bernstein import bernstein_error_bound
+from jetsid.bounds import Modulus
+from jetsid.erm import (_flatten, _project, _risk_backward, _risk_forward, _tape_row, _unflatten,
+                        is_feasible)
+from jetsid.errors import ConfigError, PreconditionError
+from jetsid.jets import RnnParams, _vector_norms
 from jetsid.rnn import bibo_probes
 
 
@@ -284,3 +294,37 @@ def project_reference(thetas, n, M):
     vecs = vecs.copy()
     vecs[out] *= (M / nrm[out])[:, None]
     return np.concatenate([A.reshape(L, nn), vecs.reshape(L, 3 * n)], axis=1)
+
+
+def risk_and_grad(theta: np.ndarray, v: np.ndarray, z: np.ndarray, n: int, k: int,
+                  T: float) -> tuple[float, np.ndarray]:
+    """`empirical_risk` of the n-state model with flat weights theta =
+    (A row by row, b, c, xi) on the jet pairs (v, z) of order k and
+    horizon T, and its exact gradient in theta (a subgradient where a
+    sample's largest mismatch is attained at more than one node), on the
+    path `erm._descend` takes: a forward sweep on a stack of one, then the
+    backward sweep of its tape.  No argument is checked."""
+    risks, tape = _risk_forward(theta[None], v, z, n, k, T)
+    return float(risks[0]), _risk_backward(_tape_row(tape, 0))
+
+
+def project_feasible(params: RnnParams, M: float) -> RnnParams:
+    """Euclidean projection of one model onto the norm-budget set: the
+    package's `erm._project` on a stack of one.  Feasible inputs are
+    returned unchanged, so the map is exactly idempotent."""
+    if not M > 0:
+        raise ConfigError(f"M must be positive, got {M}")
+    if is_feasible(params, M):
+        return params
+    return _unflatten(_project(_flatten(params)[None], params.n, M)[0], params.n)
+
+
+def sandwich_error_bound(
+    lip: float, omega_u: Modulus, omega_gu: Modulus, k: int, T: float
+) -> float:
+    """Uniform error of reconstructing a Lipschitz i/o map through
+    degree-(k-1) input lifting and degree-k output lifting:
+    2*lip*omega_u(2T/sqrt(k)) + 2*omega_gu(T/sqrt(k))."""
+    if k < 2:
+        raise PreconditionError(f"k must be >= 2, got {k}")
+    return 2.0 * lip * omega_u(2.0 * T / math.sqrt(k)) + bernstein_error_bound(omega_gu, k, T)

@@ -29,7 +29,6 @@ from jetsid import (
     output_modulus_bound,
     output_sup_bound,
     probe_risk_and_gap,
-    project_feasible,
     rademacher_bound,
     sample_ensemble,
     sample_on_grid,
@@ -42,7 +41,7 @@ from jetsid.cli import main
 from jetsid.signals import EnsembleConfig, InputSpec
 
 from oracles import (brute_bernstein, eval_closed_form, fd_output_derivatives, input_jet,
-                     jet_to_bernstein)
+                     jet_to_bernstein, project_feasible)
 
 T = 1.0
 ENSEMBLE = EnsembleConfig("fourier", 2, 0.8, 2.0, T, rng_seed=424242)

@@ -233,6 +233,10 @@ class TestErrorBound:
     def test_linear_modulus(self):
         assert bernstein_error_bound(lambda d: d, 4, 1.0) == pytest.approx(1.0)
         assert bernstein_error_bound(lambda d: 3.0 * d, 9, 2.0) == pytest.approx(4.0)
+        # the lowest degree the bound accepts: 2 omega(T / sqrt(1))
+        assert bernstein_error_bound(lambda d: 3.0 * d, 1, 2.0) == 12.0
+        with pytest.raises(DomainError):
+            bernstein_error_bound(lambda d: 3.0 * d, 0, 2.0)
 
     def test_certifies_lipschitz_signals(self):
         # measured sup distance between u and its degree-k lift stays

@@ -15,12 +15,12 @@ from jetsid import (
     probe_risk_and_gap,
     rademacher_bound,
     sample_size_check,
-    sandwich_error_bound,
     vc_dimension_bound,
 )
 from jetsid.bounds import empirical_modulus
-from jetsid.erm import project_feasible
 from jetsid.signals import EnsembleConfig, InputSpec, sample_ensemble
+
+from oracles import project_feasible, sandwich_error_bound
 
 ZERO = lambda d: 0.0
 IDENT = lambda d: d
@@ -116,6 +116,16 @@ class TestErmRiskBound:
         assert out.output_modulus_term == pytest.approx(4.0 * 0.5)
         assert out.input_modulus_term == pytest.approx(2.0 * math.e * 1.0)
         assert out.jet_truncation_term == pytest.approx(3.0 * math.e * 0.5)
+        # M = 0.5, T = 2: e^(MT) = e, 2T/sqrt(k) = 2 and T/sqrt(k) = 1, so
+        # the input term is 2 M^2 e * 2 = e and the truncation term
+        # 3 M T e sqrt(n/k) = 1.5 e; the range multiplier is
+        # M(M + sqrt(n) T) + gamma = 1.25 + 1 and the capacity k(n^6 + n^3 log2 k) = 12
+        out = erm_risk_bound(**self.kwargs(M=0.5, T=2.0, k=4, omega_Y=IDENT, omega_U=IDENT))
+        assert out.output_modulus_term == pytest.approx(4.0)
+        assert out.input_modulus_term == pytest.approx(math.e)
+        assert out.jet_truncation_term == pytest.approx(1.5 * math.e)
+        assert out.estimation_error == pytest.approx(
+            2.25 * math.sqrt((12.0 * math.log(1e6) + math.log(10.0)) / 1e6))
 
     def test_monotone_in_capacity_arguments(self):
         base = self.kwargs()

@@ -23,8 +23,6 @@ from jetsid import (
     is_feasible,
     jet_poly_eval,
     output_jet,
-    project_feasible,
-    risk_and_grad,
     sample_ensemble,
     sample_size_check,
     train,
@@ -32,8 +30,8 @@ from jetsid import (
 from jetsid import erm
 from jetsid.signals import EnsembleConfig, InputSpec
 
-from oracles import (GROUND_TRUTH_RHS, difference_gradient, eval_closed_form,
-                     project_reference, scalar_empirical_risk)
+from oracles import (GROUND_TRUTH_RHS, difference_gradient, eval_closed_form, project_feasible,
+                     project_reference, risk_and_grad, scalar_empirical_risk)
 
 EPS = np.finfo(float).eps
 
@@ -78,6 +76,13 @@ class TestBuildDataset:
     def test_k_validation(self):
         with pytest.raises(ConfigError):
             build_dataset([const_input(0.0)], TEACHER, 1, 1.0, FAST)
+
+    def test_coarse_grid_snaps_to_the_lift_nodes(self):
+        # a grid of at most k/2 intervals rounds to zero intervals per node;
+        # it takes one, so the dense grid is the k+1 nodes themselves
+        dense, per_node = erm._snap_grid(SimConfig(grid_size=3), 4)
+        assert (dense.grid_size, per_node) == (5, 1)
+        assert erm._snap_grid(SimConfig(grid_size=9), 4)[0].grid_size == 9
 
 
 class TestDop853Reference:

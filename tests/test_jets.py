@@ -14,10 +14,10 @@ from jetsid import (
     bernstein_jet,
     output_jet,
 )
-from jetsid.erm import project_feasible
 from jetsid.signals import InputSpec, sample_on_grid
 
-from oracles import eval_closed_form, fd_output_derivatives, input_jet, scalar_output_jet
+from oracles import (eval_closed_form, fd_output_derivatives, input_jet, project_feasible,
+                     scalar_output_jet)
 
 EPS = np.finfo(float).eps
 

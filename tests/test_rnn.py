@@ -24,11 +24,11 @@ from jetsid import (
     simulate_runs,
     system_from_config,
 )
-from jetsid.erm import build_dataset, project_feasible
+from jetsid.erm import build_dataset
 from jetsid.rnn import bibo_probes
 from jetsid.signals import EnsembleConfig, InputSpec, sample_ensemble
 
-from oracles import GROUND_TRUTH_RHS, bibo_gain_estimate, eval_closed_form, rk4
+from oracles import GROUND_TRUTH_RHS, bibo_gain_estimate, eval_closed_form, project_feasible, rk4
 
 
 def scalar_params(A=0.0, b=1.0, c=1.0, xi=0.0):
@@ -428,6 +428,37 @@ class TestBiboGain:
     def test_probe_count_validation(self):
         with pytest.raises(ConfigError):
             bibo_probes(1.0, 0, 1.0, 0)
+
+    def test_probe_draws_pinned(self):
+        # recorded draws: the constants +-R, then Fourier probes whose
+        # coefficients sum to R in absolute value and whose frequencies,
+        # drawn in [0.5, 3) cycles, are scaled by 2 pi / T at T = 2
+        probes = bibo_probes(0.8, 4, 2.0, rng_seed=3)
+        assert [p.kind for p in probes] == ["polynomial"] * 2 + ["fourier"] * 2
+        assert [p.coefficients.tolist() for p in probes[:2]] == [[0.8], [-0.8]]
+        pinned = [
+            ([0.3363891865259297, -0.2364239509560992, 0.2271868625179712],
+             [2.972640843894964, 7.440085369598155, 7.405504991335062],
+             [1.940496452358587, 0.20206634423543293, 1.6837053582332346]),
+            ([-0.14517092875345564, 0.30336415091951, -0.3514649203270344],
+             [7.7693638522759265, 1.7963166121584297, 5.358942662002243],
+             [4.993055099783495, 1.934225559032352, 3.848195863977075]),
+        ]
+        for probe, (c, w, a) in zip(probes[2:], pinned):
+            assert probe.coefficients.tolist() == c
+            assert probe.frequencies.tolist() == w
+            assert probe.phases.tolist() == a
+            assert np.abs(probe.coefficients).sum() == pytest.approx(0.8, abs=1e-15)
+
+    def test_fourier_probe_sets_gamma(self):
+        # over a long horizon a Fourier probe drives Duffing past both
+        # constant probes: the fourth probe sets the recorded gamma
+        y = simulate(GROUND_TRUTHS["duffing"](), bibo_probes(2.0, 8, 10.0, rng_seed=2), 10.0,
+                     SimConfig())
+        peaks = np.abs(y).max(axis=1)
+        assert int(peaks.argmax()) == 3
+        assert peaks[:2].max() == pytest.approx(2.0950936465288756, abs=1e-9)
+        assert peaks.max() == pytest.approx(2.2420892370898766, abs=1e-9)
 
 
 class TestGroundTruthLibrary:

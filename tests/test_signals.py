@@ -118,6 +118,17 @@ class TestSampleEnsemble:
         for spec in sample_ensemble(cfg, 1000):
             assert np.abs(eval_closed_form(spec, ts)).max() <= 2.0 + 1e-12
 
+    def test_polynomial_slope_budget_off_unit_horizon(self):
+        # at T = 2 the slope sum weighs each degree i by T^(i-1); with R
+        # out of reach the slope budget binds, so every draw is rescaled
+        # onto it
+        T, L = 2.0, 0.5
+        cfg = make_config(kind="polynomial", m_terms=3, R=100.0, L=L, horizon_T=T, rng_seed=5)
+        slopes = [sum(i * abs(c[i]) * T ** (i - 1) for i in range(1, 4))
+                  for c in (spec.coefficients for spec in sample_ensemble(cfg, 50))]
+        assert max(slopes) <= L * (1.0 + 1e-12)
+        assert min(slopes) >= L * (1.0 - 1e-12)
+
     def test_infeasible_config(self):
         with pytest.raises(ConfigError):
             make_config(R=0.0)
