@@ -151,9 +151,11 @@ def config_from_dict(doc: dict, seed_override: int | None = None,
         doc["out_dir"] = out_override
     try:
         master = whole_number("rng_seed", doc.get("rng_seed", ExperimentConfig.rng_seed), 0)
-        doc["ensemble"] = {"horizon_T": doc["T"], "rng_seed": derive_seed(master, _STREAM_ENSEMBLE),
-                           **doc["ensemble"]}
-        doc["train"] = {"rng_seed": derive_seed(master, _STREAM_TRAINER), **doc["train"]}
+        for name, absent in (("ensemble", {"horizon_T": doc["T"],
+                                           "rng_seed": derive_seed(master, _STREAM_ENSEMBLE)}),
+                             ("train", {"rng_seed": derive_seed(master, _STREAM_TRAINER)})):
+            if isinstance(doc[name], dict):  # else the block's reader names it
+                doc[name] = {**absent, **doc[name]}
         return ExperimentConfig(**doc)
     except JetsidError:
         raise
@@ -441,7 +443,6 @@ def _sweep_point(config: ExperimentConfig, param: str, value, mode: str, index: 
         row["k"], row["N"] = point.k, point.N
         if mode == "bounds_only":
             report = _closed_form_report(point)
-            row["risk"] = None
         else:
             specs = sample_ensemble(point.ensemble, point.N)
             system = point.system()
@@ -488,52 +489,43 @@ def cmd_bounds(config: ExperimentConfig) -> Path:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Each command's subparser stores its function as `run` and the names
+    of its file options as `files`."""
     parser = argparse.ArgumentParser(
         prog="jetsid",
         description="Identify continuous-time tanh recurrent-net models by "
                     "output-jet matching and report closed-form risk bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("generate", "sample inputs, simulate the ground truth, write the jet dataset"),
-        ("train", "run constrained ERM on a dataset file"),
-        ("evaluate", "held-out risk estimate plus the bound report"),
-        ("sweep", "one CSV row of risk and bound terms per swept k or N"),
-        ("bounds", "closed-form bound report only, no simulation"),
+    # (command, help, file options), read per call so that wrapped cmd_* run
+    for run, help_text, files in (
+        (cmd_generate, "sample inputs, simulate the ground truth, write the jet dataset", ()),
+        (cmd_train, "run constrained ERM on a dataset file",
+         (("dataset", "dataset file (default <out>/dataset.json)"),
+          ("init", "model file to warm-start the first restart"))),
+        (cmd_evaluate, "held-out risk estimate plus the bound report",
+         (("model", "model file (default <out>/model.json)"),)),
+        (cmd_sweep, "one CSV row of risk and bound terms per swept k or N", ()),
+        (cmd_bounds, "closed-form bound report only, no simulation", ()),
     ):
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(run.__name__.removeprefix("cmd_"), help=help_text)
         p.add_argument("--config", required=True, help="path to the experiment JSON")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         p.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
         p.add_argument("--jobs", type=int, default=1,
                        help="accepted and ignored: every command runs serially")
-        if name == "train":
-            p.add_argument("--dataset", default=None, help="dataset file (default <out>/dataset.json)")
-            p.add_argument("--init", default=None, help="model file to warm-start the first restart")
-        if name == "evaluate":
-            p.add_argument("--model", default=None, help="model file (default <out>/model.json)")
+        for name, file_help in files:
+            p.add_argument(f"--{name}", default=None, help=file_help)
+        p.set_defaults(run=run, files=[name for name, _ in files])
     return parser
-
-
-def _dispatch(args) -> int:
-    config = load_config(args.config, args.seed, args.out)
-    if args.command == "generate":
-        cmd_generate(config)
-    elif args.command == "train":
-        cmd_train(config, args.dataset, args.init)
-    elif args.command == "evaluate":
-        cmd_evaluate(config, args.model)
-    elif args.command == "sweep":
-        cmd_sweep(config)
-    elif args.command == "bounds":
-        cmd_bounds(config)
-    return 0
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _dispatch(args)
+        args.run(load_config(args.config, args.seed, args.out),
+                 *(getattr(args, name) for name in args.files))
+        return 0
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return 3

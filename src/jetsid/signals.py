@@ -113,7 +113,6 @@ def _eval_array(specs: list[InputSpec], ts: np.ndarray) -> np.ndarray:
     batch of one (Fourier terms accumulated one by one, Horner for
     polynomials), so a row does not depend on the batch it is in.
     """
-    ts = np.asarray(ts, dtype=float)
     out = np.empty((len(specs), ts.size))
     groups: dict[tuple[str, int], list[int]] = {}
     for i, spec in enumerate(specs):

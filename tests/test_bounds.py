@@ -6,6 +6,7 @@ import pytest
 
 from jetsid import (
     GROUND_TRUTHS,
+    DomainError,
     PreconditionError,
     RnnParams,
     SimConfig,
@@ -102,6 +103,11 @@ class TestErmRiskBound:
         with pytest.raises(PreconditionError):
             erm_risk_bound(**self.kwargs(delta=0.0))
 
+    def test_no_samples_rejected(self):
+        # the waiver covers the sample-size condition, not an empty sample
+        with pytest.raises(PreconditionError, match="N must be >= 1"):
+            erm_risk_bound(**self.kwargs(N=0, waive_sample_size=True))
+
     def test_sample_size_enforced_and_waivable(self):
         with pytest.raises(PreconditionError, match="32"):
             erm_risk_bound(**self.kwargs(N=16))
@@ -171,6 +177,11 @@ class TestVcDimensionBound:
                 assert vc_dimension_bound(n + 1, k) > vc_dimension_bound(n, k)
                 assert vc_dimension_bound(n, k + 1) > vc_dimension_bound(n, k)
 
+    def test_domain(self):
+        for n, k in ((0, 2), (1, 0)):
+            with pytest.raises(DomainError, match="n and k must be >= 1"):
+                vc_dimension_bound(n, k)
+
     def test_threshold_identity(self):
         # the sample-size threshold equals the capacity bound exactly
         for n in range(1, 11):
@@ -191,6 +202,10 @@ class TestRademacherBound:
     def test_undersized_rejected(self):
         with pytest.raises(PreconditionError):
             rademacher_bound(1.0, 100, 99)
+
+    def test_negative_range_rejected(self):
+        with pytest.raises(DomainError, match="range bound B must be >= 0"):
+            rademacher_bound(-1.0, 2, 10)
 
 
 class TestSandwichErrorBound:
@@ -270,7 +285,8 @@ class TestMonteCarloRisk:
         extra = sample_ensemble(self.ens.reseeded(4), 3)
         dense = replace(FAST, grid_size=65)
         plain = probe_risk_and_gap(model, truth, specs, 4, 1.0, dense)
-        fused = probe_risk_and_gap(model, truth, specs, 4, 1.0, dense, gain_probes=extra)
+        # a tuple of probes reads as the list
+        fused = probe_risk_and_gap(model, truth, tuple(specs), 4, 1.0, dense, gain_probes=extra)
         assert np.array_equal(fused.risks, plain.risks)
         assert np.array_equal(fused.gaps, plain.gaps)
         assert fused.truth.shape == (8, 65)

@@ -180,6 +180,19 @@ class TestConfigLoading:
                                        lambda doc: doc["ground_truth"].update(extra=1)),
         "rnn_truth_without_params": ("rnn ground truth needs a params block",
                                      lambda doc: doc.update(ground_truth={"kind": "rnn"})),
+        "linear_truth_unknown_param": ("bad parameters for ground truth 'linear'",
+                                       lambda doc: doc["ground_truth"].update(params={"bogus": 1})),
+        "sweep_param_T": ("sweep param must be 'k' or 'N'", lambda doc: doc.update(
+            sweep={"param": "T", "values": [2]})),
+        "sweep_mode_x": ("sweep mode must be 'full' or 'bounds_only'", lambda doc: doc.update(
+            sweep={"param": "k", "values": [2], "mode": "x"})),
+        "ensemble_kind_square": ("unknown ensemble kind",
+                                 lambda doc: doc["ensemble"].update(kind="square")),
+        # the two blocks whose absent seeds are filled in, refused as any other
+        "train_not_object": ("train must be a JSON object, got int",
+                             lambda doc: doc.update(train=3)),
+        "ensemble_not_object": ("ensemble must be a JSON object, got list",
+                                lambda doc: doc.update(ensemble=[])),
     }
     # configs whose certificates overflow a float, with the growth factor or
     # term the error must name: e^(MT) at M = 1e300 or T = 1e300, an rnn
@@ -208,11 +221,12 @@ class TestConfigLoading:
                          lambda doc: doc["ensemble"].update(m_terms=1e300)),
         "huge_train_n": ("bounds", "train.n", lambda doc: doc["train"].update(n=1e30)),
     }
-    # configs that load but that the command refuses when it runs, with the
-    # text the error must hold: T^2 in the input jets of k = 3 overflows a
-    # float at T = 1e160 and underflows to 0 at T = 1e-300, a step of 1e-12
-    # takes 6.4e10 RK4 steps, and the smallest subnormal step makes the
-    # step ratio itself overflow
+    # configs that the command refuses, with the text the error must hold:
+    # T^2 in the input jets of k = 3 overflows a float at T = 1e160 and
+    # underflows to 0 at T = 1e-300, a step of 1e-12 takes 6.4e10 RK4
+    # steps, and the smallest subnormal step makes the step ratio itself
+    # overflow, each when the command runs; a delta of 1.5 is refused as
+    # the config loads, since generate never reaches the ERM bound
     REFUSED_AT_RUN = {
         "huge_T_generate": ("generate", "horizon 1e+160", lambda doc: doc.update(T=1e160)),
         "tiny_T_generate": ("generate", "horizon 1e-300", lambda doc: doc.update(T=1e-300)),
@@ -221,6 +235,7 @@ class TestConfigLoading:
         "subnormal_sim_step": ("generate", "sim.step 5e-324 takes over",
                                lambda doc: doc["sim"].update(step=5e-324)),
         "no_out_dir": ("generate", "no output directory", lambda doc: doc.pop("out_dir")),
+        "delta_past_one": ("generate", "delta must be < 1", lambda doc: doc.update(delta=1.5)),
     }
     # edits of a valid dataset.json document
     BAD_DATASET = {
@@ -253,10 +268,11 @@ class TestConfigLoading:
         "init_without_n": lambda m: m.pop("n"),
         "init_xi_string": lambda m: m.update(xi=["0.1"]),
     }
+    # training logs, with the text the error must hold
     BAD_LOG = {
-        "log_not_numeric": "iter,risk\n0,abc\n",
-        "log_header_only": "iter,risk\n",
-        "log_one_column": "iter\n0\n",
+        "log_not_numeric": ("iter,risk\n0,abc\n", "is malformed"),
+        "log_header_only": ("iter,risk\n", "has no rows"),
+        "log_one_column": ("iter\n0\n", "is malformed"),
     }
 
     # config values that a dataset.json of k=3, T=1, N=2 does not match
@@ -331,7 +347,7 @@ class TestConfigLoading:
         elif case in self.BAD_LOG:
             (run / "model.json").write_text(json.dumps(model.to_json_dict()))
             bad, command = run / "training_log.csv", "evaluate"
-            bad.write_text(self.BAD_LOG[case])
+            bad.write_text(self.BAD_LOG[case][0])
         elif case in self.TOO_LARGE or case in self.REFUSED_AT_RUN:
             command, _, edit = {**self.TOO_LARGE, **self.REFUSED_AT_RUN}[case]
             edit(doc)
@@ -353,6 +369,8 @@ class TestConfigLoading:
             assert f"{self.DATASET_MISMATCH[case][0]}=" in err
         if case in self.BAD_FIELDS:
             assert self.BAD_FIELDS[case][0] in err
+        if case in self.BAD_LOG:
+            assert self.BAD_LOG[case][1] in err
         if case in self.TOO_LARGE:
             assert f"{self.TOO_LARGE[case][1]} must be <= " in err
         if case == "model_A_huge_integer":

@@ -210,6 +210,13 @@ class TestEmpiricalRisk:
         with pytest.raises(ConfigError):
             JetDataset.from_json_dict({"k": 2, "T": 1.0, "N": 0, "pairs": []})
 
+    def test_overflow_is_domain_error(self):
+        # the mismatch 1e300 times t^2 = 1e200 leaves the float range;
+        # unchecked, the risk would come back inf
+        ds = JetDataset(np.full((1, 2), 1e300), np.full((1, 3), 1e300), 2, 1e100)
+        with pytest.raises(DomainError, match="leaves the float range"):
+            empirical_risk(TEACHER, ds)
+
 
 class TestProjectFeasible:
     def test_identity_on_feasible(self):
@@ -490,6 +497,11 @@ class TestDatasetSerialization:
         with pytest.raises(DomainError):
             JetDataset([[0.0, np.nan]], [[0.0, 0.0, 0.0]], 2, 1.0)
 
+    def test_bool_order_rejected(self):
+        # True == 1 would pass the shape check of jets of order 0 and 1
+        with pytest.raises(ConfigError, match="k must be a whole number"):
+            JetDataset([[0.0]], [[0.0, 0.0]], True, 1.0)
+
 
 class TestDescentPinned:
     """Descents recorded when each step size was tried by its own forward
@@ -534,6 +546,21 @@ class TestDescentPinned:
     @pytest.mark.parametrize("case", list(CASES))
     def test_bit_identical_to_recorded_descent(self, case):
         assert self.run(case) == json.loads(self.PINNED.read_text())[case]
+
+    def test_ladder_work_pinned(self, monkeypatch):
+        # forward sweeps and their candidate rows: each step's first batch
+        # holds as many step sizes as the previous step needed, and one step
+        # size per batch (97 sweeps of one row) gives the same descent
+        rows = []
+        real = erm._risk_forward
+
+        def counting(thetas, *data):
+            rows.append(len(thetas))
+            return real(thetas, *data)
+        monkeypatch.setattr(erm, "_risk_forward", counting)
+        case = "n2_k4_two_restarts"
+        assert self.run(case) == json.loads(self.PINNED.read_text())[case]
+        assert (len(rows), sum(rows)) == (60, 111)
 
 
 class TestStackedKernels:

@@ -1,15 +1,20 @@
-"""README's library layout table against the package's public surface.
+"""README against the package's public surface and its command line.
 
 `jetsid/__init__.py` is read with `ast`: each name it imports from a
 submodule must be named, in backticks, in that submodule's row of the
-table, so that a change to the exports cannot leave README stale.
+layout table.  Each command `build_parser()` accepts must be named in the
+"Command line" section, and each of its options in backticks there, so
+that a change to the exports or the parser cannot leave README stale.
 """
 
+import argparse
 import ast
 import re
 from pathlib import Path
 
 import pytest
+
+from jetsid.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 INIT = ROOT / "src" / "jetsid" / "__init__.py"
@@ -37,3 +42,25 @@ def test_every_export_has_a_row():
 def test_export_named_in_its_row(module, name):
     assert re.search(rf"`{re.escape(name)}\b", layout_rows().get(module, "")), (
         f"README's `jetsid.{module}` row does not name `{name}`")
+
+
+def commands():
+    """Command -> the option strings its subparser accepts, help aside."""
+    sub, = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: [option for action in parser._actions
+                   if not isinstance(action, argparse._HelpAction)
+                   for option in action.option_strings]
+            for name, parser in sub.choices.items()}
+
+
+def cli_section():
+    return README.read_text().split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+
+
+@pytest.mark.parametrize("command", list(commands()))
+def test_command_and_options_named(command):
+    section = cli_section()
+    options = commands()[command]
+    assert re.search(rf"\bjetsid {command}\b", section), f"README does not show `jetsid {command}`"
+    missing = [o for o in options if not re.search(rf"`{re.escape(o)}\b", section)]
+    assert not missing, f"README's command line section does not name {missing}"

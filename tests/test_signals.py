@@ -279,6 +279,29 @@ def brute_bernstein_local(values, T, t):
     return brute_bernstein(values, T, t)
 
 
+class TestInputSpec:
+    def test_refusals(self):
+        with pytest.raises(ConfigError, match="unknown input kind"):
+            InputSpec("square", [1.0])
+        with pytest.raises(ConfigError, match="needs frequencies and phases"):
+            InputSpec("fourier", [1.0])
+        with pytest.raises(ShapeError, match="must share length"):
+            InputSpec("fourier", [1.0, 2.0], [1.0], [0.0, 0.0])
+        with pytest.raises(ShapeError, match="must share length"):
+            InputSpec("fourier", [1.0], [1.0], [0.0, 0.0])
+
+    def test_lists_read_as_float_arrays(self):
+        spec = InputSpec("fourier", [1, 2], [3, 4], [0, 1])
+        for field, values in zip((spec.coefficients, spec.frequencies, spec.phases),
+                                 ([1, 2], [3, 4], [0, 1])):
+            assert isinstance(field, np.ndarray) and field.dtype == np.float64
+            assert field.tolist() == values
+
+    def test_polynomial_drops_frequencies_and_phases(self):
+        spec = InputSpec("polynomial", [1, 2], [3.0, 4.0], [0.0, 1.0])
+        assert spec.frequencies is None and spec.phases is None
+
+
 class TestSerialization:
     def test_input_spec_json(self):
         spec = fourier([0.25, -0.5], [1.0, 2.0], [0.3, 0.4])
