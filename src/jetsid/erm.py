@@ -108,10 +108,11 @@ def input_jets(inputs: list[InputSpec], k: int, T: float) -> np.ndarray:
 
 
 def _snap_grid(sim: SimConfig, k: int) -> tuple[SimConfig, int]:
-    """`sim` with its dense grid snapped to k*round((grid_size-1)/k)+1
-    points, so the k+1 nodes i*T/k of a degree-k lift are grid points,
-    and the stride between those nodes."""
-    per_node = max(1, round((sim.grid_size - 1) / k))
+    """`sim` with its dense grid snapped to k*p+1 points, p the nearest
+    whole number to (grid_size-1)/k within [1, (MAX_COUNT-1)//k], so the
+    k+1 nodes i*T/k of a degree-k lift are grid points and the grid stays
+    within MAX_COUNT, and the stride p between those nodes."""
+    per_node = min(max(1, round((sim.grid_size - 1) / k)), (MAX_COUNT - 1) // k)
     return replace(sim, grid_size=k * per_node + 1), per_node
 
 
@@ -186,13 +187,9 @@ def _risk_forward(thetas, v, z, n, k, T) -> tuple[np.ndarray, tuple]:
 
 
 def _tape_row(tape: tuple, i: int) -> tuple:
-    """The tape of row i of a stacked `_risk_forward`.  X is made
-    contiguous: at N = 1 its row would stay a strided view through the
-    backward's reshapes, whose products then sum in another order than
-    on a stack of one."""
-    A, c, t, mismatch, (u, X, *series) = tape
-    return (A[i], c[i], t, mismatch[i],
-            (u, np.ascontiguousarray(X[:, i]), *(s[:, i] for s in series)))
+    """The tape of row i of a stacked `_risk_forward`, as views."""
+    A, c, t, mismatch, (u, *series) = tape
+    return A[i], c[i], t, mismatch[i], (u, *(s[:, i] for s in series))
 
 
 @np.errstate(over="call", invalid="call", call=_out_of_float_range)
@@ -213,9 +210,7 @@ def _risk_backward(tape: tuple) -> np.ndarray:
     seed = np.sign(mismatch[np.arange(N), worst]) / N
     ybar = seed * t[worst] ** np.arange(k + 1)[:, None]
     Xbar = ybar[..., None] * c
-    Sbar = np.zeros_like(S)
-    Wbar = np.zeros_like(W)
-    ARGbar = np.zeros_like(ARG)
+    Sbar, Wbar, ARGbar = np.zeros((3, *S.shape))
     for j in range(k - 1, -1, -1):
         Sbar[j] += Xbar[j + 1] / (j + 1)
         Sbar[: j + 1] -= 2.0 * Wbar[j] * S[j::-1]

@@ -114,25 +114,18 @@ def _jet_and_series(A: np.ndarray, b: np.ndarray, c: np.ndarray, xi: np.ndarray,
     behind them.  u holds the input's Taylor coefficients, shape (k, N),
     and X, ARG, S, W the states', shapes (k+1, L, N, n), (k, L, N, n),
     (k, L, N, n), (k, L, N, n).  Each weight set's jets and series equal
-    bit for bit those it gives in a stack of one."""
+    bit for bit those it gives in a stack of one: its block of X is
+    contiguous, as the backward's reshapes need, and so are its blocks of
+    ARG, S and W when N * n == 1, the one shape where numpy sums a
+    contiguous series axis pairwise rather than in order."""
     (N, k), (L, n) = V.shape, b.shape
-    if N * n == 1 < L:
-        # numpy sums the products below over their first axis in order, but
-        # pairwise when the other axes hold one element: run each weight set
-        # alone, as in a stack of one
-        rows = [_jet_and_series(A[i:i + 1], b[i:i + 1], c[i:i + 1], xi[i:i + 1], V)
-                for i in range(L)]
-        series = [np.concatenate(s, axis=1) for s in zip(*(r[1][1:] for r in rows))]
-        return np.concatenate([r[0] for r in rows]), (rows[0][1][0], *series)
     facts = _FACTORIALS[:k + 1]
     u = V.T / facts[:k, None]
 
-    X = np.empty((k + 1, L, N, n))
-    S = np.empty((k, L, N, n))
-    W = np.empty((k, L, N, n))
-    ARG = np.empty((k, L, N, n))
+    X = np.empty((L, k + 1, N, n)).transpose(1, 0, 2, 3)
     # jARG[i] = i * ARG[i] for i >= 1, so that each term of S_j is one product
-    jARG = np.empty((k, L, N, n))
+    S, W, ARG, jARG = (np.empty((4, k, L, N, n)) if N * n > 1
+                       else np.empty((4, L, k, N, n)).transpose(0, 2, 1, 3, 4))
     X[0] = xi[:, None]
     At, b = A.transpose(0, 2, 1), b[:, None]
     for j in range(k):

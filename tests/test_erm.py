@@ -27,7 +27,7 @@ from jetsid import (
     sample_size_check,
     train,
 )
-from jetsid import erm
+from jetsid import erm, jets
 from jetsid.signals import EnsembleConfig, InputSpec
 
 from oracles import (GROUND_TRUTH_RHS, difference_gradient, eval_closed_form, project_feasible,
@@ -83,6 +83,11 @@ class TestBuildDataset:
         dense, per_node = erm._snap_grid(SimConfig(grid_size=3), 4)
         assert (dense.grid_size, per_node) == (5, 1)
         assert erm._snap_grid(SimConfig(grid_size=9), 4)[0].grid_size == 9
+        # the largest grid rounds up past MAX_COUNT points; it takes the
+        # largest stride that stays within it
+        for k, points, stride in ((2, 999999, 499999), (19, 999990, 52631)):
+            dense, per_node = erm._snap_grid(SimConfig(grid_size=10**6), k)
+            assert (dense.grid_size, per_node) == (points, stride)
 
 
 class TestDop853Reference:
@@ -531,6 +536,10 @@ class TestDescentPinned:
                                                 rng_seed=0, tolerance=1e-4)),
         "n8_k12_three_restarts": (TEACHER8, 24, 12,
                                   dict(M=1.0, n=8, restarts=3, max_iters=8, rng_seed=21)),
+        # one input and one state: 6 of its 23 forward sweeps stack 2 to 13
+        # rows with N * n == 1, where numpy sums the series pairwise
+        "n1_k12_one_input": (TEACHER, 1, 12, dict(M=1.0, n=1, restarts=1, max_iters=10,
+                                                  rng_seed=2)),
     }
 
     @classmethod
@@ -590,7 +599,9 @@ class TestStackedKernels:
 
     @pytest.mark.parametrize("N", [1, 6])
     @pytest.mark.parametrize("L", [1, 3, 7])
-    @pytest.mark.parametrize("k", [2, 4, 12])
+    # k = 8 is the first order whose series sums hold 8 terms, where numpy's
+    # pairwise summation begins; 19 is the largest order a config accepts
+    @pytest.mark.parametrize("k", [2, 4, 8, 12, 19])
     @pytest.mark.parametrize("n", [1, 2, 3, 8])
     def test_rows_match_batch_of_one(self, n, k, L, N):
         rng = np.random.default_rng(1000 * n + 10 * k + L + N)
@@ -615,3 +626,19 @@ class TestStackedKernels:
             assert np.array_equal(projected[0], thetas[0])
             assert all(v < 0.6 for v in inside.values())
             assert all(v == pytest.approx(1.0, rel=1e-12) for v in outside.values())
+
+    def test_one_recurrence_per_stack(self, monkeypatch):
+        # N = n = 1, where the series sums are pairwise: the stack still runs
+        # the recurrence once, not once per weight set
+        calls = []
+        real = jets._jet_and_series
+
+        def counting(*args):
+            calls.append(len(args[0]))
+            return real(*args)
+        for module in (jets, erm):
+            monkeypatch.setattr(module, "_jet_and_series", counting)
+        rng = np.random.default_rng(5)
+        erm._risk_forward(self.rows(1, 3, rng), rng.uniform(-1, 1, (1, 12)),
+                          rng.uniform(-1, 1, (1, 13)), 1, 12, 1.0)
+        assert calls == [3]
