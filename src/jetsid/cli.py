@@ -94,7 +94,9 @@ class SweepConfig(ConfigBlock):
 class ExperimentConfig(ConfigBlock):
     """One experiment.  The ensemble, train, sim and sweep blocks may be
     given as their JSON dicts, so `from_json_dict` reads back a resolved
-    echo."""
+    echo.  The top-level fields are read first, then each block; a block
+    given as a dict gets an absent `rng_seed` (ensemble and train)
+    derived from the master `rng_seed`, and an absent `horizon_T` of T."""
 
     SECTION = "config"
 
@@ -113,11 +115,6 @@ class ExperimentConfig(ConfigBlock):
     sweep: SweepConfig | None = None
 
     def __post_init__(self):
-        for name, block in (("ensemble", EnsembleConfig), ("train", TrainConfig), ("sim", SimConfig),
-                            ("sweep", SweepConfig)):
-            value = getattr(self, name)
-            if not (isinstance(value, block) or name == "sweep" and value is None):
-                object.__setattr__(self, name, block.from_json_dict(value))
         if not (self.out_dir is None or isinstance(self.out_dir, str)):
             raise ConfigError(f"out_dir must be a string or null, got {self.out_dir!r}")
         # the output lift takes k+1 samples, so k stops one short of the
@@ -128,6 +125,16 @@ class ExperimentConfig(ConfigBlock):
                                whole_number(name, getattr(self, name), minimum, maximum))
         for name, below in (("T", None), ("delta", 1), ("c_abs", None)):
             object.__setattr__(self, name, real_number(name, getattr(self, name), 0, below))
+        absent = {"ensemble": {"horizon_T": self.T,
+                               "rng_seed": derive_seed(self.rng_seed, _STREAM_ENSEMBLE)},
+                  "train": {"rng_seed": derive_seed(self.rng_seed, _STREAM_TRAINER)}}
+        for name, block in (("ensemble", EnsembleConfig), ("train", TrainConfig), ("sim", SimConfig),
+                            ("sweep", SweepConfig)):
+            value = getattr(self, name)
+            if isinstance(value, dict):
+                value = {**absent.get(name, {}), **value}
+            if not (isinstance(value, block) or name == "sweep" and value is None):
+                object.__setattr__(self, name, block.from_json_dict(value))
         if self.ensemble.horizon_T != self.T:
             raise ConfigError(
                 f"ensemble horizon_T={self.ensemble.horizon_T} != experiment T={self.T}"
@@ -141,26 +148,14 @@ class ExperimentConfig(ConfigBlock):
 def config_from_dict(doc: dict, seed_override: int | None = None,
                      out_override: str | None = None) -> ExperimentConfig:
     """The config a JSON document describes, after the --seed and --out
-    overrides.  Absent ensemble and trainer seeds derive from the master
-    seed, and an absent ensemble horizon is T."""
+    overrides."""
     ExperimentConfig.check_fields(doc)
     doc = dict(doc)
     if seed_override is not None:
         doc["rng_seed"] = seed_override
     if out_override is not None:
         doc["out_dir"] = out_override
-    try:
-        master = whole_number("rng_seed", doc.get("rng_seed", ExperimentConfig.rng_seed), 0)
-        for name, absent in (("ensemble", {"horizon_T": doc["T"],
-                                           "rng_seed": derive_seed(master, _STREAM_ENSEMBLE)}),
-                             ("train", {"rng_seed": derive_seed(master, _STREAM_TRAINER)})):
-            if isinstance(doc[name], dict):  # else the block's reader names it
-                doc[name] = {**absent, **doc[name]}
-        return ExperimentConfig(**doc)
-    except JetsidError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed config value: {exc}") from exc
+    return ExperimentConfig(**doc)
 
 
 def load_config(path, seed_override: int | None = None,
@@ -360,7 +355,8 @@ def cmd_evaluate(config: ExperimentConfig, model_path=None) -> Path:
     if log_path.exists():
         with open(log_path, newline="") as fh:
             try:
-                trajectory = [float(row["risk"]) for row in csv.DictReader(fh)]
+                trajectory = [real_number("risk", float(row["risk"]))
+                              for row in csv.DictReader(fh)]
             except (csv.Error, KeyError, TypeError, ValueError) as exc:
                 raise ConfigError(f"training log {log_path} is malformed: {exc!r}") from exc
         if not trajectory:

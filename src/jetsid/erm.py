@@ -311,9 +311,10 @@ def _descend(
     accepted candidate's forward tape.
 
     Each step takes the first of the step sizes step_size * 2^-i,
-    i < _MAX_HALVINGS, whose projected candidate strictly lowers the
-    risk; the returned trajectory is the accepted-risk sequence
-    (nonincreasing).  The ladder is tried in stacked batches: the first
+    i < _MAX_HALVINGS, whose projected candidate strictly lowers the risk;
+    the returned trajectory is the accepted-risk sequence (nonincreasing),
+    and the flag is whether a first step was tried (max_iters > 0) and
+    none was accepted.  The ladder is tried in stacked batches: the first
     holds as many step sizes as the previous step needed (one at the
     start), each later one the next step size alone.  A step costs one
     backward sweep and, per batch, one stacked forward sweep and one
@@ -351,7 +352,7 @@ def _descend(
         trajectory.append(risk)
         if trajectory[-2] - trajectory[-1] < config.tolerance:
             break
-    return _unflatten(theta, n), trajectory, len(trajectory) == 1
+    return _unflatten(theta, n), trajectory, config.max_iters > 0 and len(trajectory) == 1
 
 
 def train(dataset: JetDataset, config: TrainConfig, init: RnnParams | None = None) -> TrainResult:

@@ -193,6 +193,12 @@ class TestConfigLoading:
                              lambda doc: doc.update(train=3)),
         "ensemble_not_object": ("ensemble must be a JSON object, got list",
                                 lambda doc: doc.update(ensemble=[])),
+        # a bad T is named T, not the ensemble horizon it fills in, and a
+        # malformed value is wrapped once, by the file reader
+        "T_string": ("is malformed: T must be a real number", lambda doc: doc.update(T="1.0")),
+        "T_negative": ("is malformed: T must be > 0", lambda doc: doc.update(T=-1.0)),
+        "freq_range_three": ("is malformed: too many values to unpack",
+                             lambda doc: doc["ensemble"].update(freq_range=[0.5, 1.0, 2.0])),
     }
     # configs whose certificates overflow a float, with the growth factor or
     # term the error must name: e^(MT) at M = 1e300 or T = 1e300, an rnn
@@ -273,6 +279,9 @@ class TestConfigLoading:
         "log_not_numeric": ("iter,risk\n0,abc\n", "is malformed"),
         "log_header_only": ("iter,risk\n", "has no rows"),
         "log_one_column": ("iter\n0\n", "is malformed"),
+        # a non-finite risk is refused naming the log, not the report
+        "log_nan_risk": ("iter,risk\n0,nan\n", "is malformed"),
+        "log_inf_risk": ("iter,risk\n0,inf\n", "is malformed"),
     }
 
     # config values that a dataset.json of k=3, T=1, N=2 does not match
@@ -649,6 +658,24 @@ class TestTrain:
         rows = read_rows(run / "training_log.csv")
         assert float(rows[-1]["risk"]) <= 1e-9
 
+    @pytest.mark.parametrize("max_iters, flagged", [(0, False), (8, True)])
+    def test_stationary_flag_needs_a_tried_step(self, tmp_path, capsys, max_iters, flagged):
+        # a teacher warm start has zero gradient, so one tried step finds
+        # it stationary; no step is tried at max_iters = 0
+        from jetsid import EnsembleConfig, build_teacher_dataset
+
+        teacher = RnnParams([[0.3]], [0.8], [0.5], [0.1])
+        ens = EnsembleConfig("fourier", 2, 0.8, 2.0, 1.0, rng_seed=5)
+        run = tmp_path / "run"
+        run.mkdir()
+        build_teacher_dataset(sample_ensemble(ens, 12), teacher, 3, 1.0).save(run / "dataset.json")
+        (run / "teacher.json").write_text(json.dumps(teacher.to_json_dict()))
+        doc = base_doc(run)
+        doc["train"].update(restarts=1, max_iters=max_iters)
+        path = write_config(tmp_path, doc)
+        assert main(["train", "--config", path, "--init", str(run / "teacher.json")]) == 0
+        assert ("(stationary at start)" in capsys.readouterr().out) is flagged
+
 
 class TestEvaluate:
     def run_pipeline(self, tmp_path, doc=None):
@@ -851,13 +878,16 @@ class TestEvaluate:
 class TestSweep:
     def test_bounds_only_k_sweep_monotone(self, tmp_path):
         doc = base_doc(tmp_path / "run")
-        doc["sweep"] = {"param": "k", "values": [2, 4, 8, 16, 25], "mode": "bounds_only"}
+        bad = [[], {}, None, "x", True, 2.5]
+        doc["sweep"] = {"param": "k", "values": [2, 4, 8, 16, 25, *bad], "mode": "bounds_only"}
         path = write_config(tmp_path, doc)
         assert main(["sweep", "--config", path]) == 0
         rows = read_rows(tmp_path / "run" / "sweep.csv")
         # the failed point's error holds a comma, quoted so that its row
-        # keeps one cell per column
-        assert [r["error"] for r in rows] == [""] * 4 + ["k must be <= 19, got 25"]
+        # keeps one cell per column; a value that is no whole number is
+        # refused naming k, each in its own row
+        assert [r["error"] for r in rows] == [""] * 4 + ["k must be <= 19, got 25"] + [
+            f"k must be a whole number, got {value!r}" for value in bad]
         assert not any(None in r for r in rows)
         rows = rows[:4]
         for col in (

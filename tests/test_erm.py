@@ -418,6 +418,11 @@ class TestTrain:
         # the zero gradient stops the descent before any ladder batch
         assert calls == {"_risk_forward": 1, "_risk_backward": 1}
 
+    def test_no_tried_step_is_not_stationary(self):
+        result = train(self.make_dataset(), TrainConfig(M=1.0, n=1, restarts=1, max_iters=0),
+                       init=TEACHER)
+        assert result.trajectory == (result.risk,) and result.stationary is False
+
     def test_trajectory_nonincreasing_and_feasible(self):
         ds = self.make_dataset()
         cfg = TrainConfig(M=1.0, n=1, restarts=2, max_iters=25, rng_seed=3)

@@ -5,16 +5,19 @@ submodule must be named, in backticks, in that submodule's row of the
 layout table.  Each command `build_parser()` accepts must be named in the
 "Command line" section, and each of its options in backticks there, so
 that a change to the exports or the parser cannot leave README stale.
+The quick tour's Python block must run and print a risk, and the example
+config must load and run `bounds`.
 """
 
 import argparse
 import ast
+import json
 import re
 from pathlib import Path
 
 import pytest
 
-from jetsid.cli import build_parser
+from jetsid.cli import build_parser, cmd_bounds, config_from_dict
 
 ROOT = Path(__file__).resolve().parents[1]
 INIT = ROOT / "src" / "jetsid" / "__init__.py"
@@ -64,3 +67,20 @@ def test_command_and_options_named(command):
     assert re.search(rf"\bjetsid {command}\b", section), f"README does not show `jetsid {command}`"
     missing = [o for o in options if not re.search(rf"`{re.escape(o)}\b", section)]
     assert not missing, f"README's command line section does not name {missing}"
+
+
+def code_block(language):
+    """The one fenced block of `language` in README."""
+    block, = re.findall(rf"^```{language}\n(.*?)^```$", README.read_text(), re.S | re.M)
+    return block
+
+
+def test_quick_tour_runs(capsys):
+    exec(code_block("python"), {})
+    risk = float(capsys.readouterr().out.split()[0])
+    assert risk >= 0
+
+
+def test_example_config_runs_bounds(tmp_path):
+    config = config_from_dict(json.loads(code_block("json")), out_override=str(tmp_path))
+    assert cmd_bounds(config).exists()
