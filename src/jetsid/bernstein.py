@@ -89,8 +89,9 @@ def bernstein_jet(samples: np.ndarray, k: int, T: float) -> np.ndarray:
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
             for ell in range(k):
+                if ell:
+                    diff = diff[:, 1:] - diff[:, :-1]
                 derivs[:, ell] = math.perm(m, ell) * diff[:, 0] / T**ell
-                diff = np.diff(diff, axis=-1)
     except (OverflowError, FloatingPointError):
         raise DomainError(f"order-{m} jet over horizon {T:.6g} leaves the float range") from None
     return derivs

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import sys
 import time
@@ -484,27 +485,28 @@ def cmd_bounds(config: ExperimentConfig) -> Path:
     return out / "bounds.json"
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """Each command's subparser stores its function as `run` and the names
-    of its file options as `files`."""
+    """The parser, built once per process.  Each command's subparser
+    stores the names of its file options as `files`; `main` looks up
+    `cmd_<command>` when it runs, so a wrapped or replaced command runs."""
     parser = argparse.ArgumentParser(
         prog="jetsid",
         description="Identify continuous-time tanh recurrent-net models by "
                     "output-jet matching and report closed-form risk bounds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # (command, help, file options), read per call so that wrapped cmd_* run
-    for run, help_text, files in (
-        (cmd_generate, "sample inputs, simulate the ground truth, write the jet dataset", ()),
-        (cmd_train, "run constrained ERM on a dataset file",
+    for command, help_text, files in (
+        ("generate", "sample inputs, simulate the ground truth, write the jet dataset", ()),
+        ("train", "run constrained ERM on a dataset file",
          (("dataset", "dataset file (default <out>/dataset.json)"),
           ("init", "model file to warm-start the first restart"))),
-        (cmd_evaluate, "held-out risk estimate plus the bound report",
+        ("evaluate", "held-out risk estimate plus the bound report",
          (("model", "model file (default <out>/model.json)"),)),
-        (cmd_sweep, "one CSV row of risk and bound terms per swept k or N", ()),
-        (cmd_bounds, "closed-form bound report only, no simulation", ()),
+        ("sweep", "one CSV row of risk and bound terms per swept k or N", ()),
+        ("bounds", "closed-form bound report only, no simulation", ()),
     ):
-        p = sub.add_parser(run.__name__.removeprefix("cmd_"), help=help_text)
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", required=True, help="path to the experiment JSON")
         p.add_argument("--out", default=None, help="output directory (overrides config)")
         p.add_argument("--seed", type=int, default=None, help="master seed (overrides config)")
@@ -512,15 +514,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="accepted and ignored: every command runs serially")
         for name, file_help in files:
             p.add_argument(f"--{name}", default=None, help=file_help)
-        p.set_defaults(run=run, files=[name for name, _ in files])
+        p.set_defaults(files=tuple(name for name, _ in files))
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.run(load_config(args.config, args.seed, args.out),
-                 *(getattr(args, name) for name in args.files))
+        globals()[f"cmd_{args.command}"](load_config(args.config, args.seed, args.out),
+                                         *(getattr(args, name) for name in args.files))
         return 0
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)

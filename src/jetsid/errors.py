@@ -107,7 +107,8 @@ def real_array(field: str, value) -> np.ndarray:
         array = np.asarray(value, dtype=float)
     except OverflowError:  # an integer too large for a float
         array = np.array(np.inf)
-    if not np.isfinite(array).all():
+    # a count, as it is faster than .all() on small arrays
+    if np.count_nonzero(np.isfinite(array)) != array.size:
         raise DomainError(f"{field} contains nonfinite entries")
     return array
 

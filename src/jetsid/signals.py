@@ -9,12 +9,12 @@ directly from samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bernstein import _sample_rows
-from .errors import (MAX_COUNT, ConfigBlock, ConfigError, DomainError, ShapeError, real_number,
-                     whole_number)
+from .errors import (MAX_COUNT, ConfigBlock, ConfigError, DomainError, ShapeError, real_array,
+                     real_number, whole_number)
 
 FOURIER = "fourier"
 POLYNOMIAL = "polynomial"
@@ -28,30 +28,47 @@ class InputSpec:
 
     `fourier` inputs are sums of c_i*sin(w_i*t + a_i); `polynomial` inputs
     are sums of c_i*t^i.  Frequencies and phases apply to Fourier only.
+    The parameters are packed once into `packed`, a (3, m) float array
+    (coefficients, frequencies, phases) or a (1, m) one (coefficients),
+    whose rows the three attributes view.  Empty, multi-dimensional or
+    unequal parameters are a ShapeError, a non-real entry a ConfigError
+    and a nonfinite one a DomainError.
     """
 
     kind: str
     coefficients: np.ndarray
     frequencies: np.ndarray | None = None
     phases: np.ndarray | None = None
+    packed: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in (FOURIER, POLYNOMIAL):
-            raise ConfigError(f"unknown input kind {self.kind!r}")
-        c = np.atleast_1d(np.asarray(self.coefficients, dtype=float))
-        object.__setattr__(self, "coefficients", c)
         if self.kind == FOURIER:
             if self.frequencies is None or self.phases is None:
                 raise ConfigError("fourier input needs frequencies and phases")
-            w = np.atleast_1d(np.asarray(self.frequencies, dtype=float))
-            a = np.atleast_1d(np.asarray(self.phases, dtype=float))
-            if w.shape != c.shape or a.shape != c.shape:
-                raise ShapeError("coefficients, frequencies, phases must share length")
-            object.__setattr__(self, "frequencies", w)
-            object.__setattr__(self, "phases", a)
+            rows = (self.coefficients, self.frequencies, self.phases)
+        elif self.kind == POLYNOMIAL:
+            rows = (self.coefficients,)
         else:
+            raise ConfigError(f"unknown input kind {self.kind!r}")
+        try:
+            # lists go through object arrays, so that real_array sees each entry
+            packed = np.array(rows, dtype=None if set(map(type, rows)) == {np.ndarray}
+                              else object)
+        except ValueError:  # unequal lengths
+            packed = None
+        if packed is None or packed.ndim != 2 or not packed.size:
+            raise ShapeError("coefficients, frequencies, phases must share length and be "
+                             "nonempty 1-d arrays" if self.kind == FOURIER
+                             else "coefficients must be a nonempty 1-d array")
+        packed = real_array("input parameters", packed)
+        object.__setattr__(self, "packed", packed)
+        object.__setattr__(self, "coefficients", packed[0])
+        if len(rows) == 1:
             object.__setattr__(self, "frequencies", None)
             object.__setattr__(self, "phases", None)
+        else:
+            object.__setattr__(self, "frequencies", packed[1])
+            object.__setattr__(self, "phases", packed[2])
 
     def to_json_dict(self) -> dict:
         return {
@@ -108,25 +125,32 @@ def _eval_array(specs: list[InputSpec], ts: np.ndarray) -> np.ndarray:
     """(N, len(ts)) values of N closed-form inputs at the times ts, one
     row per input, no domain check.
 
-    Inputs of one kind and term count are evaluated together from stacked
-    (G, m) parameter arrays.  Each element takes the same steps as in a
-    batch of one (Fourier terms accumulated one by one, Horner for
-    polynomials), so a row does not depend on the batch it is in.
+    Inputs of one kind and term count, that is of one packed shape, are
+    gathered into one (G, 3, m) or (G, 1, m) array and evaluated
+    together.  Each element takes the same steps as in a batch of one
+    (Fourier terms accumulated one by one, Horner for polynomials), so a
+    row does not depend on the batch it is in.
     """
-    out = np.empty((len(specs), ts.size))
-    groups: dict[tuple[str, int], list[int]] = {}
+    groups: dict[tuple[int, int], tuple[list[int], list[np.ndarray]]] = {}
     for i, spec in enumerate(specs):
-        groups.setdefault((spec.kind, spec.coefficients.size), []).append(i)
-    for (kind, _), rows in groups.items():
-        C = np.array([specs[i].coefficients for i in rows])
-        if kind == FOURIER:
-            W = np.array([specs[i].frequencies for i in rows])
-            A = np.array([specs[i].phases for i in rows])
+        packed = spec.packed
+        group = groups.get(packed.shape)
+        if group is None:
+            group = groups[packed.shape] = ([], [])
+        group[0].append(i)
+        group[1].append(packed)
+    out = np.empty((len(specs), ts.size))
+    for rows, params in groups.values():
+        P = np.array(params)
+        if P.shape[1] == 3:
+            C, W, A = P[:, 0], P[:, 1], P[:, 2]
             values = np.zeros((len(rows), ts.size))
             for j in range(C.shape[1]):
                 values += C[:, j, None] * np.sin(W[:, j, None] * ts + A[:, j, None])
         else:
-            values = np.polynomial.polynomial.polyval(ts, C.T)
+            values = np.polynomial.polynomial.polyval(ts, P[:, 0].T)
+        if len(groups) == 1:
+            return values
         out[rows] = values
     return out
 
@@ -137,7 +161,8 @@ def _draw_spec(config: EnsembleConfig, rng: np.random.Generator) -> InputSpec:
         c = rng.uniform(-config.coef_scale, config.coef_scale, config.m_terms)
         w = rng.uniform(config.freq_range[0], config.freq_range[1], config.m_terms)
         rest = (w, rng.uniform(config.phase_range[0], config.phase_range[1], config.m_terms))
-        s_amp, s_slope = np.abs(c).sum(), np.abs(c * w).sum()
+        # np.add.reduce is .sum() without its Python wrapper
+        s_amp, s_slope = np.add.reduce(np.abs(c)), np.add.reduce(np.abs(c * w))
     else:
         c = rng.uniform(-config.coef_scale, config.coef_scale, config.m_terms + 1)
         rest = ()

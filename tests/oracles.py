@@ -9,9 +9,11 @@ probes inside its one RK4 loop; `project_reference`, the projection
 with an SVD of every A, which shares the package's vector norms;
 `risk_and_grad` and `project_feasible`, the one-model views of the
 package's stacked risk, gradient and projection kernels that the tests
-call with a single weight vector or model; and `sandwich_error_bound`, a
+call with a single weight vector or model; `sandwich_error_bound`, a
 lemma bound no report states, built on the package's
-`bernstein_error_bound`.
+`bernstein_error_bound`; and `eval_array_gathered` and
+`bernstein_jet_by_diff`, the package's earlier batched input evaluation
+and jet loop, kept to check their replacements bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from jetsid.bernstein import bernstein_error_bound
 from jetsid.bounds import Modulus
 from jetsid.erm import (_flatten, _project, _risk_backward, _risk_forward, _tape_row, _unflatten,
                         is_feasible)
-from jetsid.errors import ConfigError, PreconditionError
+from jetsid.errors import ConfigError, DomainError, PreconditionError
 from jetsid.jets import RnnParams, _vector_norms
 from jetsid.rnn import bibo_probes
 
@@ -61,6 +63,47 @@ def input_jet(spec, order):
         c = spec.coefficients
         for ell in range(min(order, c.size - 1) + 1):
             derivs[ell] = math.factorial(ell) * c[ell]
+    return derivs
+
+
+def eval_array_gathered(specs, ts):
+    """(N, len(ts)) values of N inputs at the times ts: inputs grouped by
+    kind and term count, each group's coefficients, frequencies and phases
+    gathered by three `np.array` calls, Fourier terms accumulated one by
+    one, Horner (`polyval`) for polynomials, each group scattered back."""
+    out = np.empty((len(specs), ts.size))
+    groups = {}
+    for i, spec in enumerate(specs):
+        groups.setdefault((spec.kind, spec.coefficients.size), []).append(i)
+    for (kind, _), rows in groups.items():
+        C = np.array([specs[i].coefficients for i in rows])
+        if kind == "fourier":
+            W = np.array([specs[i].frequencies for i in rows])
+            A = np.array([specs[i].phases for i in rows])
+            values = np.zeros((len(rows), ts.size))
+            for j in range(C.shape[1]):
+                values += C[:, j, None] * np.sin(W[:, j, None] * ts + A[:, j, None])
+        else:
+            values = np.polynomial.polynomial.polyval(ts, C.T)
+        out[rows] = values
+    return out
+
+
+def bernstein_jet_by_diff(samples, k, T):
+    """Jets at t=0 of the degree-(k-1) Bernstein polynomials of an (N, k)
+    array of samples, each forward difference taken by `np.diff`; a
+    floating-point flag is the DomainError `bernstein_jet` raises."""
+    vals = np.asarray(samples, dtype=float)
+    m = k - 1
+    derivs = np.empty(vals.shape)
+    diff = vals
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            for ell in range(k):
+                derivs[:, ell] = math.perm(m, ell) * diff[:, 0] / T**ell
+                diff = np.diff(diff, axis=-1)
+    except (OverflowError, FloatingPointError):
+        raise DomainError(f"order-{m} jet over horizon {T:.6g} leaves the float range") from None
     return derivs
 
 

@@ -14,7 +14,7 @@ from jetsid import (
 )
 from jetsid.signals import InputSpec
 
-from oracles import brute_bernstein, sympy_bernstein_jet
+from oracles import bernstein_jet_by_diff, brute_bernstein, sympy_bernstein_jet
 
 
 def grid_signal(func, m, T=1.0):
@@ -160,6 +160,29 @@ class TestBernsteinJet:
     def test_conditioning_warning(self):
         with pytest.warns(RuntimeWarning, match="ill-conditioned"):
             bernstein_jet(np.zeros((3, 25)), 25, 1.0)
+
+    @pytest.mark.parametrize("N", [1, 7])
+    @pytest.mark.parametrize("T", [0.3, 1.0, 7.5])
+    def test_matches_np_diff_oracle(self, N, T):
+        # each forward difference is the subtraction np.diff makes: equal
+        # bit for bit at every order the package accepts
+        rng = np.random.default_rng(int(10 * T) + N)
+        for k in range(2, 20):
+            samples = rng.uniform(-2, 2, (N, k))
+            assert np.array_equal(bernstein_jet(samples, k, T),
+                                  bernstein_jet_by_diff(samples, k, T)), k
+
+    @pytest.mark.parametrize("samples, k, T", [
+        (np.array([[1e308, -1e308, 1e308]]), 3, 1.0),  # a difference overflows
+        (np.array([[0.0, 1.0, 2.0, 3.0]] * 2), 4, 1e-120),  # T**3 underflows to 0
+        (np.array([[0.0, 1.0, 0.5]]), 3, 1e200),  # T**2 overflows
+    ])
+    def test_overflow_matches_np_diff_oracle(self, samples, k, T):
+        with pytest.raises(DomainError) as oracle:
+            bernstein_jet_by_diff(samples, k, T)
+        with pytest.raises(DomainError, match="leaves the float range") as kernel:
+            bernstein_jet(samples, k, T)
+        assert str(kernel.value) == str(oracle.value)
 
 
 class TestJetPolyEval:

@@ -12,6 +12,7 @@ import ast
 import copy
 import importlib
 import inspect
+import json
 from dataclasses import replace
 from pathlib import Path
 
@@ -194,3 +195,17 @@ def test_workload_documents_load():
     for scope in ("IdentifyDuffing", "SweepLinearK"):
         config = jetsid.cli.config_from_dict(workload_literal(scope, "CONFIG"))
         assert config.ensemble.kind == "fourier", scope
+
+
+def test_cli_runs_a_command_replaced_after_the_first_call(tmp_path, monkeypatch):
+    # the tracer and the sweep's stopwatch replace jetsid.cli.cmd_* after the
+    # first command ran; a parser cached with the command functions bound in
+    # would keep running the originals
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(workload_literal("IdentifyDuffing", "CONFIG")))
+    assert jetsid.cli.main(["bounds", "--config", str(tmp_path / "absent.json")]) == 4
+    calls = []
+    monkeypatch.setattr(jetsid.cli, "cmd_generate", lambda *args: calls.append(args))
+    assert jetsid.cli.main(["generate", "--config", str(config), "--out", str(tmp_path)]) == 0
+    (loaded,), = calls
+    assert loaded.out_dir == str(tmp_path)

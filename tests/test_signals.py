@@ -16,8 +16,10 @@ from jetsid import (
 )
 from jetsid.bernstein import bernstein_eval
 from jetsid.rnn import bibo_probes
+from jetsid.signals import _eval_array
 
-from oracles import brute_modulus, eval_closed_form, input_jet, sympy_input_derivatives
+from oracles import (brute_modulus, eval_array_gathered, eval_closed_form, input_jet,
+                     sympy_input_derivatives)
 
 PI = math.pi
 
@@ -190,6 +192,20 @@ class TestSampleOnGrid:
             else:
                 assert np.abs(row - eval_closed_form(spec, ts)).max() <= 1e-14
 
+    @pytest.mark.parametrize("N", [1, 2, 257])
+    def test_matches_gathered_oracle(self, N):
+        # shuffled Fourier inputs of 1-4 terms and polynomials of 1-5
+        # coefficients, then N inputs of one shape (one group): equal bit
+        # for bit to the three-gather evaluation
+        rng = np.random.default_rng(N)
+        specs = [fourier(*rng.uniform(-2, 2, (3, rng.integers(1, 5)))) if rng.random() < 0.5
+                 else poly(rng.uniform(-2, 2, rng.integers(1, 6))) for _ in range(N)]
+        rng.shuffle(specs)
+        one_shape = [fourier(*rng.uniform(-2, 2, (3, 2))) for _ in range(N)]
+        for ts in (np.linspace(0.0, 1.3, 9), rng.uniform(0.0, 5.0, 40)):
+            for batch in (specs, one_shape):
+                assert np.array_equal(_eval_array(batch, ts), eval_array_gathered(batch, ts))
+
     def test_round_trip_with_eval(self):
         spec = fourier([0.4, 0.3], [1.2, 2.7], [0.1, 1.4])
         (sig,) = sample_on_grid([spec], 7, 2.0)
@@ -300,6 +316,45 @@ class TestInputSpec:
     def test_polynomial_drops_frequencies_and_phases(self):
         spec = InputSpec("polynomial", [1, 2], [3.0, 4.0], [0.0, 1.0])
         assert spec.frequencies is None and spec.phases is None
+
+    def test_parameters_pack_into_one_array(self):
+        spec = InputSpec("fourier", [1, 2], [3, 4], [0, 1])
+        assert spec.packed.shape == (3, 2) and spec.packed.dtype == np.float64
+        for row, field in zip(spec.packed, (spec.coefficients, spec.frequencies, spec.phases)):
+            assert np.shares_memory(field, spec.packed) and np.array_equal(field, row)
+        assert InputSpec("polynomial", [1, 2, 3]).packed.tolist() == [[1.0, 2.0, 3.0]]
+
+    def test_empty_parameters_refused(self):
+        for args in (("polynomial", []), ("polynomial", np.array([])),
+                     ("fourier", [], [], [])):
+            with pytest.raises(ShapeError, match="nonempty 1-d"):
+                InputSpec(*args)
+
+    def test_parameters_not_one_dimensional_refused(self):
+        for args in (("polynomial", [[1.0, 2.0]]), ("polynomial", np.ones((2, 2))),
+                     ("fourier", [[1.0]], [[2.0]], [[0.0]]), ("polynomial", 1.0)):
+            with pytest.raises(ShapeError, match="nonempty 1-d"):
+                InputSpec(*args)
+
+    def test_unequal_arrays_refused(self):
+        # arrays of unequal length do not stack; lists are covered above
+        for args in (("fourier", np.ones(2), np.ones(1), np.ones(2)),
+                     ("fourier", np.ones(2), np.ones(2), np.ones((1, 2)))):
+            with pytest.raises(ShapeError, match="must share length"):
+                InputSpec(*args)
+
+    def test_nonfinite_parameters_refused(self):
+        for args in (("fourier", [1.0], [np.nan], [0.0]), ("polynomial", [0.5, np.inf]),
+                     ("fourier", np.array([1.0, 2.0]), np.array([1.0, 2.0]),
+                      np.array([0.0, -np.inf]))):
+            with pytest.raises(DomainError, match="nonfinite"):
+                InputSpec(*args)
+
+    def test_nonreal_parameters_refused(self):
+        for args in (("polynomial", [1.0, None]), ("polynomial", [1.0, True]),
+                     ("polynomial", np.array([True, False])), ("fourier", [1.0], ["2"], [0.0])):
+            with pytest.raises(ConfigError, match="real numbers only"):
+                InputSpec(*args)
 
 
 class TestSerialization:
