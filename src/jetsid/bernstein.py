@@ -105,12 +105,19 @@ def jet_poly_eval(jets: np.ndarray, t) -> np.ndarray:
     if derivs.ndim != 2 or derivs.shape[1] > _FACTORIALS.size:
         raise ShapeError(f"expected an (N, m+1) array of jets with m < {_FACTORIALS.size}, "
                          f"got shape {derivs.shape}")
-    x = np.atleast_1d(np.asarray(t, dtype=float))
-    # Horner in the operations and order of numpy's polyval
-    coeffs = (derivs / _FACTORIALS[:derivs.shape[1]]).T[..., None]
-    y = coeffs[-1] + x * 0
-    for c in coeffs[-2::-1]:
-        y = c + y * x
+    return _taylor_horner(derivs, np.atleast_1d(np.asarray(t, dtype=float)))
+
+
+def _taylor_horner(derivs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """`jet_poly_eval` unchecked, on a (..., m+1) array of jets and a 1-D
+    array of times: a (..., len(x)) array, each jet's values equal bit for
+    bit to that jet's alone."""
+    # Horner in the operations and order of numpy's polyval, y = y * x + c
+    coeffs = (derivs / _FACTORIALS[:derivs.shape[-1]])[..., None]
+    y = coeffs[..., -1, :] + x * 0
+    for ell in range(derivs.shape[-1] - 2, -1, -1):
+        y *= x
+        y += coeffs[..., ell, :]
     return y
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bernstein import bernstein_jet, jet_poly_eval
+from .bernstein import _taylor_horner, bernstein_jet
 from .errors import (MAX_COUNT, MAX_STATES, ConfigBlock, ConfigError, DomainError, ShapeError,
                      read_json, real_array, real_number, whole_number, write_json)
 from .jets import RnnParams, _jet_and_series, _vector_norms, output_jet
@@ -181,9 +181,10 @@ def _risk_forward(thetas, v, z, n, k, T) -> tuple[np.ndarray, tuple]:
     A, b, c, xi = _split(thetas, n)
     y, series = _jet_and_series(A, b, c, xi, v)
     t = np.arange(1, k + 1) * (T / k)
-    L, N = y.shape[:2]
-    mismatch = jet_poly_eval((y - z).reshape(L * N, k + 1), t).reshape(L, N, k)
-    return np.abs(mismatch).max(axis=2).mean(axis=1), (A, c, t, mismatch, series)
+    mismatch = _taylor_horner(y - z, t)
+    # the sum and division of np.mean
+    risks = np.add.reduce(np.abs(mismatch).max(axis=2), axis=1) / y.shape[1]
+    return risks, (A, c, t, mismatch, series)
 
 
 def _tape_row(tape: tuple, i: int) -> tuple:
@@ -315,8 +316,8 @@ def _descend(
     the returned trajectory is the accepted-risk sequence (nonincreasing),
     and the flag is whether a first step was tried (max_iters > 0) and
     none was accepted.  The ladder is tried in stacked batches: the first
-    holds as many step sizes as the previous step needed (one at the
-    start), each later one the next step size alone.  A step costs one
+    holds as many step sizes as the larger need of the last two steps (one
+    at the start), each later one the next step size alone.  A step costs one
     backward sweep and, per batch, one stacked forward sweep and one
     stacked projection; the candidates past the accepted one are the only
     work that halving one trial at a time would not do, and the accepted
@@ -332,12 +333,12 @@ def _descend(
     risks, tape = _risk_forward(theta, *data)
     theta, risk, tape = theta[0], float(risks[0]), _tape_row(tape, 0)
     trajectory = [risk]
-    batch = 1
+    rungs = (0, 0)
     for _ in range(config.max_iters):
         grad = _risk_backward(tape)
         if not (np.isfinite(grad).all() and grad.any()):
             break
-        edges = [0, *range(batch, _MAX_HALVINGS + 1)]
+        edges = [0, *range(max(rungs) + 1, _MAX_HALVINGS + 1)]
         for first, stop in zip(edges, edges[1:]):
             cands = _project(theta - ladder[first:stop] * grad, n, M)
             cand_risks, cand_tape = _risk_forward(cands, *data)
@@ -347,7 +348,7 @@ def _descend(
         else:
             break
         i = int(lower[0])
-        batch = first + i + 1
+        rungs = (rungs[1], first + i)
         theta, risk, tape = cands[i], float(cand_risks[i]), _tape_row(cand_tape, i)
         trajectory.append(risk)
         if trajectory[-2] - trajectory[-1] < config.tolerance:

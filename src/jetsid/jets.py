@@ -133,12 +133,11 @@ def _jet_and_series(A: np.ndarray, b: np.ndarray, c: np.ndarray, xi: np.ndarray,
         ARG[j] = X[j] @ At + u[j][:, None] * b
         if j == 0:
             S[0] = np.tanh(ARG[0])
+            W[0] = 1.0 - S[0] * S[0]
         else:
             jARG[j] = j * ARG[j]
             S[j] = (W[:j] * jARG[j:0:-1]).sum(axis=0) / j
-        W[j] = -(S[: j + 1] * S[j::-1]).sum(axis=0)
-        if j == 0:
-            W[0] += 1.0
+            W[j] = -(S[: j + 1] * S[j::-1]).sum(axis=0)
         X[j + 1] = S[j] / (j + 1)
     y_coeffs = (X @ c[:, :, None])[..., 0]
     # entry 0 is c.xi by definition; the direct dot keeps it bit-exact

@@ -563,8 +563,9 @@ class TestDescentPinned:
 
     def test_ladder_work_pinned(self, monkeypatch):
         # forward sweeps and their candidate rows: each step's first batch
-        # holds as many step sizes as the previous step needed, and one step
-        # size per batch (97 sweeps of one row) gives the same descent
+        # holds as many step sizes as the larger need of the last two steps,
+        # and one step size per batch (97 sweeps of one row) gives the same
+        # descent; sizing it from the last step alone took (60, 111)
         rows = []
         real = erm._risk_forward
 
@@ -574,7 +575,55 @@ class TestDescentPinned:
         monkeypatch.setattr(erm, "_risk_forward", counting)
         case = "n2_k4_two_restarts"
         assert self.run(case) == json.loads(self.PINNED.read_text())[case]
-        assert (len(rows), sum(rows)) == (60, 111)
+        assert (len(rows), sum(rows)) == (48, 112)
+
+    def test_first_batch_covers_last_two_rungs(self, monkeypatch):
+        # every call of the descent in order: a restart, a backward sweep
+        # (which starts a step) or a forward sweep with its candidates' risks
+        events = []
+        real = {name: getattr(erm, name)
+                for name in ("_descend", "_risk_backward", "_risk_forward")}
+
+        def descend(*args):
+            events.append(("restart",))
+            return real["_descend"](*args)
+
+        def backward(tape):
+            events.append(("step",))
+            return real["_risk_backward"](tape)
+
+        def forward(thetas, *data):
+            risks, tape = real["_risk_forward"](thetas, *data)
+            events.append(("sweep", risks))
+            return risks, tape
+        for name, spy in (("_descend", descend), ("_risk_backward", backward),
+                          ("_risk_forward", forward)):
+            monkeypatch.setattr(erm, name, spy)
+        case = "n2_k4_two_restarts"
+        assert self.run(case) == json.loads(self.PINNED.read_text())[case]
+
+        # replay: the accepted rung of a step is the first candidate, over
+        # its batches in order, whose risk is below the current one
+        steps = differs_from_last_step = 0
+        for kind, *rest in events:
+            if kind == "restart":
+                accepted, risk = [], None
+            elif kind == "step":
+                want, offset = 1 + max(accepted[-2:], default=0), 0
+                steps += 1
+            elif risk is None:  # the start's own sweep
+                risk = float(rest[0][0])
+            else:
+                (risks,) = rest
+                if offset == 0:  # the step's first batch
+                    assert len(risks) == want, (len(accepted), accepted[-2:])
+                    differs_from_last_step += want != 1 + (accepted[-1] if accepted else 0)
+                lower = np.flatnonzero(risks < risk)
+                if lower.size:
+                    accepted.append(offset + int(lower[0]))
+                    risk = float(risks[lower[0]])
+                offset += len(risks)
+        assert steps > 20 and differs_from_last_step > 0
 
 
 class TestStackedKernels:
@@ -631,6 +680,27 @@ class TestStackedKernels:
             assert np.array_equal(projected[0], thetas[0])
             assert all(v < 0.6 for v in inside.values())
             assert all(v == pytest.approx(1.0, rel=1e-12) for v in outside.values())
+
+    @pytest.mark.parametrize("N", [1, 6])
+    @pytest.mark.parametrize("L", [1, 3, 7])
+    @pytest.mark.parametrize("k", [2, 4, 8, 12, 19])
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_tape_mismatch_is_the_loss_polynomial(self, n, k, L, N):
+        # the stacked sweep's mismatch is jet_poly_eval of each row's
+        # y - z, itself numpy's polyval of the Taylor coefficients, and its
+        # risks are the means of the mismatch maxima, all bit for bit
+        rng = np.random.default_rng(1000 * n + 10 * k + L + N)
+        thetas = self.rows(n, L, rng)
+        V, Z = rng.uniform(-1, 1, (N, k)), rng.uniform(-1, 1, (N, k + 1))
+        risks, (_, _, t, mismatch, _) = erm._risk_forward(thetas, V, Z, n, k, 1.0)
+        assert self.same_bits(t, np.arange(1, k + 1) * (1.0 / k))
+        y = jets._jet_and_series(*erm._split(thetas, n), V)[0]
+        facts = np.array([float(math.factorial(ell)) for ell in range(k + 1)])
+        for i in range(L):
+            assert self.same_bits(mismatch[i], jet_poly_eval(y[i] - Z, t))
+            for row, taylor in zip(mismatch[i], (y[i] - Z) / facts):
+                assert self.same_bits(row, np.polyval(taylor[::-1], t))
+        assert self.same_bits(risks, np.abs(mismatch).max(axis=2).mean(axis=1))
 
     def test_one_recurrence_per_stack(self, monkeypatch):
         # N = n = 1, where the series sums are pairwise: the stack still runs
