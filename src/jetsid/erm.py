@@ -165,25 +165,20 @@ def _split(thetas: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
             thetas[:, nn + n:nn + 2 * n], thetas[:, nn + 2 * n:])
 
 
-def _out_of_float_range(kind: str, flag: int):
-    """The `np.errstate` callback of the risk and its gradient: an overflow
-    or an invalid operation, as on jet pairs too large for the jet map or
-    the loss grid, is a DomainError."""
-    raise DomainError(f"the risk on these jet pairs leaves the float range ({kind})")
-
-
-@np.errstate(over="call", invalid="call", call=_out_of_float_range)
+@np.errstate(over="ignore", invalid="ignore")
 def _risk_forward(thetas, v, z, n, k, T) -> tuple[np.ndarray, tuple]:
     """`empirical_risk` at each row of an (L, P) stack of flat weights,
     as an (L,) array, and the stacked tape whose `_tape_row` slices
     `_risk_backward` turns into gradients.  Each row's risk and tape
-    equal bit for bit those of a stack of one."""
+    equal bit for bit those of a stack of one; a non-finite risk is a DomainError."""
     A, b, c, xi = _split(thetas, n)
     y, series = _jet_and_series(A, b, c, xi, v)
     t = np.arange(1, k + 1) * (T / k)
     mismatch = _taylor_horner(y - z, t)
     # the sum and division of np.mean
     risks = np.add.reduce(np.abs(mismatch).max(axis=2), axis=1) / y.shape[1]
+    if not np.isfinite(risks).all():
+        raise DomainError("the risk on these jet pairs leaves the float range")
     return risks, (A, c, t, mismatch, series)
 
 
@@ -193,7 +188,7 @@ def _tape_row(tape: tuple, i: int) -> tuple:
     return A[i], c[i], t, mismatch[i], (u, *(s[:, i] for s in series))
 
 
-@np.errstate(over="call", invalid="call", call=_out_of_float_range)
+@np.errstate(over="ignore", invalid="ignore")
 def _risk_backward(tape: tuple) -> np.ndarray:
     """Gradient of the risk from its forward tape, by the adjoint of the
     Taylor recurrence of `jets._jet_and_series`.
@@ -203,13 +198,14 @@ def _risk_backward(tape: tuple) -> np.ndarray:
     on the j-th Taylor coefficient X_j.c of the output.  The sweep then
     runs j = k-1..0 back through X_{j+1} = S_j/(j+1), W_j = [j=0] -
     sum_i S_i S_{j-i}, the S_j convolution (S_0 = tanh(ARG_0)) and
-    ARG_j = A X_j + b u_j.
+    ARG_j = A X_j + b u_j.  A non-finite gradient is a DomainError.
     """
     A, c, t, mismatch, (u, X, ARG, S, W) = tape
     k, N, n = ARG.shape
+    orders = np.arange(k + 1)
     worst = np.abs(mismatch).argmax(axis=1)
     seed = np.sign(mismatch[np.arange(N), worst]) / N
-    ybar = seed * t[worst] ** np.arange(k + 1)[:, None]
+    ybar = seed * t[worst] ** orders[:, None]
     Xbar = ybar[..., None] * c
     Sbar, Wbar, ARGbar = np.zeros((3, *S.shape))
     for j in range(k - 1, -1, -1):
@@ -218,17 +214,20 @@ def _risk_backward(tape: tuple) -> np.ndarray:
         if j == 0:
             ARGbar[0] += Sbar[0] * W[0]
         else:
-            weights = np.arange(j, 0, -1)[:, None, None] * (Sbar[j] / j)
+            weights = orders[j:0:-1, None, None] * (Sbar[j] / j)
             Wbar[:j] += weights * ARG[j:0:-1]
             ARGbar[j:0:-1] += weights * W[:j]
         Xbar[j] += ARGbar[j] @ A
     flat = ARGbar.reshape(k * N, n)
-    return np.concatenate([
+    grad = np.concatenate([
         (flat.T @ X[:k].reshape(k * N, n)).ravel(),
         u.ravel() @ flat,
         ybar.ravel() @ X.reshape((k + 1) * N, n),
         Xbar[0].sum(axis=0),
     ])
+    if not np.isfinite(grad).all():
+        raise DomainError("the gradient of the risk on these jet pairs leaves the float range")
+    return grad
 
 
 _FEASIBLE_SLACK = 1.0 + 1e-12
@@ -336,7 +335,7 @@ def _descend(
     rungs = (0, 0)
     for _ in range(config.max_iters):
         grad = _risk_backward(tape)
-        if not (np.isfinite(grad).all() and grad.any()):
+        if not grad.any():
             break
         edges = [0, *range(max(rungs) + 1, _MAX_HALVINGS + 1)]
         for first, stop in zip(edges, edges[1:]):

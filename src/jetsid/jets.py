@@ -85,6 +85,7 @@ def _vector_norms(vecs: np.ndarray) -> np.ndarray:
     return nrm
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def output_jet(params: RnnParams, input_jet: np.ndarray, k: int) -> np.ndarray:
     """Output jets (y(0), ..., y^(k)(0)) from input jets of order k-1:
     an (N, k) array of input jets, one per row, gives the (N, k+1) array
@@ -95,15 +96,17 @@ def output_jet(params: RnnParams, input_jet: np.ndarray, k: int) -> np.ndarray:
     identity s' = (1 - s^2) a' with a = A X + b U:
     S_j = (1/j) sum_{i<j} W_i (j-i) a_{j-i}, where W = 1 - S^2 as a
     series.  Each series has shape (k+1, N, n).  All jet entries are
-    exact in exact arithmetic.
+    exact in exact arithmetic; jets out of the float range are a DomainError.
     """
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
     V = np.asarray(input_jet, dtype=float)
     if V.ndim != 2 or V.shape[1] != k:
         raise ShapeError(f"input jets have shape {V.shape}, expected (N, {k}) (order {k - 1})")
-    return _jet_and_series(params.A[None], params.b[None], params.c[None], params.xi[None],
-                           V)[0][0]
+    jets = _jet_and_series(*(p[None] for p in (params.A, params.b, params.c, params.xi)), V)[0][0]
+    if not np.isfinite(jets).all():
+        raise DomainError("the output jets of these input jets leave the float range")
+    return jets
 
 
 def _jet_and_series(A: np.ndarray, b: np.ndarray, c: np.ndarray, xi: np.ndarray,
@@ -115,17 +118,15 @@ def _jet_and_series(A: np.ndarray, b: np.ndarray, c: np.ndarray, xi: np.ndarray,
     and X, ARG, S, W the states', shapes (k+1, L, N, n), (k, L, N, n),
     (k, L, N, n), (k, L, N, n).  Each weight set's jets and series equal
     bit for bit those it gives in a stack of one: its block of X is
-    contiguous, as the backward's reshapes need, and so are its blocks of
-    ARG, S and W when N * n == 1, the one shape where numpy sums a
-    contiguous series axis pairwise rather than in order."""
+    contiguous, as the backward's reshapes need, and each Cauchy product
+    is an einsum that sums its products in order at every shape."""
     (N, k), (L, n) = V.shape, b.shape
     facts = _FACTORIALS[:k + 1]
     u = V.T / facts[:k, None]
 
     X = np.empty((L, k + 1, N, n)).transpose(1, 0, 2, 3)
     # jARG[i] = i * ARG[i] for i >= 1, so that each term of S_j is one product
-    S, W, ARG, jARG = (np.empty((4, k, L, N, n)) if N * n > 1
-                       else np.empty((4, L, k, N, n)).transpose(0, 2, 1, 3, 4))
+    S, W, ARG, jARG = np.empty((4, k, L, N, n))
     X[0] = xi[:, None]
     At, b = A.transpose(0, 2, 1), b[:, None]
     for j in range(k):
@@ -136,8 +137,8 @@ def _jet_and_series(A: np.ndarray, b: np.ndarray, c: np.ndarray, xi: np.ndarray,
             W[0] = 1.0 - S[0] * S[0]
         else:
             jARG[j] = j * ARG[j]
-            S[j] = (W[:j] * jARG[j:0:-1]).sum(axis=0) / j
-            W[j] = -(S[: j + 1] * S[j::-1]).sum(axis=0)
+            S[j] = np.einsum("i...,i...->...", W[:j], jARG[j:0:-1]) / j
+            W[j] = -np.einsum("i...,i...->...", S[: j + 1], S[j::-1])
         X[j + 1] = S[j] / (j + 1)
     y_coeffs = (X @ c[:, :, None])[..., 0]
     # entry 0 is c.xi by definition; the direct dot keeps it bit-exact

@@ -256,6 +256,14 @@ class TestConfigLoading:
         "dataset_v_string": lambda ds: ds["pairs"][0]["v"].__setitem__(1, "0.3"),
         "dataset_z_bool": lambda ds: ds["pairs"][1]["z"].__setitem__(0, True),
     }
+    # edits of the dataset.json that generate wrote, with the command whose
+    # risk leaves the float range: t^3 on the loss grid at T = 1e300, and
+    # input jets of 1e300 behind an unsaturated tanh (at v = [1e300] * 3
+    # tanh saturates, and evaluate runs)
+    RISK_OVERFLOW = {
+        "dataset_T_1e300": ("train", lambda ds: ds.update(T=1e300)),
+        "dataset_v_1e300": ("evaluate", lambda ds: ds["pairs"][0].update(v=[0.1, 1e300, 1e300])),
+    }
     # edits of a valid model.json document: `int()` would read the two
     # bad n as 1, numpy the string and the bool as numbers, and n = 0 was
     # refused only after the RK4 loop
@@ -298,7 +306,7 @@ class TestConfigLoading:
                                       "evaluate_without_inputs", "evaluate_seed_mismatch",
                                       *DATASET_MISMATCH, *BAD_CONFIG, *BAD_FIELDS, *OVERFLOW,
                                       *TOO_LARGE, *REFUSED_AT_RUN, *BAD_DATASET, *BAD_MODEL,
-                                      *BAD_INIT, *BAD_LOG, "huge_model_norm"])
+                                      *BAD_INIT, *BAD_LOG, *RISK_OVERFLOW, "huge_model_norm"])
     def test_bad_input_file_exits_2(self, tmp_path, capsys, case):
         from jetsid import EnsembleConfig, build_teacher_dataset
 
@@ -323,6 +331,14 @@ class TestConfigLoading:
             self.BAD_MODEL[case](model_doc)
             bad, command = run / "model.json", "evaluate"
             bad.write_text(json.dumps(model_doc))
+        elif case in self.RISK_OVERFLOW:
+            cmd_generate(config_from_dict(doc))
+            (run / "model.json").write_text(json.dumps(model_doc))
+            command, edit = self.RISK_OVERFLOW[case]
+            bad = run / "dataset.json"
+            generated = json.loads(bad.read_text())
+            edit(generated)
+            bad.write_text(json.dumps(generated))
         elif case == "huge_model_norm":
             # b @ b overflows a float, |b| = 1.41e200 does not
             bad, command = run / "model.json", "evaluate"
@@ -372,7 +388,9 @@ class TestConfigLoading:
         err = capsys.readouterr().err
         assert err.startswith(prefix)
         named = {**{name: text for name, (text, _) in self.OVERFLOW.items()},
-                 **{name: text for name, (_, text, _) in self.REFUSED_AT_RUN.items()}}
+                 **{name: text for name, (_, text, _) in self.REFUSED_AT_RUN.items()},
+                 **dict.fromkeys(self.RISK_OVERFLOW,
+                                 "the risk on these jet pairs leaves the float range")}
         assert named.get(case, bad.name) in err
         if case in self.DATASET_MISMATCH:
             assert f"{self.DATASET_MISMATCH[case][0]}=" in err

@@ -222,6 +222,14 @@ class TestEmpiricalRisk:
         with pytest.raises(DomainError, match="leaves the float range"):
             empirical_risk(TEACHER, ds)
 
+    def test_overflow_only_in_arg0_gives_ieee_risk(self):
+        # A xi overflows to inf, but tanh(inf) = 1 is the float-correct
+        # S_0 and ARG_0 reaches nothing else, so the jets and the risk are
+        # finite: y_0 = c.xi = 1 against z = 0
+        params = RnnParams(1e10 * np.eye(2), [0.0, 0.0], [1e-300, 0.0], [1e300, 1e300])
+        ds = JetDataset(np.zeros((1, 2)), np.zeros((1, 3)), 2, 1.0)
+        assert empirical_risk(params, ds) == 1.0
+
 
 class TestProjectFeasible:
     def test_identity_on_feasible(self):
@@ -452,6 +460,16 @@ class TestTrain:
             result = train(ds, TrainConfig(M=1.0, n=n, restarts=2, max_iters=15, rng_seed=5))
             assert result.risk == empirical_risk(result.params, ds)
 
+    def test_gradient_overflow_is_domain_error(self):
+        # the risk is 1 (y = 0 against z_0 = 1), but the seed t_p^2 =
+        # (T/2)^2 = 2.5e399 of the gradient overflows: refused, not a
+        # silent stop of the descent
+        ds = JetDataset(np.zeros((1, 2)), [[1.0, 0.0, 0.0]], 2, 1e200)
+        zero = scalar_params(b=0.0, c=0.0)
+        assert empirical_risk(zero, ds) == 1.0
+        with pytest.raises(DomainError, match="the gradient of the risk"):
+            train(ds, TrainConfig(M=1.0, n=1, restarts=1), init=zero)
+
     def test_init_of_other_state_count_rejected(self):
         with pytest.raises(ShapeError, match="train.n"):
             train(self.make_dataset(n_inputs=4), TrainConfig(M=1.0, n=3, restarts=1), init=TEACHER)
@@ -541,8 +559,9 @@ class TestDescentPinned:
                                                 rng_seed=0, tolerance=1e-4)),
         "n8_k12_three_restarts": (TEACHER8, 24, 12,
                                   dict(M=1.0, n=8, restarts=3, max_iters=8, rng_seed=21)),
-        # one input and one state: 6 of its 23 forward sweeps stack 2 to 13
-        # rows with N * n == 1, where numpy sums the series pairwise
+        # one input and one state: 6 of its 23 forward sweeps stack 5 to 13
+        # rows with N * n == 1; re-recorded when the series sums became
+        # einsums, which sum in order where `.sum` had summed pairwise
         "n1_k12_one_input": (TEACHER, 1, 12, dict(M=1.0, n=1, restarts=1, max_iters=10,
                                                   rng_seed=2)),
     }
@@ -654,7 +673,7 @@ class TestStackedKernels:
     @pytest.mark.parametrize("N", [1, 6])
     @pytest.mark.parametrize("L", [1, 3, 7])
     # k = 8 is the first order whose series sums hold 8 terms, where numpy's
-    # pairwise summation begins; 19 is the largest order a config accepts
+    # `sum` would go pairwise; 19 is the largest order a config accepts
     @pytest.mark.parametrize("k", [2, 4, 8, 12, 19])
     @pytest.mark.parametrize("n", [1, 2, 3, 8])
     def test_rows_match_batch_of_one(self, n, k, L, N):
@@ -703,7 +722,7 @@ class TestStackedKernels:
         assert self.same_bits(risks, np.abs(mismatch).max(axis=2).mean(axis=1))
 
     def test_one_recurrence_per_stack(self, monkeypatch):
-        # N = n = 1, where the series sums are pairwise: the stack still runs
+        # N = n = 1, where the series sums were once pairwise: the stack runs
         # the recurrence once, not once per weight set
         calls = []
         real = jets._jet_and_series

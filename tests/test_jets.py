@@ -14,6 +14,7 @@ from jetsid import (
     bernstein_jet,
     output_jet,
 )
+from jetsid import jets
 from jetsid.signals import InputSpec, sample_on_grid
 
 from oracles import (eval_closed_form, fd_output_derivatives, input_jet, project_feasible,
@@ -72,6 +73,11 @@ class TestOutputJet:
         for batch in (np.zeros((4, 2)), np.zeros(3), np.zeros((2, 3, 1))):
             with pytest.raises(ShapeError):
                 output_jet(scalar_params(), batch, 3)
+
+    def test_overflowing_jets_are_domain_error(self):
+        # X_2 = b u_1 / 2 = 5e199, so y'' = 2 c X_2 = inf
+        with pytest.raises(DomainError, match="output jets .* leave the float range"):
+            jet_of(scalar_params(b=1e200, c=1e200), [0.0, 1.0], 2)
 
     @pytest.mark.parametrize("seed", range(25))
     def test_matches_finite_differences(self, seed):
@@ -148,6 +154,27 @@ class TestBatchedOutputJet:
         for i in range(V.shape[0]):
             one = output_jet(params, V[i : i + 1], k)
             assert np.abs(batched[i] - one[0]).max() <= self.bound(one)
+
+
+class TestCauchyProducts:
+    """Both series sums of the jet map against the in-order Python sum of
+    their products, bit for bit: S_j = sum_i W_i (j-i) ARG_{j-i} / j and
+    W_j = -sum_i S_i S_{j-i}.  At k = 12 they reach 12 terms, past the 8
+    where numpy's `sum` goes pairwise, so an einsum that changes its order
+    fails here."""
+
+    @pytest.mark.parametrize("n, N, L", [(1, 1, 1), (1, 1, 4), (2, 6, 3), (8, 16, 2)])
+    def test_sums_in_order(self, n, N, L):
+        rng = np.random.default_rng(10 * n + N + L)
+        k = 12
+        A = 0.5 * rng.uniform(-1, 1, (L, n, n)) / n
+        b, c, xi = rng.uniform(-1, 1, (3, L, n))
+        _, (_, _, ARG, S, W) = jets._jet_and_series(A, b, c, xi, rng.uniform(-1, 1, (N, k)))
+        for j in range(1, k):
+            want_S = sum(W[i] * ((j - i) * ARG[j - i]) for i in range(j)) / j
+            want_W = -sum(S[i] * S[j - i] for i in range(j + 1))
+            assert S[j].tobytes() == want_S.tobytes(), j
+            assert W[j].tobytes() == want_W.tobytes(), j
 
 
 class TestOutputJetPinned:
