@@ -156,8 +156,11 @@ def simulate_runs(runs: Sequence[tuple[System, list | tuple]], T: float,
     evaluated at the stage times once.  Each run takes the same IEEE
     operations as alone, so its outputs are bit-identical to `simulate`
     of that run; a divergence names the first bad run's system and input.
-    Overflow and invalid operations on the way to it raise no warning: the
-    finiteness check after every step reports them.
+    The state is checked once, after the last step (a non-finite entry
+    stays non-finite under `x += ...`); only when that fails does the loop
+    run again from the initial states, checking every step, to raise
+    DivergenceError at the first bad time.  So a right-hand side must
+    accept non-finite states; overflow and invalid operations warn nothing.
     """
     for _, inputs in runs:
         if not isinstance(inputs, (list, tuple)):
@@ -197,43 +200,47 @@ def simulate_runs(runs: Sequence[tuple[System, list | tuple]], T: float,
         out = np.empty((g, B))
         np.matmul(hvec, xr, out[0])
         readout.append((system, hvec, xr, out))
+    x_init = x.copy()
     half = 0.5 * h
     sixth = h / 6.0
-    gi = 1
-    for i in range(nsteps):
-        s = 2 * i
-        for rhs, xin, k in stages[0]:
-            rhs(xin, s, k)
-        np.multiply(k1, half, xs)
-        xs += x
-        for rhs, xin, k in stages[1]:
-            rhs(xin, s + 1, k)
-        np.multiply(k2, half, xs)
-        xs += x
-        for rhs, xin, k in stages[2]:
-            rhs(xin, s + 1, k)
-        np.multiply(k3, h, xs)
-        xs += x
-        for rhs, xin, k in stages[3]:
-            rhs(xin, s + 2, k)
-        k2 += k3
-        k2 *= 2.0
-        k2 += k1
-        k2 += k4
-        k2 *= sixth
-        x += k2
-        # counting is about twice as fast as .all() on small bool arrays
-        if np.count_nonzero(np.isfinite(x)) < x.size:
-            for system, _, state, _ in readout:
-                finite = np.isfinite(state).all(axis=0)
-                if not finite.all():
-                    name = getattr(system, "name", "rnn")
-                    raise DivergenceError((i + 1) * h, detail=f"system {name}, "
-                                          f"sample {int(np.argmin(finite))}")
-        if (i + 1) % sub == 0:
-            for _, hvec, state, out in readout:
-                np.matmul(hvec, state, out[gi])
-            gi += 1
+    for checked in (False, True):
+        x[...] = x_init
+        gi = 1
+        for i in range(nsteps):
+            s = 2 * i
+            for rhs, xin, k in stages[0]:
+                rhs(xin, s, k)
+            np.multiply(k1, half, xs)
+            xs += x
+            for rhs, xin, k in stages[1]:
+                rhs(xin, s + 1, k)
+            np.multiply(k2, half, xs)
+            xs += x
+            for rhs, xin, k in stages[2]:
+                rhs(xin, s + 1, k)
+            np.multiply(k3, h, xs)
+            xs += x
+            for rhs, xin, k in stages[3]:
+                rhs(xin, s + 2, k)
+            k2 += k3
+            k2 *= 2.0
+            k2 += k1
+            k2 += k4
+            k2 *= sixth
+            x += k2
+            if checked and not np.isfinite(x).all():
+                for system, _, state, _ in readout:
+                    finite = np.isfinite(state).all(axis=0)
+                    if not finite.all():
+                        name = getattr(system, "name", "rnn")
+                        raise DivergenceError((i + 1) * h, detail=f"system {name}, "
+                                              f"sample {int(np.argmin(finite))}")
+            if (i + 1) % sub == 0:
+                for _, hvec, state, out in readout:
+                    np.matmul(hvec, state, out[gi])
+                gi += 1
+        if np.isfinite(x).all():
+            break
     return [np.ascontiguousarray(out.T) for *_, out in readout]
 
 
@@ -333,7 +340,9 @@ def _make_duffing(
     x0 = np.array([real_number("ground_truth duffing xi0", v) for v in xi0])
 
     def drift(x):
-        return np.array([x[1], -d * x[1] - s * x[0] - b * np.tanh(x[0]) ** 3])
+        # a product cubes in about a third of the time np.power takes
+        t = np.tanh(x[0])
+        return np.array([x[1], -d * x[1] - s * x[0] - b * (t * t * t)])
 
     return ControlAffineSystem(
         name="duffing",

@@ -280,7 +280,9 @@ class TestBatchedSimulate:
         # the same batch as the second run of a loop whose first run stays finite
         with pytest.raises(DivergenceError) as second:
             simulate_runs([(GROUND_TRUTHS["linear"](), inputs), (blowup, inputs)], 1.0, cfg)
-        assert 0.0 < batch.value.time < 1.0
+        # x = 10 tan(10 t) for the input 100: stepped from the initial states,
+        # not from a diverged end state, the loop names a time just after pi / 20
+        assert math.pi / 20 < batch.value.time < math.pi / 20 + 0.02
         assert batch.value.time == alone.value.time == second.value.time
         assert "system square, sample 2" in str(batch.value)
         assert str(second.value) == str(batch.value)
@@ -320,6 +322,62 @@ class TestBatchedSimulate:
                        for system in (folded, twin))
         for y, twin_y in zip(ys, twin_ys, strict=True):
             assert np.array_equal(y, twin_y)
+
+
+def counted_drift(system):
+    """`system` with a drift that counts its calls in the returned list."""
+    calls = [0]
+
+    def drift(x):
+        calls[0] += 1
+        return system.drift(x)
+
+    return dataclasses.replace(system, drift=drift), calls
+
+
+class TestOneCheckLoop:
+    """`simulate_runs` checks the state once, after the last step, and only
+    when that check fails steps again from the initial states, checking
+    every step, to name the first bad time, run and input."""
+
+    CFG = SimConfig(step=1.0 / 256, grid_size=33)
+
+    @pytest.mark.parametrize("grid", [GRID, SimConfig()], ids=["substeps32", "default"])
+    def test_drift_called_once_per_stage(self, grid):
+        # one shape check, then one call per RK4 stage: no second pass
+        nsteps = (grid.grid_size - 1) * rk4_substeps(1.0, grid)
+        duffing, duffing_calls = counted_drift(GROUND_TRUTHS["duffing"]())
+        linear, linear_calls = counted_drift(GROUND_TRUTHS["linear"]())
+        inputs = sample_ensemble(EnsembleConfig("fourier", 2, 0.8, 2.0, 1.0, rng_seed=90), 3)
+        simulate_runs([(duffing, inputs), (batch_case("rnn2")[0], inputs), (linear, inputs[:1])],
+                      1.0, grid)
+        assert duffing_calls == linear_calls == [1 + 4 * nsteps]
+
+    def test_divergence_steps_again_to_the_bad_step(self):
+        square, calls = counted_drift(ControlAffineSystem(
+            name="square", drift=lambda x: x**2, input_gain=np.ones((1, 1)),
+            h=np.array([1.0]), xi0=np.array([0.0])))
+        with pytest.raises(DivergenceError) as info:
+            simulate(square, [const_input(a) for a in (0.1, -0.5, 100.0, 0.3)], 1.0, self.CFG)
+        h = 1.0 / 256
+        bad_step = round(info.value.time / h)
+        assert info.value.time == bad_step * h
+        assert calls == [1 + 4 * 256 + 4 * bad_step]
+
+    def test_unread_component_diverges(self):
+        # the output reads x0, which stays 0; the unread x1 = e^(1000 t)
+        # leaves the float range
+        unread = ControlAffineSystem(
+            name="unread",
+            drift=lambda x: np.array([np.zeros_like(x[1]), 1000.0 * x[1]]),
+            input_gain=np.zeros((2, 1)),
+            h=np.array([1.0, 0.0]),
+            xi0=np.array([0.0, 1.0]),
+        )
+        with pytest.raises(DivergenceError) as info:
+            simulate(unread, [const_input(0.5), const_input(-0.5)], 1.0, self.CFG)
+        assert "system unread, sample 0" in str(info.value)
+        assert 0.0 < info.value.time < 1.0
 
 
 class TestSimulatePinned:
@@ -489,6 +547,16 @@ class TestGroundTruthLibrary:
         y = simulate(system, [const_input(0.5)], 2.0, SimConfig(step=1 / 256, grid_size=65))
         assert np.isfinite(y).all()
         assert system.output_lipschitz is None
+
+    def test_duffing_cube_tolerance(self):
+        # the drift cubes tanh(x0) as a product, each element within
+        # 4 eps max(1, |ref|) of the np.power form
+        system = GROUND_TRUTHS["duffing"]()
+        x = np.random.default_rng(31).uniform(-10.0, 10.0, (2, 4096))
+        ref = -0.5 * x[1] - x[0] - np.tanh(x[0]) ** 3
+        got = system.drift(x)
+        assert np.array_equal(got[0], x[1])
+        assert (np.abs(got[1] - ref) <= 4 * EPS * np.maximum(1.0, np.abs(ref))).all()
 
     def test_system_from_config(self):
         system = system_from_config(
