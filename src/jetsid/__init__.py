@@ -54,7 +54,6 @@ from .rnn import (
     io_lipschitz_bound,
     output_modulus_bound,
     output_sup_bound,
-    rk4_substeps,
     simulate,
     simulate_runs,
     system_from_config,

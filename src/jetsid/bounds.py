@@ -252,16 +252,18 @@ class BoundReport:
 
     fixed_model: FixedModelBound
     erm: ErmRiskBound
-    vc_bound: int
+    vc_bound: int = field(init=False)
     rademacher_bound: float | None
     c_abs: float
     gamma: float
-    gamma_is_estimate: bool
+    gamma_is_estimate: bool = field(init=False)
     gamma_probe_count: int | None
     moduli_source: str
     sample_size_ok: bool = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "vc_bound", self.erm.sample_size_threshold)
+        object.__setattr__(self, "gamma_is_estimate", self.gamma_probe_count is not None)
         object.__setattr__(self, "sample_size_ok", self.erm.sample_size_ok)
 
     @classmethod

@@ -195,7 +195,6 @@ def _declared(config: ExperimentConfig, system: System
 
 def _bound_report(
     config: ExperimentConfig,
-    model_n: int,
     gap_mean: float,
     Lbar_star: float,
     fixed_params: RnnParams,
@@ -210,7 +209,7 @@ def _bound_report(
     that overflows fails there, before the model's norms are taken."""
     omega_U = bounds_mod.linear_modulus(config.ensemble.L)
     erm_terms = bounds_mod.erm_risk_bound(
-        M=config.train.M, n=model_n, k=config.k, T=config.T, N=config.N,
+        M=config.train.M, n=fixed_params.n, k=config.k, T=config.T, N=config.N,
         delta=config.delta, gamma_R=gamma, Lbar_star_estimate=Lbar_star,
         c_abs=config.c_abs, omega_Y=omega_Y, omega_U=omega_U,
         waive_sample_size=True,
@@ -218,8 +217,8 @@ def _bound_report(
     fixed = bounds_mod.fixed_model_risk_bound(
         omega_Y, omega_U, fixed_params, config.k, config.T, gap_mean
     )
-    vc = bounds_mod.vc_dimension_bound(model_n, config.k)
-    range_bound = bounds_mod.range_bound(config.train.M, model_n, config.T, gamma)
+    vc = erm_terms.sample_size_threshold
+    range_bound = bounds_mod.range_bound(config.train.M, fixed_params.n, config.T, gamma)
     rademacher = (
         bounds_mod.rademacher_bound(range_bound, vc, config.N, config.c_abs)
         if config.N >= vc else None
@@ -227,11 +226,9 @@ def _bound_report(
     return bounds_mod.BoundReport(
         fixed_model=fixed,
         erm=erm_terms,
-        vc_bound=vc,
         rademacher_bound=rademacher,
         c_abs=config.c_abs,
         gamma=gamma,
-        gamma_is_estimate=gamma_probes is not None,
         gamma_probe_count=gamma_probes,
         moduli_source=moduli_source,
     )
@@ -242,7 +239,6 @@ class _Score(NamedTuple):
     eval_specs: list[InputSpec]
     risk: float
     risk_se: float
-    gap_mean: float
     bounds: bounds_mod.BoundReport
     timings: dict[str, float]
 
@@ -282,11 +278,10 @@ def _score(config: ExperimentConfig, system: System, model: RnnParams,
     if omega_Y is None:
         omega_Y = bounds_mod.empirical_modulus(truth[:min(8, P)], config.T)
         moduli_source = "empirical"
-    gap_mean = float(gaps.mean())
-    report = _bound_report(config, model.n, gap_mean, Lbar_star, model, omega_Y,
+    report = _bound_report(config, float(gaps.mean()), Lbar_star, model, omega_Y,
                            moduli_source, gamma, gamma_probes)
     timings = {"held_out_probes": t1 - t0, "bounds": time.perf_counter() - t1}
-    return _Score(eval_seed, eval_specs, float(risks.mean()), risk_se, gap_mean, report, timings)
+    return _Score(eval_seed, eval_specs, float(risks.mean()), risk_se, report, timings)
 
 
 def cmd_generate(config: ExperimentConfig) -> Path:
@@ -385,7 +380,7 @@ def cmd_evaluate(config: ExperimentConfig, model_path=None) -> Path:
         "loss_trajectory": trajectory,
         "empirical_risk": score.risk,
         "risk_standard_error": score.risk_se,
-        "bernstein_gap_mean": score.gap_mean,
+        "bernstein_gap_mean": score.bounds.fixed_model.bernstein_gap_term,
         "approximation_error_upper_estimate": score.bounds.erm.approximation_error,
         "bounds": asdict(score.bounds),
         "train_inputs": train_inputs,
@@ -424,7 +419,7 @@ def _closed_form_report(config: ExperimentConfig) -> bounds_mod.BoundReport:
     unit = np.zeros(n)
     unit[0] = M
     boundary = RnnParams(A=M * np.eye(n), b=unit, c=unit, xi=unit)
-    return _bound_report(config, n, 0.0, 0.0, boundary, omega_Y, "analytic", gamma, None)
+    return _bound_report(config, 0.0, 0.0, boundary, omega_Y, "analytic", gamma, None)
 
 
 def _sweep_point(config: ExperimentConfig, param: str, value, mode: str, index: int) -> dict:
@@ -434,7 +429,6 @@ def _sweep_point(config: ExperimentConfig, param: str, value, mode: str, index: 
         base = config.to_json_dict()
         base[param] = value
         base["rng_seed"] = point_seed
-        base["sweep"] = None
         del base["ensemble"]["rng_seed"], base["train"]["rng_seed"]
         point = config_from_dict(base)
         row["k"], row["N"] = point.k, point.N

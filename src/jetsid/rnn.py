@@ -170,7 +170,7 @@ def simulate_runs(runs: Sequence[tuple[System, list | tuple]], T: float,
         for u in inputs:
             if not isinstance(u, InputSpec):
                 raise ConfigError(f"unsupported input type {type(u).__name__}")
-    if not T > 0:
+    if not 0 < T < math.inf:
         raise DomainError(f"horizon must be positive, got {T}")
     if config.step is not None and config.step > T:
         raise ConfigError(f"step {config.step} exceeds horizon {T}")

@@ -194,6 +194,8 @@ def sample_on_grid(specs: list[InputSpec], m: int, T: float) -> np.ndarray:
     one row per input."""
     if m < 1:
         raise DomainError("grid degree m must be >= 1")
+    if not 0 < T < math.inf:
+        raise DomainError(f"horizon must be positive, got {T}")
     ts = np.linspace(0.0, T, m + 1)
     return _eval_array(specs, ts)
 

@@ -6,6 +6,7 @@ import pytest
 
 from jetsid import (
     GROUND_TRUTHS,
+    BoundReport,
     DomainError,
     PreconditionError,
     RnnParams,
@@ -164,6 +165,31 @@ class TestOverflow:
         for M, T in ((1e200, 1e-199), (1e150, 1e-148)):
             with pytest.raises(DomainError, match="ERM bound term input_modulus_term"):
                 erm_risk_bound(**TestErmRiskBound().kwargs(M=M, T=T, omega_U=IDENT))
+
+
+class TestBoundReport:
+    ERM = erm_risk_bound(M=1.0, n=2, k=3, T=1.0, N=10, delta=0.1, gamma_R=1.0,
+                         Lbar_star_estimate=0.0, c_abs=1.0, omega_Y=ZERO, omega_U=ZERO,
+                         waive_sample_size=True)
+    FIXED = fixed_model_risk_bound(IDENT, IDENT, scalar_params(), 3, 1.0, 0.0)
+
+    def report(self, probes, **extra):
+        return BoundReport(fixed_model=self.FIXED, erm=self.ERM, rademacher_bound=None,
+                           c_abs=1.0, gamma=1.0, gamma_probe_count=probes,
+                           moduli_source="analytic", **extra)
+
+    @pytest.mark.parametrize("probes", [None, 8])
+    def test_derived_fields(self, probes):
+        report = self.report(probes)
+        assert report.vc_bound == self.ERM.sample_size_threshold == vc_dimension_bound(2, 3)
+        assert report.gamma_is_estimate == (probes is not None)
+        assert report.sample_size_ok is self.ERM.sample_size_ok is False
+
+    @pytest.mark.parametrize("extra", [{"vc_bound": 1}, {"gamma_is_estimate": True},
+                                       {"sample_size_ok": True}])
+    def test_derived_fields_are_not_arguments(self, extra):
+        with pytest.raises(TypeError):
+            self.report(None, **extra)
 
 
 class TestVcDimensionBound:

@@ -16,8 +16,9 @@ from hypothesis import strategies as st
 
 import jetsid
 from jetsid import RnnParams, build_dataset, sample_ensemble
-from jetsid.cli import (ExperimentConfig, cmd_generate, config_from_dict, derive_seed,
-                        load_config, main)
+from jetsid import bounds as bounds_mod
+from jetsid.cli import (ExperimentConfig, cmd_bounds, cmd_evaluate, cmd_generate, cmd_sweep,
+                        cmd_train, config_from_dict, derive_seed, load_config, main)
 from jetsid.errors import ConfigError, write_json
 
 from test_cli_pinned import DUFFING, SWEEP_LINEAR_K, TEACHER_FIT
@@ -85,6 +86,13 @@ class TestConfigLoading:
                           out_override=str(tmp_path / "b"))
         assert cfg.rng_seed == 99
         assert cfg.out_dir == str(tmp_path / "b")
+
+    def test_overrides_leave_the_document_unchanged(self, tmp_path):
+        doc = base_doc(tmp_path / "a")
+        before = copy.deepcopy(doc)
+        cfg = config_from_dict(doc, seed_override=99, out_override=str(tmp_path / "b"))
+        assert (cfg.rng_seed, cfg.out_dir) == (99, str(tmp_path / "b"))
+        assert doc == before
 
     def test_resolved_echo_has_no_silent_defaults(self, tmp_path):
         cfg = load_config(write_config(tmp_path, base_doc(tmp_path / "run")))
@@ -780,10 +788,9 @@ class TestEvaluate:
         seen = []
         real = cli._bound_report
 
-        def spy(config, model_n, gap_mean, Lbar_star, fixed, omega_Y, source, gamma, probes):
+        def spy(config, gap_mean, Lbar_star, fixed, omega_Y, source, gamma, probes):
             seen.append((omega_Y, source, gamma, probes))
-            return real(config, model_n, gap_mean, Lbar_star, fixed, omega_Y, source,
-                        gamma, probes)
+            return real(config, gap_mean, Lbar_star, fixed, omega_Y, source, gamma, probes)
 
         monkeypatch.setattr(cli, "_bound_report", spy)
         assert main(["evaluate", "--config", path]) == 0
@@ -885,6 +892,29 @@ class TestEvaluate:
             keys = [f"{key}.{sub}" for key in ("fixed_model", "erm") for sub in bounds[key]]
             keys += [key for key, val in bounds.items() if not isinstance(val, dict)]
             assert sorted(keys) == sorted(self.BOUND_COLUMNS)
+
+    def test_capacity_bound_computed_once_per_report(self, tmp_path, monkeypatch):
+        # the report's vc_bound and the Rademacher gate read the ERM
+        # bound's sample-size threshold
+        calls = []
+        real = bounds_mod.vc_dimension_bound
+        monkeypatch.setattr(bounds_mod, "vc_dimension_bound",
+                            lambda n, k: calls.append((n, k)) or real(n, k))
+        path, report = self.run_pipeline(tmp_path)
+        assert calls == [(1, 3)]
+        assert report["bounds"]["vc_bound"] == report["bounds"]["erm"]["sample_size_threshold"]
+        assert main(["bounds", "--config", path]) == 0
+        assert calls == [(1, 3)] * 2
+
+    def test_each_command_returns_the_file_it_reports(self, tmp_path):
+        doc = base_doc(tmp_path / "run")
+        doc["sweep"] = {"param": "k", "values": [3], "mode": "bounds_only"}
+        cfg = load_config(write_config(tmp_path, doc))
+        for command, name in ((cmd_generate, "dataset.json"), (cmd_train, "model.json"),
+                              (cmd_evaluate, "report.json"), (cmd_sweep, "sweep.csv"),
+                              (cmd_bounds, "bounds.json")):
+            assert command(cfg) == tmp_path / "run" / name
+            assert (tmp_path / "run" / name).is_file()
 
     def test_timings_in_sidecar_not_report(self, tmp_path):
         _, report = self.run_pipeline(tmp_path)

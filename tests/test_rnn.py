@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,13 +21,13 @@ from jetsid import (
     io_lipschitz_bound,
     output_modulus_bound,
     output_sup_bound,
-    rk4_substeps,
     simulate,
     simulate_runs,
     system_from_config,
 )
 from jetsid.erm import build_dataset
-from jetsid.rnn import bibo_probes
+from jetsid.errors import MAX_COUNT
+from jetsid.rnn import bibo_probes, rk4_substeps
 from jetsid.signals import EnsembleConfig, InputSpec, sample_ensemble
 
 from oracles import GROUND_TRUTH_RHS, bibo_gain_estimate, eval_closed_form, project_feasible, rk4
@@ -159,6 +161,25 @@ class TestSimulate:
             simulate(scalar_params(), [const_input(0.0)], 1.0, SimConfig(step=2.0))
         with pytest.raises(DomainError):
             simulate(scalar_params(), [const_input(0.0)], -1.0, FAST)
+
+    @pytest.mark.parametrize("T", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("call", [
+        lambda system, inputs, T: simulate(system, inputs, T),
+        lambda system, inputs, T: simulate_runs([(system, inputs)], T)],
+        ids=["simulate", "simulate_runs"])
+    def test_horizon_must_be_finite_and_positive(self, call, T):
+        # an infinite horizon would reach the step count as NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=re.escape(f"horizon must be positive, got {T}")):
+                call(GROUND_TRUTHS["linear"](), [const_input(1.0)], T)
+
+    def test_step_limit_refused_before_stepping(self):
+        # one step past the limit on a 2-point grid: refused before the
+        # stage inputs of a million steps are evaluated
+        with pytest.raises(ConfigError, match=f"takes over {MAX_COUNT} RK4 steps"):
+            simulate(GROUND_TRUTHS["linear"](), [const_input(1.0)], 1.0,
+                     SimConfig(step=1 / (MAX_COUNT + 1), grid_size=2))
 
 
 def random_rnn(n, seed):

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -210,6 +212,14 @@ class TestSampleOnGrid:
         spec = fourier([0.4, 0.3], [1.2, 2.7], [0.1, 1.4])
         (sig,) = sample_on_grid([spec], 7, 2.0)
         assert np.abs(sig - eval_closed_form(spec, np.linspace(0.0, 2.0, 8))).max() == 0.0
+
+    @pytest.mark.parametrize("T", [0.0, -1.0, math.inf, math.nan])
+    def test_horizon_must_be_finite_and_positive(self, T):
+        # the grid of such a horizon holds NaN or negative times
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=re.escape(f"horizon must be positive, got {T}")):
+                sample_on_grid([poly([0.0, 1.0])], 3, T)
 
 
 class TestEstimateModulus:
