@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
+from functools import cache
 from typing import Callable, NamedTuple, Sequence, get_type_hints
 
 import numpy as np
@@ -35,9 +36,10 @@ def empirical_modulus(values: np.ndarray, T: float) -> Modulus:
     sampled on [0, T], one per row.
 
     A lower envelope of the true common modulus; reports must flag it
-    as empirical.
+    as empirical.  Each delta is estimated once: the fixed-model and ERM
+    bounds both read omega_Y(T / sqrt(k)).
     """
-    return lambda delta: 0.0 if delta <= 0 else estimate_modulus(values, T, delta)
+    return cache(lambda delta: 0.0 if delta <= 0 else estimate_modulus(values, T, delta))
 
 
 def _check_finite(terms, what: str) -> None:

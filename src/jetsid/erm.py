@@ -238,13 +238,16 @@ def is_feasible(params: RnnParams, M: float) -> bool:
     return all(v <= M * _FEASIBLE_SLACK for v in params.norms().values())
 
 
-# A row with ||A||_F <= M (1 - 1e-9) is inside the budget, as the spectral
-# norm is at most the Frobenius norm, and it skips the SVD.  Up to n^2 =
-# MAX_STATES^2 terms the computed Frobenius norm is off by at most about
-# 1.1e-10 relative and LAPACK's largest singular value by about 1e-13, so a
-# certified row's computed spectral norm stays under M * _FEASIBLE_SLACK
-# and every clip decision is the SVD's.
+# A row whose squares of A / M sum to at most (1 - 1e-9)^2 has ||A||_F, and
+# so the spectral norm, inside the budget, and skips the SVD; likewise for
+# b, c and xi.  Each square of an entry over M is off by at most 3.3e-16
+# relative and a sum of up to n^2 = MAX_STATES^2 of them by about 1.1e-10
+# (a square that underflows loses under 2.3e-308); LAPACK's largest
+# singular value is off by about 1e-13.  So a certified row's computed
+# norms all stay under M * _FEASIBLE_SLACK, and every clip and rescale
+# decision is that of the exact norms.
 _CERTIFIED = 1.0 - 1e-9
+_CERTIFIED_SQ = _CERTIFIED * _CERTIFIED
 
 
 def _project(thetas: np.ndarray, n: int, M: float) -> np.ndarray:
@@ -252,13 +255,20 @@ def _project(thetas: np.ndarray, n: int, M: float) -> np.ndarray:
     (L, P) stack of flat weights, rows equal bit for bit to those of a
     stack of one: the singular values of A are clipped at M (the exact
     projection onto the spectral-norm ball), and b, c, xi are radially
-    rescaled.  When no row moves the stack itself is returned, so the
-    caller hands in an array it does not change afterwards.  Only the A
-    that the Frobenius bound leaves in doubt go through an SVD."""
+    rescaled.  One pass sums the squares of each row's four blocks divided
+    by M; when it certifies every block inside the budget, the stack itself
+    is returned with no exact norm taken, so the caller hands in an array
+    it does not change afterwards.  Otherwise only the A that the pass
+    leaves in doubt go through an SVD, and b, c, xi take exact norms."""
     L, nn = len(thetas), n * n
-    A = _split(thetas, n)[0]
+    with np.errstate(over="ignore"):
+        scaled = thetas / M
+        sq = np.add.reduceat(scaled * scaled, [0, nn, nn + n, nn + 2 * n], axis=1)
+    if sq.max() <= _CERTIFIED_SQ:  # NaN: in doubt
+        return thetas
+    A = thetas[:, :nn].reshape(L, n, n)
     bound = M * _FEASIBLE_SLACK
-    doubt = np.flatnonzero(~(_vector_norms(thetas[:, :nn]) <= M * _CERTIFIED))  # NaN: in doubt
+    doubt = np.flatnonzero(~(sq[:, 0] <= _CERTIFIED_SQ))
     clip = (doubt[np.linalg.svd(A[doubt], compute_uv=False).max(axis=1) > bound]
             if doubt.size else doubt)
     # b, c, xi of each row

@@ -71,17 +71,23 @@ class RnnParams:
         return RnnParams(real_array("A", doc["A"]).reshape(n, n), doc["b"], doc["c"], doc["xi"])
 
 
+_TINY = np.finfo(float).tiny
+
+
 def _vector_norms(vecs: np.ndarray) -> np.ndarray:
     """Euclidean norms of the rows of an (..., n) array, each sqrt(v @ v)
     from a (1, n) @ (n, 1) product, which matches v @ v bit for bit; where
-    v @ v overflows, m |v / m| with m the largest |entry|."""
+    v @ v overflows, or falls below the normal range (to 0 or a subnormal)
+    while some entry is nonzero, m |v / m| with m the largest |entry|."""
     with np.errstate(over="ignore"):
-        nrm = np.sqrt((vecs[..., None, :] @ vecs[..., None])[..., 0, 0])
-    huge = np.isinf(nrm)
-    if huge.any():
-        top = np.abs(vecs[huge]).max(axis=1)
-        unit = vecs[huge] / top[:, None]
-        nrm[huge] = top * np.sqrt((unit[:, None, :] @ unit[..., None])[:, 0, 0])
+        sq = (vecs[..., None, :] @ vecs[..., None])[..., 0, 0]
+    nrm = np.sqrt(sq)
+    odd = np.isinf(sq) | (sq < _TINY)
+    if odd.any():
+        odd[odd] = vecs[odd].any(axis=-1)  # a zero row's norm 0 is exact
+        top = np.abs(vecs[odd]).max(axis=-1)
+        unit = vecs[odd] / top[:, None]
+        nrm[odd] = top * np.sqrt((unit[:, None, :] @ unit[..., None])[:, 0, 0])
     return nrm
 
 

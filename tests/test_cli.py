@@ -906,6 +906,19 @@ class TestEvaluate:
         assert main(["bounds", "--config", path]) == 0
         assert calls == [(1, 3)] * 2
 
+    def test_empirical_modulus_estimated_once_per_report(self, tmp_path, monkeypatch):
+        # duffing declares no output modulus; the fixed-model and ERM bounds
+        # both read the envelope's omega_Y(T / sqrt(k))
+        calls = []
+        real = bounds_mod.estimate_modulus
+        monkeypatch.setattr(bounds_mod, "estimate_modulus",
+                            lambda values, T, delta: calls.append(delta) or real(values, T, delta))
+        doc = base_doc(tmp_path / "run")
+        doc["ground_truth"] = {"kind": "named", "name": "duffing", "params": {}}
+        _, report = self.run_pipeline(tmp_path, doc)
+        assert report["bounds"]["moduli_source"] == "empirical"
+        assert calls == [doc["T"] / math.sqrt(doc["k"])]
+
     def test_each_command_returns_the_file_it_reports(self, tmp_path):
         doc = base_doc(tmp_path / "run")
         doc["sweep"] = {"param": "k", "values": [3], "mode": "bounds_only"}

@@ -46,6 +46,9 @@ def const_input(a):
 
 TEACHER = scalar_params(A=0.3, b=0.8, c=0.5, xi=0.1)
 FAST = SimConfig(step=1.0 / 512, grid_size=129)
+# norm budgets for the projection: one ordinary, and two whose squares
+# leave the float range (M^2 overflows at 1e200 and underflows at 1e-160)
+BUDGETS = (0.7, 1e-160, 1e200)
 
 
 class TestBuildDataset:
@@ -277,12 +280,12 @@ class TestProjectFeasible:
 
     @staticmethod
     def certificate_rows(n, M, rng):
-        """Flat weight rows on both sides of the Frobenius certificate and of
-        the budget: A inside; ||A||_F just below and just above
-        M * erm._CERTIFIED; a rank-one A (spectral norm = Frobenius norm) at
-        M; spectral norm just above M (1 + 1e-12), which clips; entries of
-        1e200 in A and b, whose norms take the overflow fallback; b and c
-        outside.  Only the last three rows move."""
+        """Flat weight rows on both sides of the certificate and of the
+        budget: A inside; ||A||_F just below and just above M * erm._CERTIFIED;
+        a rank-one A (spectral norm = Frobenius norm) at M; spectral norm just
+        above M (1 + 1e-12), which clips; entries of max(1e200, 1e100 M) in A
+        and b, whose norms take the overflow fallback; b and c outside.  Only
+        the last three rows move."""
         def A_at(norm, ord=None, A=None):
             A = rng.uniform(-1, 1, (n, n)) if A is None else A
             return A * (norm / np.linalg.norm(A, ord))
@@ -291,28 +294,29 @@ class TestProjectFeasible:
             V = rng.uniform(-1, 1, (3, n))
             return V * (np.array(norms) / np.linalg.norm(V, axis=1))[:, None]
 
-        edge, inside = M * erm._CERTIFIED, (0.5 * M,) * 3
+        edge, inside, huge = M * erm._CERTIFIED, (0.5 * M,) * 3, max(1e200, 1e100 * M)
         cases = [(A_at(0.5 * M), vecs(*inside)),
                  (A_at(edge * (1 - 1e-12)), vecs(*inside)),
                  (A_at(edge * (1 + 1e-12)), vecs(*inside)),
                  (A_at(M, A=np.outer(*rng.uniform(-1, 1, (2, n)))), vecs(*inside)),
                  (A_at(M * (1 + 1e-11), 2), vecs(*inside)),
-                 (rng.uniform(-1, 1, (n, n)) * 1e200,
-                  np.vstack([np.full(n, 1e200), vecs(*inside)[1:]])),
+                 (rng.uniform(-1, 1, (n, n)) * huge,
+                  np.vstack([np.full(n, huge), vecs(*inside)[1:]])),
                  (A_at(0.5 * M), vecs(2 * M, 3 * M, 0.5 * M))]
         return np.array([np.concatenate([A.ravel(), *V]) for A, V in cases])
 
     @pytest.mark.parametrize("L", [1, 3, 7])
     @pytest.mark.parametrize("n", [1, 2, 3, 8])
     def test_certificate_matches_svd_of_every_row(self, n, L):
-        M = 0.7
-        rows = self.certificate_rows(n, M, np.random.default_rng(10 * n + L))
-        moved = (project_reference(rows, n, M) != rows).any(axis=1)
-        assert moved.tolist() == [False] * 4 + [True] * 3
-        for first in range(len(rows)):
-            thetas = rows[(first + np.arange(L)) % len(rows)]
-            assert erm._project(thetas, n, M).tobytes() == \
-                project_reference(thetas, n, M).tobytes()
+        # budgets whose squares overflow (1e200) and underflow (1e-160)
+        for M in BUDGETS:
+            rows = self.certificate_rows(n, M, np.random.default_rng(10 * n + L))
+            moved = (project_reference(rows, n, M) != rows).any(axis=1)
+            assert moved.tolist() == [False] * 4 + [True] * 3, M
+            for first in range(len(rows)):
+                thetas = rows[(first + np.arange(L)) % len(rows)]
+                assert erm._project(thetas, n, M).tobytes() == \
+                    project_reference(thetas, n, M).tobytes(), M
 
     def test_svd_only_for_rows_in_doubt(self, monkeypatch):
         M, n = 0.7, 3
@@ -332,6 +336,50 @@ class TestProjectFeasible:
         # rows 2-5 are in doubt, and rows 4 and 5 clip
         erm._project(rows, n, M)
         assert stacked == [4, 2]
+
+    @pytest.mark.parametrize("M", BUDGETS)
+    def test_idle_stack_takes_no_exact_norm(self, monkeypatch, M):
+        n = 3
+        rows = self.certificate_rows(n, M, np.random.default_rng(6))
+        # A and b each with one entry whose square over M^2 equals the
+        # certificate's bound exactly: inside, since the test is <=, not <
+        x = M * erm._CERTIFIED
+        assert (x / M) ** 2 == erm._CERTIFIED_SQ
+        on_edge = rows[0].copy()
+        on_edge[:n * n + n] = 0.0
+        on_edge[[0, n * n]] = x
+        svd, norms, work = np.linalg.svd, erm._vector_norms, []
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda a, *args, **kw: work.append(("svd", len(a)))
+                            or svd(a, *args, **kw))
+        monkeypatch.setattr(erm, "_vector_norms",
+                            lambda vecs: work.append(("norms", len(vecs))) or norms(vecs))
+        idle = np.vstack([rows[[0, 1]], on_edge])
+        assert erm._project(idle, n, M) is idle
+        assert work == []
+        # one A just past the certificate: its SVD and the stack's exact
+        # norms move nothing
+        doubt = np.vstack([idle, rows[2]])
+        assert erm._project(doubt, n, M) is doubt
+        assert work == [("svd", 1), ("norms", 4)]
+
+    @pytest.mark.parametrize("M", [1e-160, 1e-300])
+    def test_budget_held_where_squares_underflow(self, M):
+        # entries near M, whose squares underflow (M = 1e-300) or fall
+        # among the subnormals (M = 1e-160); every row lands in the budget
+        # by norms taken independently of the package's
+        n = 3
+        rng = np.random.default_rng(8)
+        rows = rng.uniform(-1, 1, (20, n * (n + 3))) * (M * rng.uniform(0.1, 3, 20)[:, None])
+        out = erm._project(rows, n, M)
+        for theta in out:
+            params = unflat(theta, n)
+            assert is_feasible(params, M)
+            assert np.linalg.norm(params.A, 2) <= M * (1 + 1e-12)
+            for v in (params.b, params.c, params.xi):
+                assert math.hypot(*v) <= M * (1 + 1e-12)
+        moved = (out != rows).any(axis=1)
+        assert moved.any() and not moved.all()
 
 
 def flat(params):

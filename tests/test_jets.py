@@ -244,6 +244,24 @@ class TestRnnParams:
         assert nrm["A"] == pytest.approx(2.0)
         assert nrm["b"] == pytest.approx(5.0)
 
+    @pytest.mark.parametrize("v", [[1e-200], [3e-170, -4e-170], [1e-160, 1e-161, 0.0],
+                                   [5e-324, 0.0], [1e-300, 2e-310], [1e200, -1e200],
+                                   [1e300, 1e300, 1e300]])
+    def test_norms_where_squares_leave_the_normal_range(self, v):
+        # v @ v underflows to 0 or a subnormal, or overflows
+        params = RnnParams(np.zeros((len(v), len(v))), v, np.zeros(len(v)), v)
+        nrm = params.norms()
+        assert nrm["b"] == nrm["xi"] == pytest.approx(math.hypot(*v), rel=4 * EPS, abs=0)
+        assert nrm["c"] == 0.0
+
+    def test_norms_bit_identical_in_the_normal_range(self):
+        rng = np.random.default_rng(4)
+        for scale in (1e-150, 1.0, 1e150):
+            b, c, xi = rng.uniform(-1, 1, (3, 5)) * scale
+            nrm = RnnParams(np.zeros((5, 5)), b, c, xi).norms()
+            assert [nrm[key] for key in ("b", "c", "xi")] == [
+                float(np.sqrt(v @ v)) for v in (b, c, xi)]
+
     @settings(database=None, derandomize=True)
     @given(st.integers(1, 4).flatmap(lambda n: st.tuples(*(
         st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=size, max_size=size)
